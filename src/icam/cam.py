@@ -34,9 +34,6 @@ class Heatmap:
     resolution: str          # "layer" | "input"
     normalized: bool
 
-    def normalized_copy(self) -> "Heatmap":
-        return Heatmap(normalize_minmax(self.values), self.resolution, True)
-
 
 @dataclass(frozen=True)
 class CamRequest:

@@ -107,8 +107,7 @@ def build_fixture_model(seed: int) -> Model:
 
     def draw(shape, fan_in):
         scale = np.sqrt(2.0 / fan_in)
-        flat = np.array([rng.gaussian() for _ in range(int(np.prod(shape)))])
-        return (scale * flat).reshape(shape)
+        return (scale * rng.gaussian_array(int(np.prod(shape)))).reshape(shape)
 
     weights = {}
     cin = spec.input_shape[0]

@@ -7,7 +7,7 @@ channels. The result is deliberately not clamped to [0,1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,6 @@ class PerturbationConfig:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
 
 
-@dataclass
-class PerturbationSet:
-    original: np.ndarray
-    perturbed: list                      # n images, same shape as original
-    config: PerturbationConfig
-    # filled downstream once the perturbed images have been run through the model
-    traces: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-
-
 def perturb_image(image: np.ndarray, alpha: float, rng: SplitMix64) -> np.ndarray:
     """One perturbation draw from a shared Prng stream.
 
@@ -50,14 +40,20 @@ def perturb_image(image: np.ndarray, alpha: float, rng: SplitMix64) -> np.ndarra
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
     image = np.asarray(image, dtype=np.float64)
     c, h, w = image.shape
-    noise = np.array([rng.gaussian() for _ in range(c * h * w)]).reshape(c, h, w)
-    mask = np.array([rng.bernoulli(1.0 - alpha) for _ in range(h * w)],
-                    dtype=np.float64).reshape(h, w)
+    noise = rng.gaussian_array(c * h * w).reshape(c, h, w)
+    mask = (rng.uniform_array(h * w) < 1.0 - alpha).reshape(h, w)
     return (image + alpha * noise) * mask[None, :, :]
 
 
-def generate_set(image: np.ndarray, config: PerturbationConfig) -> PerturbationSet:
-    """n perturbations from a single stream seeded by config.seed."""
+def generate_set(image: np.ndarray, config: PerturbationConfig) -> np.ndarray:
+    """n perturbations from a single stream seeded by config.seed.
+
+    Returns a float64 [n, C, H, W] array; perturbation i is the i-th
+    perturb_image draw from SplitMix64(config.seed).
+    """
+    image = np.asarray(image, dtype=np.float64)
     rng = SplitMix64(config.seed)
-    perturbed = [perturb_image(image, config.alpha, rng) for _ in range(config.n)]
-    return PerturbationSet(np.asarray(image, dtype=np.float64), perturbed, config)
+    out = np.empty((config.n,) + image.shape)
+    for i in range(config.n):
+        out[i] = perturb_image(image, config.alpha, rng)
+    return out

@@ -7,8 +7,6 @@ the model, perturbation, scoring, and CAM modules.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +69,16 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             perturb_config = PerturbationConfig()
         prob_trace = forward_trace(model, image, class_index=c,
                                    scalar_kind="probability")
-        pset = generate_set(image, perturb_config)
-        pset.traces = [forward_trace(model, p, class_index=c,
-                                     scalar_kind="probability")
-                       for p in pset.perturbed]
-        pset.weights = [
+        perturbed = generate_set(image, perturb_config)
+        traces = [forward_trace(model, p, class_index=c,
+                                scalar_kind="probability")
+                  for p in perturbed]
+        weights = [
             metrics.perturbation_weight(image, p, prob_trace.probabilities,
                                         tr.probabilities)
-            for p, tr in zip(pset.perturbed, pset.traces)
+            for p, tr in zip(perturbed, traces)
         ]
-        report = layerscore.score_layers(prob_trace, pset.traces, pset.weights,
+        report = layerscore.score_layers(prob_trace, traces, weights,
                                          threshold)
         layers = report.selected
         weights = report.layer_weights
@@ -165,8 +163,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     """Mean IoU and saliency over correct predictions, plus accuracy.
 
     IoU and saliency are computed only where argmax == label, matching the
-    weak-localization protocol. ICAM_THREADS > 0 enables concurrent record
-    processing; results aggregate in record order either way.
+    weak-localization protocol.
     """
     if load_image is None:
         from .render import read_ppm
@@ -193,12 +190,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
             "saliency": metrics.saliency_score(result.heatmap.values, truth),
         }
 
-    workers = int(os.environ.get("ICAM_THREADS", "0") or "0")
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(process, records))
-    else:
-        outcomes = [process(r) for r in records]
+    outcomes = [process(r) for r in records]
 
     correct = [o for o in outcomes if o["correct"]]
     n_total, n_correct = len(outcomes), len(correct)

@@ -68,7 +68,7 @@ def _central_diff(f, x, order, h):
 
 def _random_image(rng: SplitMix64, shape):
     c, h, w = shape
-    return np.array([rng.uniform() for _ in range(c * h * w)]).reshape(c, h, w)
+    return rng.uniform_array(c * h * w).reshape(c, h, w)
 
 
 def derivative_identity_suite(model: Model = None, trials: int = 20,
@@ -138,7 +138,7 @@ def softmax_polynomial_suite(trials: int = 100, seed: int = 99,
     with mpmath.workdps(60):
         h = mpmath.mpf("1e-10")
         for _ in range(trials):
-            logits = np.array([2.0 * rng.gaussian() for _ in range(classes)])
+            logits = 2.0 * rng.gaussian_array(classes)
             c = rng.next_u64() % classes
             _, f1, f2, f3 = table_fn("softmax", logits, c)
             k = sum(mpmath.exp(mpmath.mpf(float(v)))
@@ -173,7 +173,7 @@ def kl_divergence(x, y) -> float:
 
 
 def _random_dist(rng, size):
-    v = np.array([rng.uniform() + 1e-3 for _ in range(size)])
+    v = rng.uniform_array(size) + 1e-3
     return v / v.sum()
 
 

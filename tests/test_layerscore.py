@@ -91,13 +91,14 @@ class TestLayerImportance:
         model = build_fixture_model(42)
         img = np.random.default_rng(5).random((3, 32, 32))
         tr = forward_trace(model, img, scalar_kind="probability")
-        pset = generate_set(img, PerturbationConfig(n=2, alpha=0.4, seed=42))
+        perturbed = generate_set(img, PerturbationConfig(n=2, alpha=0.4,
+                                                         seed=42))
         traces = [forward_trace(model, p, class_index=tr.class_index,
                                 scalar_kind="probability")
-                  for p in pset.perturbed]
+                  for p in perturbed]
         weights = [metrics.perturbation_weight(img, p, tr.probabilities,
                                                t.probabilities)
-                   for p, t in zip(pset.perturbed, traces)]
+                   for p, t in zip(perturbed, traces)]
         got = layerscore.layer_importance(tr, traces, weights)
 
         ref_map = naive_channel_norm(img * tr.input_gradient)

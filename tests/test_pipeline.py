@@ -218,15 +218,6 @@ class TestEvaluateManifest:
         assert summary["mean_saliency"] == 1.0
         assert summary["mean_iou"] > 0.0
 
-    def test_threaded_matches_serial(self, tmp_path, model, monkeypatch):
-        records, _ = self._setup(tmp_path, model)
-        req = cam.CamRequest("gradcam")
-        cfg = small_config()
-        serial = pipeline.evaluate_manifest(model, records, req, cfg)
-        monkeypatch.setenv("ICAM_THREADS", "3")
-        threaded = pipeline.evaluate_manifest(model, records, req, cfg)
-        assert serial == threaded
-
     def test_no_correct_predictions(self, tmp_path, model):
         records, _ = self._setup(tmp_path, model, n_images=1)
         records[0]["label"] = (records[0]["label"] + 2) % 5
