@@ -1,9 +1,10 @@
 """Multi-layer class activation mapping toolkit with a self-contained CNN.
 
-Core pieces: a minimal reverse-mode autodiff tensor core, a deterministic
-toy CNN fixture, perturbation-weighted layer scoring, four CAM methods
-(Grad-CAM, Grad-CAM++, LayerCAM, I-CAM) with generalized-alpha weighting
-and bias terms, and PPM/PGM rendering for human-viewable overlays.
+Core pieces: a deterministic toy CNN fixture with one explicit, batched
+forward/backward engine for its conv-block topology, perturbation-weighted
+layer scoring, four CAM methods (Grad-CAM, Grad-CAM++, LayerCAM, I-CAM)
+with generalized-alpha weighting and bias terms, and PPM/PGM rendering
+for human-viewable overlays.
 """
 
 __version__ = "0.1.0"

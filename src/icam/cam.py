@@ -3,7 +3,7 @@
 All engine entry points consume a logit-kind ForwardTrace (gradients are
 dS^c/dA). Any smoothing transform f applied on top of the logit is handled
 analytically through its derivative table, never by differentiating
-through f numerically, so higher-order terms need no higher-order autodiff:
+through f numerically, so higher-order terms need no higher-order gradients:
 d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head after the scoring point is
 linear.
 """
@@ -31,8 +31,6 @@ DEFAULT_SMOOTH = {"gradcam": "identity", "gradcampp": "exp",
 @dataclass
 class Heatmap:
     values: np.ndarray       # [H,W], non-negative
-    resolution: str          # "layer" | "input"
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def gradcam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> He
     _, f1, _, _ = smooth_table(smooth, trace.logits, trace.class_index)
     w = (f1 * g).mean(axis=(1, 2))
     raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
-    return Heatmap(raw, "layer", False)
+    return Heatmap(raw)
 
 
 def layercam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> Heatmap:
@@ -123,7 +121,7 @@ def layercam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> H
     a, g = _layer_arrays(trace, layer)
     _, f1, _, _ = smooth_table(smooth, trace.logits, trace.class_index)
     raw = np.maximum((np.maximum(f1 * g, 0.0) * a).sum(axis=0), 0.0)
-    return Heatmap(raw, "layer", False)
+    return Heatmap(raw)
 
 
 def generalized_alpha(f2: float, f3: float, g: np.ndarray, a: np.ndarray,
@@ -154,35 +152,28 @@ def gradcampp_map(trace: ForwardTrace, layer: str, smooth: str = "exp") -> Heatm
     alpha = generalized_alpha(f2, f3, g, a)
     w = (alpha * np.maximum(f1 * g, 0.0)).sum(axis=(1, 2))
     raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
-    return Heatmap(raw, "layer", False)
+    return Heatmap(raw)
 
 
-def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray,
-              sum_of_products: bool = False):
+def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray):
     """Residual bias per channel (scalar each) or per position (full tensor).
 
-    channel mode: b_k = S^c - (sum_ij w_k)(sum_ij A_k), implemented exactly
-    as the printed product of sums; sum_of_products=True switches the
-    correction term to sum_ij(w_k * A_k) for experimentation.
+    channel mode: b_k = S^c - (sum_ij w_k)(sum_ij A_k), the printed
+    product of sums.
     spatial mode: b_k_ij = S^c - w_k_ij * sum_ij A_k.
     """
     if w.shape != a.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {a.shape}")
     a_sum = a.sum(axis=(1, 2))
     if mode == "channel":
-        if sum_of_products:
-            corr = (w * a).sum(axis=(1, 2))
-        else:
-            corr = w.sum(axis=(1, 2)) * a_sum
-        return s_c - corr
+        return s_c - w.sum(axis=(1, 2)) * a_sum
     if mode == "spatial":
         return s_c - w * a_sum[:, None, None]
     raise ValueError(f"unknown bias mode {mode!r}")
 
 
 def icam_layer_map(trace: ForwardTrace, layer: str, smooth: str = "softmax",
-                   bias_mode: str = "channel",
-                   bias_sum_of_products: bool = False) -> Heatmap:
+                   bias_mode: str = "channel") -> Heatmap:
     """Per-layer I-CAM map: tanh-wrapped alpha weights, optional bias, relu."""
     a, g = _layer_arrays(trace, layer)
     _, f1, f2, f3 = smooth_table(smooth, trace.logits, trace.class_index)
@@ -191,12 +182,12 @@ def icam_layer_map(trace: ForwardTrace, layer: str, smooth: str = "softmax",
     raw = (w * a).sum(axis=0)
     if bias_mode != "none":
         s_c = float(trace.logits[trace.class_index])
-        b = bias_term(bias_mode, s_c, w, a, sum_of_products=bias_sum_of_products)
+        b = bias_term(bias_mode, s_c, w, a)
         if bias_mode == "channel":
             raw = raw + b.sum()
         else:
             raw = raw + b.sum(axis=0)
-    return Heatmap(np.maximum(raw, 0.0), "layer", False)
+    return Heatmap(np.maximum(raw, 0.0))
 
 
 def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
@@ -214,7 +205,7 @@ def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
         if vals.shape != (out_h, out_w):
             vals = bilinear_resize(vals, out_h, out_w)
         out += w_l * normalize_minmax(vals)
-    return Heatmap(normalize_minmax(out), "input", True)
+    return Heatmap(normalize_minmax(out))
 
 
 def single_layer_map(trace: ForwardTrace, method: str, layer: str,

@@ -75,13 +75,13 @@ def layer_importance(trace_orig: ForwardTrace, traces_pert, weights) -> dict:
     out_h, out_w = ref.shape
     scores = {}
     for layer in trace_orig.activations:
+        p = np.stack([channel_norm_map(phi(tr, layer)) for tr in traces_pert])
+        if p.shape[1:] != ref.shape:
+            p = bilinear_resize(p, out_h, out_w)
         s = 0.0
         # accumulate in perturbation-index order for bit-exact determinism
-        for w_i, tr in zip(weights, traces_pert):
-            p = channel_norm_map(phi(tr, layer))
-            if p.shape != ref.shape:
-                p = bilinear_resize(p, out_h, out_w)
-            s += w_i * float(np.sqrt(((ref - p) ** 2).sum()))
+        for w_i, p_i in zip(weights, p):
+            s += w_i * float(np.sqrt(((ref - p_i) ** 2).sum()))
         scores[layer] = s
     return scores
 

@@ -54,18 +54,24 @@ class ModelSpec:
             shapes.append((c, h, w))
         return shapes
 
+    def weight_shapes(self):
+        """Tensor name -> shape, in declaration order (weight, bias; head last)."""
+        cin = self.input_shape[0]
+        shapes = {}
+        for b in self.blocks:
+            shapes[f"{b.name}.weight"] = (b.out_channels, cin, b.kernel_size,
+                                          b.kernel_size)
+            shapes[f"{b.name}.bias"] = (b.out_channels,)
+            cin = b.out_channels
+        shapes["head.weight"] = (self.num_classes, cin)
+        shapes["head.bias"] = (self.num_classes,)
+        return shapes
+
 
 @dataclass
 class Model:
     spec: ModelSpec
     weights: dict = field(default_factory=dict)  # name -> float64 ndarray
-
-    def weight_names(self):
-        names = []
-        for b in self.spec.blocks:
-            names += [f"{b.name}.weight", f"{b.name}.bias"]
-        names += ["head.weight", "head.bias"]
-        return names
 
 
 @dataclass
@@ -74,7 +80,8 @@ class ForwardTrace:
 
     Gradients are of the selected scalar: the logit S^c when
     scalar_kind == "logit", the softmax probability Y^c when
-    scalar_kind == "probability".
+    scalar_kind == "probability". Only probability traces carry an
+    input gradient; it is None on logit traces.
     """
 
     image: np.ndarray                 # [C,H,W] input
@@ -82,9 +89,13 @@ class ForwardTrace:
     gradients: dict                   # scoring point -> same shape
     logits: np.ndarray                # [C_cls]
     probabilities: np.ndarray         # [C_cls]
-    input_gradient: np.ndarray        # matches image
+    input_gradient: np.ndarray        # matches image, or None
     class_index: int
     scalar_kind: str                  # "logit" | "probability"
+
+
+class NonFiniteImageError(ValueError):
+    """An input image holds a NaN or infinite pixel."""
 
 
 def build_fixture_model(seed: int) -> Model:
@@ -104,74 +115,103 @@ def build_fixture_model(seed: int) -> Model:
         num_classes=5,
     )
     rng = SplitMix64(seed)
-
-    def draw(shape, fan_in):
-        scale = np.sqrt(2.0 / fan_in)
-        return (scale * rng.gaussian_array(int(np.prod(shape)))).reshape(shape)
-
     weights = {}
-    cin = spec.input_shape[0]
-    for b in spec.blocks:
-        fan_in = cin * b.kernel_size * b.kernel_size
-        weights[f"{b.name}.weight"] = draw(
-            (b.out_channels, cin, b.kernel_size, b.kernel_size), fan_in)
-        weights[f"{b.name}.bias"] = draw((b.out_channels,), fan_in)
-        cin = b.out_channels
-    weights["head.weight"] = draw((spec.num_classes, cin), cin)
-    weights["head.bias"] = draw((spec.num_classes,), cin)
+    for name, shape in spec.weight_shapes().items():
+        if name.endswith(".weight"):
+            fan_in = int(np.prod(shape[1:]))
+        scale = np.sqrt(2.0 / fan_in)
+        weights[name] = (scale * rng.gaussian_array(int(np.prod(shape)))
+                         ).reshape(shape)
     return Model(spec, weights)
 
 
-def forward_trace(model: Model, image: np.ndarray, class_index=None,
-                  scalar_kind: str = "probability") -> ForwardTrace:
-    """Run the model and fill gradients at every scoring point.
-
-    class_index defaults to the argmax logit (ties break to the lowest
-    index). Activations are captured before the backward pass.
-    """
+def _as_images(model: Model, image) -> np.ndarray:
+    """Validate one [C,H,W] image or an [N,C,H,W] batch at the boundary."""
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != model.spec.input_shape:
+    if image.ndim not in (3, 4) or image.shape[-3:] != model.spec.input_shape:
         raise T.ShapeError(
             f"image shape {image.shape} != model input {model.spec.input_shape}")
+    if not np.isfinite(image).all():
+        raise NonFiniteImageError("image has non-finite (NaN or inf) pixels")
+    return image
+
+
+def _run(model: Model, x: np.ndarray, blocks):
+    """conv->relu over `blocks`, then GAP and the head: (block outputs, logits)."""
+    outputs = []
+    for b in blocks:
+        x = T.relu(T.conv2d(x, model.weights[f"{b.name}.weight"],
+                            model.weights[f"{b.name}.bias"],
+                            stride=b.stride, padding=b.padding))
+        outputs.append(x)
+    logits = T.linear(T.global_avg_pool(x), model.weights["head.weight"],
+                      model.weights["head.bias"])
+    return outputs, logits
+
+
+def forward(model: Model, image: np.ndarray) -> np.ndarray:
+    """Logits of one [C,H,W] image or an [N,C,H,W] batch; no backward pass."""
+    return _run(model, _as_images(model, image), model.spec.blocks)[1]
+
+
+def forward_trace(model: Model, image: np.ndarray, class_index=None,
+                  scalar_kind: str = "probability"):
+    """Run the model and fill gradients at every scoring point.
+
+    A [C,H,W] image gives one ForwardTrace; an [N,C,H,W] batch gives a list
+    of N, one per row, each equal to the single-image call on that row.
+    class_index defaults to each row's argmax logit (ties break to the
+    lowest index). The backward pass walks the blocks in reverse from the
+    seed dScalar/dLogits: e_c for "logit", y * (e_c - y_c) for
+    "probability". Logit traces stop at the first block's output;
+    probability traces continue to the input.
+    """
+    images = _as_images(model, image)
     if scalar_kind not in ("logit", "probability"):
         raise ValueError(f"unknown scalar_kind {scalar_kind!r}")
-
-    tape = T.Tape()
-    x = tape.leaf(image)
-    inp = x
-    acts = {}
-    for b in model.spec.blocks:
-        k = tape.leaf(model.weights[f"{b.name}.weight"])
-        bias = tape.leaf(model.weights[f"{b.name}.bias"])
-        x = T.relu(T.conv2d(x, k, bias, stride=b.stride, padding=b.padding))
-        acts[b.name] = x
-    pooled = T.global_avg_pool(x)
-    logits = T.linear(pooled, tape.leaf(model.weights["head.weight"]),
-                      tape.leaf(model.weights["head.bias"]))
+    batch = images.reshape(-1, *model.spec.input_shape)
+    blocks = model.spec.blocks
+    acts, logits = _run(model, batch, blocks)
     probs = T.softmax(logits)
 
     if class_index is None:
-        c = int(np.argmax(logits.data))
+        classes = np.argmax(logits, axis=-1)
     else:
         c = int(class_index)
         if not 0 <= c < model.spec.num_classes:
             raise IndexError(f"class_index {c} out of range "
                              f"[0, {model.spec.num_classes})")
+        classes = np.full(len(batch), c)
+    g = np.zeros_like(logits)
+    g[np.arange(len(batch)), classes] = 1.0
+    if scalar_kind == "probability":
+        g = T.softmax_grad(g, probs)
+    g = T.global_avg_pool_grad(T.linear_grad(g, model.weights["head.weight"]),
+                               acts[-1].shape[-2:])
+    inputs = [batch] + acts[:-1]
+    grads = [None] * len(blocks)
+    for i in reversed(range(len(blocks))):
+        grads[i] = g
+        if i == 0 and scalar_kind == "logit":
+            break
+        g = T.conv2d_input_grad(T.relu_grad(g, acts[i]),
+                                model.weights[f"{blocks[i].name}.weight"],
+                                inputs[i].shape[-2:], stride=blocks[i].stride,
+                                padding=blocks[i].padding)
+    input_gradient = g if scalar_kind == "probability" else None
 
-    scalar = T.pick(logits if scalar_kind == "logit" else probs, c)
-    targets = [inp] + [acts[name] for name in model.spec.scoring_points]
-    grads = T.backward(scalar, targets)
-
-    return ForwardTrace(
-        image=image,
-        activations={n: acts[n].data for n in model.spec.scoring_points},
-        gradients=dict(zip(model.spec.scoring_points, grads[1:])),
-        logits=logits.data,
-        probabilities=probs.data,
-        input_gradient=grads[0],
-        class_index=c,
+    names = model.spec.scoring_points
+    traces = [ForwardTrace(
+        image=batch[r],
+        activations={n: a[r] for n, a in zip(names, acts)},
+        gradients={n: d[r] for n, d in zip(names, grads)},
+        logits=logits[r],
+        probabilities=probs[r],
+        input_gradient=None if input_gradient is None else input_gradient[r],
+        class_index=int(classes[r]),
         scalar_kind=scalar_kind,
-    )
+    ) for r in range(len(batch))]
+    return traces[0] if images.ndim == 3 else traces
 
 
 def forward_from(model: Model, layer: str, activation: np.ndarray) -> np.ndarray:
@@ -183,14 +223,7 @@ def forward_from(model: Model, layer: str, activation: np.ndarray) -> np.ndarray
     if layer not in names:
         raise KeyError(f"unknown scoring point {layer!r}")
     x = np.asarray(activation, dtype=np.float64)
-    start = names.index(layer) + 1
-    for b in model.spec.blocks[start:]:
-        x = T.relu_raw(T.conv2d_raw(x, model.weights[f"{b.name}.weight"],
-                                    model.weights[f"{b.name}.bias"],
-                                    stride=b.stride, padding=b.padding))
-    pooled = T.global_avg_pool_raw(x)
-    return T.linear_raw(pooled, model.weights["head.weight"],
-                        model.weights["head.bias"])
+    return _run(model, x, model.spec.blocks[names.index(layer) + 1:])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +313,13 @@ def load_model(path) -> Model:
             body, dtype="<f4", count=nbytes // 4, offset=off
         ).astype(np.float64).reshape(shape)
 
-    model = Model(spec, weights)
-    missing = [n for n in model.weight_names() if n not in weights]
+    expected = spec.weight_shapes()
+    missing = [n for n in expected if n not in weights]
     if missing:
         raise ModelFormatError(f"bad header: missing tensors {missing}")
-    return model
+    for name, shape in expected.items():
+        if weights[name].shape != shape:
+            raise ModelFormatError(
+                f"tensor {name!r} has shape {weights[name].shape}, "
+                f"but __meta__ implies {shape}")
+    return Model(spec, weights)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cam, layerscore, metrics
-from .model import Model, forward_trace
+from .model import Model, forward, forward_trace
 from .perturb import PerturbationConfig, generate_set
 
 
@@ -67,12 +67,10 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
     if request.method == "icam" and layers is None:
         if perturb_config is None:
             perturb_config = PerturbationConfig()
-        prob_trace = forward_trace(model, image, class_index=c,
-                                   scalar_kind="probability")
         perturbed = generate_set(image, perturb_config)
-        traces = [forward_trace(model, p, class_index=c,
-                                scalar_kind="probability")
-                  for p in perturbed]
+        prob_trace, *traces = forward_trace(
+            model, np.concatenate([image[None], perturbed]), class_index=c,
+            scalar_kind="probability")
         weights = [
             metrics.perturbation_weight(image, p, prob_trace.probabilities,
                                         tr.probabilities)
@@ -175,8 +173,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
 
     def process(rec):
         image = load_image(rec["image"])
-        trace = forward_trace(model, image, scalar_kind="logit")
-        pred = trace.class_index
+        pred = int(np.argmax(forward(model, image)))
         if pred != rec["label"]:
             return {"correct": False}
         result = explain(model, image, request, perturb_config, threshold,

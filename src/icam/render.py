@@ -101,9 +101,12 @@ def normalize_minmax(h: np.ndarray) -> np.ndarray:
 
 
 def bilinear_resize(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-centered bilinear interpolation with edge clamping."""
+    """Half-pixel-centered bilinear interpolation with edge clamping.
+
+    Resizes the last two axes; any leading axes are a batch.
+    """
     h = np.asarray(h, dtype=np.float64)
-    in_h, in_w = h.shape
+    in_h, in_w = h.shape[-2:]
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be >= 1")
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
@@ -116,8 +119,9 @@ def bilinear_resize(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    top = h[np.ix_(y0, x0)] * (1 - wx) + h[np.ix_(y0, x1)] * wx
-    bot = h[np.ix_(y1, x0)] * (1 - wx) + h[np.ix_(y1, x1)] * wx
+    y0, y1 = y0[:, None], y1[:, None]   # rows x columns index grids
+    top = h[..., y0, x0] * (1 - wx) + h[..., y0, x1] * wx
+    bot = h[..., y1, x0] * (1 - wx) + h[..., y1, x1] * wx
     return top * (1 - wy) + bot * wy
 
 

@@ -1,9 +1,12 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Float64 kernels of the conv-block network, batched over leading axes.
 
-The surface is deliberately small: exactly the primitives the toy CNN
-needs (conv2d, relu, linear, global average pooling, softmax) plus the
-bookkeeping to pull the gradient of any taped scalar with respect to any
-taped tensor. No broadcasting beyond what these primitives require.
+Forward kernels take arrays whose trailing axes are [C,H,W] (conv2d, relu,
+global_avg_pool) or [K] (linear, softmax); any leading axes are a batch.
+Each `*_grad` kernel maps the gradient of a scalar with respect to the
+kernel's output to the gradient with respect to its input; parameter
+gradients are never needed. Every matmul multiplies each batch row's
+matrices on their own, so a row of a batched call is bit-identical to the
+same call on that row alone.
 """
 
 from __future__ import annotations
@@ -12,67 +15,8 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operand shapes are incompatible with the requested primitive."""
+    """Operand shapes are incompatible with the requested kernel."""
 
-
-class UntapedTargetError(ValueError):
-    """A backward() target does not belong to the scalar's tape."""
-
-
-class Tape:
-    """Ordered record of primitive applications for one forward pass.
-
-    Backward replay visits nodes in reverse recording order exactly once,
-    which makes gradient accumulation deterministic.
-    """
-
-    def __init__(self):
-        self._nodes = []
-
-    def leaf(self, data) -> "Tensor":
-        t = Tensor(data, tape=self)
-        self._nodes.append(t)
-        return t
-
-    def _record(self, t: "Tensor") -> None:
-        self._nodes.append(t)
-
-
-class Tensor:
-    """Immutable dense array node, optionally attached to a Tape."""
-
-    __slots__ = ("data", "tape", "_parents", "_backward_fn")
-
-    def __init__(self, data, tape=None, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.tape = tape
-        self._parents = parents
-        self._backward_fn = backward_fn
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
-
-
-def _result(data, parents, backward_fn):
-    tape = None
-    for p in parents:
-        if p.tape is not None:
-            if tape is not None and p.tape is not tape:
-                raise ValueError("operands belong to different tapes")
-            tape = p.tape
-    out = Tensor(data, tape=tape, parents=parents, backward_fn=backward_fn)
-    if tape is not None:
-        tape._record(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# raw ndarray kernels, shared by the taped ops and by plain forward replay
-# ---------------------------------------------------------------------------
 
 def conv2d_output_hw(h, w, kh, kw, stride, padding):
     return ((h + 2 * padding - kh) // stride + 1,
@@ -80,188 +24,82 @@ def conv2d_output_hw(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x, kh, kw, stride, padding):
-    c, h, w = x.shape
+    """[...,C,H,W] -> columns [...,C*kH*kW, oH*oW]."""
+    *lead, c, h, w = x.shape
     oh, ow = conv2d_output_hw(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((padding, padding),) * 2)
+    cols = np.empty((*lead, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(c * kh * kw, oh * ow), (oh, ow)
+            cols[..., i, j, :, :] = xp[..., i:i + stride * oh:stride,
+                                       j:j + stride * ow:stride]
+    return cols.reshape(*lead, c * kh * kw, oh * ow), (oh, ow)
 
 
-def _col2im(dcols, in_shape, kh, kw, stride, padding, oh, ow):
-    c, h, w = in_shape
-    dxp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    d = dcols.reshape(c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += d[:, i, j]
-    if padding:
-        return dxp[:, padding:-padding, padding:-padding]
-    return dxp
-
-
-def conv2d_raw(x, kernel, bias, stride=1, padding=0):
+def conv2d(x, kernel, bias, stride=1, padding=0):
+    """Cross-correlation of [...,C_in,H,W] with a [C_out,C_in,kH,kW] kernel."""
     cout, cin, kh, kw = kernel.shape
+    if x.shape[-3] != cin:
+        raise ShapeError(f"kernel C_in {cin} != input C_in {x.shape[-3]}")
     cols, (oh, ow) = _im2col(x, kh, kw, stride, padding)
     out = kernel.reshape(cout, -1) @ cols
-    out = out.reshape(cout, oh, ow) + bias[:, None, None]
-    return out
+    return out.reshape(*x.shape[:-3], cout, oh, ow) + bias[:, None, None]
 
 
-def relu_raw(x):
+def conv2d_input_grad(g, kernel, in_hw, stride=1, padding=0):
+    """Input gradient of conv2d from g = d/d(output), [...,C_out,oH,oW]."""
+    cout, cin, kh, kw = kernel.shape
+    *lead, _, oh, ow = g.shape
+    h, w = in_hw
+    dcols = kernel.reshape(cout, -1).T @ g.reshape(*lead, cout, oh * ow)
+    d = dcols.reshape(*lead, cin, kh, kw, oh, ow)
+    dxp = np.zeros((*lead, cin, h + 2 * padding, w + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[..., i:i + stride * oh:stride,
+                j:j + stride * ow:stride] += d[..., i, j, :, :]
+    return np.ascontiguousarray(dxp[..., padding:padding + h,
+                                    padding:padding + w])
+
+
+def relu(x):
     return np.maximum(x, 0.0)
 
 
-def linear_raw(x, weight, bias):
-    return weight @ x + bias
+def relu_grad(g, y):
+    """Input gradient of relu given its output y; it is 0 where y == 0."""
+    return g * (y > 0.0)
 
 
-def global_avg_pool_raw(x):
-    return x.mean(axis=(1, 2))
+def global_avg_pool(x):
+    """Per-channel spatial mean: [...,C,H,W] -> [...,C]."""
+    return x.mean(axis=(-2, -1))
 
 
-def softmax_raw(v):
-    z = v - v.max()
-    e = np.exp(z)
-    return e / e.sum()
+def global_avg_pool_grad(g, in_hw):
+    h, w = in_hw
+    return np.broadcast_to((g / (h * w))[..., None, None],
+                           (*g.shape, h, w)).copy()
 
 
-# ---------------------------------------------------------------------------
-# taped primitives
-# ---------------------------------------------------------------------------
-
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """Cross-correlation over a [C_in,H,W] input with a [C_out,C_in,kH,kW] kernel."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d expects input [C,H,W] and kernel [O,C,kH,kW]")
-    cout, cin, kh, kw = kernel.shape
-    c, h, w = x.shape
-    if cin != c:
-        raise ShapeError(f"kernel C_in {cin} != input C_in {c}")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise ShapeError("kernel larger than padded input")
-    if bias.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
-
-    cols, (oh, ow) = _im2col(x.data, kh, kw, stride, padding)
-    wmat = kernel.data.reshape(cout, -1)
-    out = (wmat @ cols).reshape(cout, oh, ow) + bias.data[:, None, None]
-
-    def backward_fn(grad):
-        gmat = grad.reshape(cout, -1)
-        dbias = grad.sum(axis=(1, 2))
-        dkernel = (gmat @ cols.T).reshape(kernel.shape)
-        dcols = wmat.T @ gmat
-        dx = _col2im(dcols, x.shape, kh, kw, stride, padding, oh, ow)
-        return dx, dkernel, dbias
-
-    return _result(out, (x, kernel, bias), backward_fn)
+def linear(x, weight, bias):
+    """out[...,c] = sum_k weight[c,k] x[...,k] + bias[c]."""
+    if x.shape[-1] != weight.shape[1]:
+        raise ShapeError(f"x shape {x.shape} incompatible with weight "
+                         f"{weight.shape}")
+    return (weight @ x[..., None])[..., 0] + bias
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); gradient at exactly 0 is defined as 0."""
-    mask = x.data > 0.0
-
-    def backward_fn(grad):
-        return (grad * mask,)
-
-    return _result(np.maximum(x.data, 0.0), (x,), backward_fn)
+def linear_grad(g, weight):
+    return (weight.T @ g[..., None])[..., 0]
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """out_c = sum_k weight[c,k] x[k] + bias[c]."""
-    if x.data.ndim != 1 or weight.data.ndim != 2:
-        raise ShapeError("linear expects x [K] and weight [C,K]")
-    c, k = weight.shape
-    if x.shape != (k,):
-        raise ShapeError(f"x shape {x.shape} incompatible with weight {weight.shape}")
-    if bias.shape != (c,):
-        raise ShapeError(f"bias shape {bias.shape} != ({c},)")
-
-    def backward_fn(grad):
-        return weight.data.T @ grad, np.outer(grad, x.data), grad.copy()
-
-    return _result(weight.data @ x.data + bias.data, (x, weight, bias), backward_fn)
+def softmax(v):
+    """Numerically stable softmax over the last axis."""
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean of a [C,H,W] tensor."""
-    if x.data.ndim != 3:
-        raise ShapeError("global_avg_pool expects [C,H,W]")
-    c, h, w = x.shape
-    n = h * w
-
-    def backward_fn(grad):
-        return (np.broadcast_to(grad[:, None, None] / n, (c, h, w)).copy(),)
-
-    return _result(x.data.mean(axis=(1, 2)), (x,), backward_fn)
-
-
-def softmax(v: Tensor) -> Tensor:
-    """Numerically stable softmax over a vector."""
-    if v.data.ndim != 1 or v.data.size < 1:
-        raise ShapeError("softmax expects a non-empty vector")
-    y = softmax_raw(v.data)
-
-    def backward_fn(grad):
-        return (y * (grad - float(grad @ y)),)
-
-    return _result(y, (v,), backward_fn)
-
-
-def pick(v: Tensor, index: int) -> Tensor:
-    """Select one entry of a vector as a 0-dim scalar."""
-    if not 0 <= index < v.data.size:
-        raise IndexError(f"index {index} out of range for size {v.data.size}")
-
-    def backward_fn(grad):
-        dv = np.zeros_like(v.data)
-        dv[index] = float(grad)
-        return (dv,)
-
-    return _result(np.asarray(v.data[index]), (v,), backward_fn)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries as a 0-dim scalar."""
-
-    def backward_fn(grad):
-        return (np.full_like(x.data, float(grad)),)
-
-    return _result(np.asarray(x.data.sum()), (x,), backward_fn)
-
-
-def backward(scalar: Tensor, targets) -> list:
-    """Gradients of a taped 0-dim scalar with respect to each target.
-
-    Targets that are on the tape but do not influence the scalar get a
-    zero gradient; targets on no tape or a different tape are rejected.
-    """
-    if scalar.tape is None:
-        raise UntapedTargetError("untaped target: scalar is not on a tape")
-    if scalar.data.ndim != 0:
-        raise ValueError(f"backward expects a 0-dim scalar, got shape {scalar.shape}")
-    for t in targets:
-        if t.tape is not scalar.tape:
-            raise UntapedTargetError("untaped target: tensor is not on the scalar's tape")
-
-    grads = {id(scalar): np.asarray(1.0)}
-    for node in reversed(scalar.tape._nodes):
-        g = grads.get(id(node))
-        if g is None or node._backward_fn is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-    return [np.array(grads.get(id(t), np.zeros_like(t.data)), dtype=np.float64)
-            for t in targets]
+def softmax_grad(g, y):
+    """Input gradient of softmax given its output y: y * (g - <g, y>)."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))

@@ -226,12 +226,6 @@ class TestBiasTerm:
         assert b.shape == (1,)
         assert b[0] == 10.0 - 4.0 * 3.0
 
-    def test_channel_sum_of_products_toggle(self):
-        w = np.array([[[1.0, 2.0], [0.0, 1.0]]])
-        a = np.array([[[0.5, 0.5], [1.0, 1.0]]])
-        b = cam.bias_term("channel", 10.0, w, a, sum_of_products=True)
-        assert b[0] == 10.0 - (0.5 + 1.0 + 0.0 + 1.0)
-
     def test_spatial_matches_formula(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(2, 3, 3))
@@ -308,12 +302,10 @@ class TestFuse:
         ref = normalize_minmax(normalize_minmax(
             naive_bilinear_resize(hm.values, 32, 32)))
         assert np.max(np.abs(fused.values - ref)) < 1e-10
-        assert fused.resolution == "input"
-        assert fused.normalized
 
     def test_identical_maps_any_weights(self):
         vals = np.random.default_rng(14).random((8, 8))
-        h = cam.Heatmap(vals, "layer", False)
+        h = cam.Heatmap(vals)
         f1 = cam.fuse({"a": h, "b": h}, {"a": 0.9, "b": 0.1}, 8, 8)
         f2 = cam.fuse({"a": h, "b": h}, {"a": 0.5, "b": 0.5}, 8, 8)
         assert np.max(np.abs(f1.values - f2.values)) < 1e-12
@@ -337,7 +329,7 @@ class TestFuse:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_missing_map_rejected(self):
-        h = cam.Heatmap(np.ones((2, 2)), "layer", False)
+        h = cam.Heatmap(np.ones((2, 2)))
         with pytest.raises(KeyError):
             cam.fuse({"a": h}, {"a": 0.5, "b": 0.5}, 4, 4)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from icam.model import (ModelFormatError, build_fixture_model, forward_from,
+from icam.model import (Model, ModelFormatError, NonFiniteImageError,
+                        build_fixture_model, forward, forward_from,
                         forward_trace, load_model, save_model)
 from icam.tensor import ShapeError
+from oracles import central_diff_grad
 
 
 class TestFixture:
@@ -77,6 +79,93 @@ class TestForwardTrace:
         b = forward_trace(fixture_model, img, scalar_kind="probability")
         assert not np.allclose(a.gradients["block3"], b.gradients["block3"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, fixture_model, bad):
+        img = np.zeros((3, 32, 32))
+        img[1, 5, 7] = bad
+        with pytest.raises(NonFiniteImageError, match="non-finite"):
+            forward_trace(fixture_model, img)
+        with pytest.raises(NonFiniteImageError):
+            forward_trace(fixture_model, np.stack([np.zeros_like(img), img]))
+        with pytest.raises(NonFiniteImageError):
+            forward(fixture_model, img)
+
+    def test_logit_trace_has_no_input_gradient(self, fixture_model):
+        img = np.random.default_rng(4).random((3, 32, 32))
+        assert forward_trace(fixture_model, img,
+                             scalar_kind="logit").input_gradient is None
+
+    def test_forward_matches_trace_logits(self, fixture_model):
+        imgs = np.random.default_rng(9).random((3, 3, 32, 32))
+        assert np.array_equal(forward(fixture_model, imgs[0]),
+                              forward_trace(fixture_model, imgs[0]).logits)
+        for img, logits in zip(imgs, forward(fixture_model, imgs)):
+            assert np.max(np.abs(logits - forward(fixture_model, img))) <= 1e-12
+
+
+class TestBatchedTrace:
+    @pytest.mark.parametrize("scalar_kind", ["logit", "probability"])
+    @pytest.mark.parametrize("class_index", [None, 2])
+    def test_rows_equal_single_image_calls(self, fixture_model, scalar_kind,
+                                           class_index):
+        rng = np.random.default_rng(8)
+        imgs = np.stack([rng.random((3, 32, 32)), np.zeros((3, 32, 32)),
+                         3.0 * rng.random((3, 32, 32)) - 1.0,
+                         rng.random((3, 32, 32))])
+        batch = forward_trace(fixture_model, imgs, class_index=class_index,
+                              scalar_kind=scalar_kind)
+        assert isinstance(batch, list) and len(batch) == len(imgs)
+        for img, tb in zip(imgs, batch):
+            ts = forward_trace(fixture_model, img, class_index=class_index,
+                               scalar_kind=scalar_kind)
+            assert tb.class_index == ts.class_index
+            assert tb.scalar_kind == ts.scalar_kind == scalar_kind
+            pairs = [(tb.image, ts.image), (tb.logits, ts.logits),
+                     (tb.probabilities, ts.probabilities)]
+            pairs += [(tb.activations[n], ts.activations[n])
+                      for n in ts.activations]
+            pairs += [(tb.gradients[n], ts.gradients[n]) for n in ts.gradients]
+            if scalar_kind == "probability":
+                pairs.append((tb.input_gradient, ts.input_gradient))
+            else:
+                assert tb.input_gradient is None
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestEngineFiniteDifferences:
+    """forward_trace gradients at every scoring point, and at the input for
+    probability traces, vs central differences through the real network."""
+
+    @pytest.mark.parametrize("scalar_kind", ["logit", "probability"])
+    def test_gradients_match_central_differences(self, fixture_model,
+                                                 scalar_kind):
+        model = fixture_model
+        img = np.random.default_rng(6).random((3, 32, 32))
+        tr = forward_trace(model, img, scalar_kind=scalar_kind)
+        c = tr.class_index
+
+        def scalar(logits):
+            if scalar_kind == "logit":
+                return float(logits[c])
+            e = np.exp(logits - logits.max())
+            return float(e[c] / e.sum())
+
+        points = [(tr.activations[n], tr.gradients[n],
+                   lambda a, n=n: scalar(forward_from(model, n, a)))
+                  for n in model.spec.scoring_points]
+        if scalar_kind == "probability":
+            points.append((img, tr.input_gradient,
+                           lambda v: scalar(forward(model, v))))
+        rng = np.random.default_rng(7)
+        for x, g, f in points:
+            # half the picks where the gradient is largest, half at random
+            top = np.argsort(-np.abs(g).ravel())[:6]
+            picks = np.concatenate([top, rng.choice(x.size, 6, replace=False)])
+            for i, fd in central_diff_grad(f, x, picks, h=1e-5).items():
+                assert abs(g.ravel()[i] - fd) <= 1e-4 * abs(fd) + 1e-9
+
 
 class TestForwardFrom:
     def test_matches_full_forward(self, fixture_model):
@@ -149,6 +238,29 @@ class TestWeightFile:
         p.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr
                       + blob[16 + hlen:])
         with pytest.raises(ModelFormatError, match="head.bias"):
+            load_model(p)
+
+    def test_block_weight_channel_mismatch_rejected_at_load(self, tmp_path,
+                                                            fixture_model):
+        # a block2 kernel with C_in=4 where block1 has 8 output channels
+        weights = dict(fixture_model.weights)
+        weights["block2.weight"] = np.zeros((16, 4, 3, 3))
+        p = tmp_path / "m.icamw"
+        save_model(Model(fixture_model.spec, weights), p)
+        with pytest.raises(ModelFormatError, match="block2.weight"):
+            load_model(p)
+
+    @pytest.mark.parametrize("name", ["block1.weight", "block1.bias",
+                                      "block3.weight", "block3.bias",
+                                      "head.weight", "head.bias"])
+    def test_every_tensor_shape_checked_against_meta(self, tmp_path,
+                                                     fixture_model, name):
+        weights = dict(fixture_model.weights)
+        shape = weights[name].shape
+        weights[name] = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        p = tmp_path / "m.icamw"
+        save_model(Model(fixture_model.spec, weights), p)
+        with pytest.raises(ModelFormatError, match=name.replace(".", r"\.")):
             load_model(p)
 
     def test_missing_meta(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icam import cam, metrics, pipeline
-from icam.model import build_fixture_model, forward_trace
+from icam.model import NonFiniteImageError, build_fixture_model, forward_trace
 from icam.perturb import PerturbationConfig
 from icam.render import write_ppm
 
@@ -39,7 +39,6 @@ class TestExplain:
         result = pipeline.explain(model, image, cam.CamRequest("icam"),
                                   small_config())
         assert result.heatmap.values.shape == (32, 32)
-        assert result.heatmap.normalized
         assert result.report is not None
         assert result.layers == result.report.selected
         assert abs(sum(result.report.layer_weights.values()) - 1.0) < 1e-12
@@ -80,6 +79,12 @@ class TestExplain:
         req = cam.CamRequest("gradcam", layers=("block7",))
         with pytest.raises(KeyError):
             pipeline.explain(model, image, req)
+
+    @pytest.mark.parametrize("method", ["gradcam", "icam"])
+    def test_all_nan_image_rejected(self, model, method):
+        with pytest.raises(NonFiniteImageError):
+            pipeline.explain(model, np.full((3, 32, 32), np.nan),
+                             cam.CamRequest(method), small_config())
 
     def test_forced_class_index(self, model, image):
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"),

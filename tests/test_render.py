@@ -136,6 +136,15 @@ class TestBilinearResize:
             ref = naive_bilinear_resize(src, *out_hw)
             assert np.max(np.abs(got - ref)) < 1e-12
 
+    def test_leading_axes_resize_slice_by_slice(self):
+        src = np.random.default_rng(10).random((2, 3, 5, 4))
+        got = bilinear_resize(src, 9, 7)
+        assert got.shape == (2, 3, 9, 7)
+        for idx in np.ndindex(2, 3):
+            ref = naive_bilinear_resize(src[idx], 9, 7)
+            assert np.max(np.abs(got[idx] - ref)) < 1e-12
+            assert np.array_equal(got[idx], bilinear_resize(src[idx], 9, 7))
+
     def test_range_preserved(self):
         src = np.random.default_rng(7).random((4, 4))
         out = bilinear_resize(src, 16, 16)
