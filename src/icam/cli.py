@@ -19,10 +19,34 @@ import numpy as np
 
 from . import cam, metrics, pipeline, render, verify
 from .layerscore import DEFAULT_THRESHOLD
-from .model import build_fixture_model, load_model, save_model
+from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
+                    load_model, save_model)
 from .perturb import DEFAULT_ALPHA, DEFAULT_N, PerturbationConfig
+from .tensor import ShapeError
 
 DEFAULT_BLEND = 0.5
+
+# what main() reports as "error: ..." with exit status 1, without a traceback
+_USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
+               pipeline.ManifestError, ShapeError, NonFiniteImageError)
+
+
+def _bounded(convert, accept, bounds):
+    """argparse type: convert the text, then require it to lie in bounds."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be in {bounds}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _bounded(int, lambda v: v >= 1, "[1, inf)")
+_UNIT_CLOSED = _bounded(float, lambda v: 0.0 <= v <= 1.0, "[0,1]")
+_UNIT_OPEN = _bounded(float, lambda v: 0.0 < v < 1.0, "(0,1)")
+_UNIT_HALF_OPEN = _bounded(float, lambda v: 0.0 < v <= 1.0, "(0,1]")
 
 
 def _add_common(p, with_method=True):
@@ -34,27 +58,12 @@ def _add_common(p, with_method=True):
         p.add_argument("--bias", choices=cam.BIAS_MODES, default="channel")
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
-    p.add_argument("--n-perturb", type=int, default=DEFAULT_N)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--n-perturb", type=_AT_LEAST_ONE, default=DEFAULT_N)
+    p.add_argument("--alpha", type=_UNIT_CLOSED, default=DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=_UNIT_HALF_OPEN,
+                   default=DEFAULT_THRESHOLD,
                    help="cumulative layer-score threshold T")
-
-
-def _load_model(path):
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read model {path}: {exc}")
-
-
-def _load_image(path):
-    try:
-        return render.read_ppm(path)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read image {path}: {exc}")
-    except render.ImageFormatError as exc:
-        raise SystemExit(f"error: {path}: {exc}")
 
 
 def _heatmap_to_pgm(values):
@@ -78,8 +87,8 @@ def _perturb_config(args):
 
 
 def cmd_explain(args):
-    model = _load_model(args.model)
-    rgb = _load_image(args.image)
+    model = load_model(args.model)
+    rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
     request = _request(args)
     config = _perturb_config(args)
@@ -89,7 +98,7 @@ def cmd_explain(args):
                      f"{args.out_prefix}.pgm")
     render.write_ppm(render.overlay(rgb, result.heatmap.values, args.blend),
                      f"{args.out_prefix}_overlay.ppm")
-    _write_json(pipeline.sidecar_dict(result, request, config, args.threshold),
+    _write_json(pipeline.sidecar_dict(result, request, config),
                 f"{args.out_prefix}.json")
     print(f"class {result.class_index}  probability {result.probability:.6f}  "
           f"layers {','.join(result.layers)}")
@@ -97,8 +106,8 @@ def cmd_explain(args):
 
 
 def cmd_score_layers(args):
-    model = _load_model(args.model)
-    image = pipeline.image_from_rgb(_load_image(args.image))
+    model = load_model(args.model)
+    image = pipeline.image_from_rgb(render.read_ppm(args.image))
     config = _perturb_config(args)
     result = pipeline.explain(model, image, cam.CamRequest(method="icam"),
                               config, args.threshold)
@@ -117,14 +126,9 @@ def cmd_score_layers(args):
 
 
 def cmd_eval(args):
-    model = _load_model(args.model)
-    try:
-        records = pipeline.parse_manifest(args.manifest, model.spec.input_shape,
-                                          model.spec.num_classes)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read manifest {args.manifest}: {exc}")
-    except pipeline.ManifestError as exc:
-        raise SystemExit(f"error: {args.manifest}: {exc}")
+    model = load_model(args.model)
+    records = pipeline.parse_manifest(args.manifest, model.spec.input_shape,
+                                      model.spec.num_classes)
     summary = pipeline.evaluate_manifest(
         model, records, _request(args), _perturb_config(args),
         args.threshold, args.iou_threshold_frac)
@@ -134,8 +138,8 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    model = _load_model(args.model)
-    rgb = _load_image(args.image)
+    model = load_model(args.model)
+    rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
     config = _perturb_config(args)
     overlays = []
@@ -182,7 +186,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--image", required=True, help="input PPM (P6) image")
     p.add_argument("--out-prefix", default="explain")
-    p.add_argument("--blend", type=float, default=DEFAULT_BLEND)
+    p.add_argument("--blend", type=_UNIT_CLOSED, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("score-layers", help="per-layer importance report")
@@ -194,7 +198,7 @@ def build_parser():
     p = sub.add_parser("eval", help="IoU/saliency metrics over a manifest")
     _add_common(p)
     p.add_argument("--manifest", required=True, help="JSON-lines manifest")
-    p.add_argument("--iou-threshold-frac", type=float,
+    p.add_argument("--iou-threshold-frac", type=_UNIT_OPEN,
                    default=metrics.DEFAULT_THRESHOLD_FRAC)
     p.add_argument("--out", default="eval.json")
     p.set_defaults(func=cmd_eval)
@@ -204,7 +208,7 @@ def build_parser():
     p.add_argument("--image", required=True)
     p.add_argument("--bias", choices=cam.BIAS_MODES, default="channel")
     p.add_argument("--out-prefix", default="compare")
-    p.add_argument("--blend", type=float, default=DEFAULT_BLEND)
+    p.add_argument("--blend", type=_UNIT_CLOSED, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="derivative and divergence self-checks")
@@ -223,7 +227,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

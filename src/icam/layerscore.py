@@ -2,12 +2,13 @@
 
 A layer's score is the perturbation-weighted L2 distance between the
 input-gradient saliency magnitude map and the layer's gradient-weighted
-activation magnitude map (upsampled to input resolution).
+activation magnitude map (upsampled to input resolution). Scoring reads
+one batched probability trace: row 0 is the original image and rows
+1..n are its perturbations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,28 +22,21 @@ DEFAULT_THRESHOLD = 0.95
 @dataclass
 class LayerScoreReport:
     scores: dict          # layer name -> S_l, in declaration order
-    perturbation_weights: list
+    perturbation_weights: np.ndarray  # [n], one per perturbation
     selected: list        # ordered subset of layer names
     layer_weights: dict   # layer name -> W_l over the selection
     threshold: float
 
-    def to_json_dict(self, n=None, alpha=None, seed=None):
-        out = {
+    def to_json_dict(self, n, alpha, seed):
+        return {
             "scores": {k: float(v) for k, v in self.scores.items()},
             "selected": list(self.selected),
             "weights": {k: float(v) for k, v in self.layer_weights.items()},
             "threshold": self.threshold,
+            "n": n,
+            "alpha": alpha,
+            "seed": seed,
         }
-        if n is not None:
-            out["n"] = n
-        if alpha is not None:
-            out["alpha"] = alpha
-        if seed is not None:
-            out["seed"] = seed
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(**kwargs), sort_keys=True, indent=2)
 
 
 def phi(trace: ForwardTrace, layer: str) -> np.ndarray:
@@ -53,34 +47,32 @@ def phi(trace: ForwardTrace, layer: str) -> np.ndarray:
 
 
 def channel_norm_map(t: np.ndarray) -> np.ndarray:
-    """Per-pixel Euclidean magnitude across the channel dimension."""
+    """Per-pixel Euclidean magnitude across the channel axis (-3)."""
     t = np.asarray(t, dtype=np.float64)
-    return np.sqrt((t * t).sum(axis=0))
+    return np.sqrt((t * t).sum(axis=-3))
 
 
-def layer_importance(trace_orig: ForwardTrace, traces_pert, weights) -> dict:
+def layer_importance(trace: ForwardTrace, weights) -> dict:
     """Importance score per scoring point.
 
     S_l = sum_i w_i * || R - up(P_{i,l}) ||_2 over pixels, where R is the
-    channel magnitude of I * dO/dI and P_{i,l} the channel magnitude of
-    phi for perturbed trace i at layer l.
+    channel magnitude of I * dO/dI for row 0 of the probability trace and
+    P_{i,l} the channel magnitude of phi for row i (i = 1..n) at layer l.
     """
-    if len(traces_pert) != len(weights):
-        raise ValueError(
-            f"length mismatch: {len(traces_pert)} traces vs {len(weights)} weights")
-    if len(traces_pert) < 1:
-        raise ValueError("need at least one perturbed trace")
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(weights) < 1 or len(weights) != len(trace.image) - 1:
+        raise ValueError(f"need one weight per perturbed row, at least one: "
+                         f"got {len(trace.image) - 1} rows, {len(weights)} weights")
 
-    ref = channel_norm_map(trace_orig.image * trace_orig.input_gradient)
+    ref = channel_norm_map(trace.image[0] * trace.input_gradient[0])
     out_h, out_w = ref.shape
     scores = {}
-    for layer in trace_orig.activations:
-        p = np.stack([channel_norm_map(phi(tr, layer)) for tr in traces_pert])
-        if p.shape[1:] != ref.shape:
-            p = bilinear_resize(p, out_h, out_w)
+    for layer in trace.activations:
+        p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]),
+                            out_h, out_w)
         s = 0.0
         # accumulate in perturbation-index order for bit-exact determinism
-        for w_i, p_i in zip(weights, p):
+        for w_i, p_i in zip(weights.tolist(), p):
             s += w_i * float(np.sqrt(((ref - p_i) ** 2).sum()))
         scores[layer] = s
     return scores
@@ -118,13 +110,14 @@ def layer_weights(scores: dict, selected) -> dict:
     return {n: scores[n] / total for n in selected}
 
 
-def score_layers(trace_orig: ForwardTrace, traces_pert, weights,
+def score_layers(trace: ForwardTrace, weights,
                  threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
-    scores = layer_importance(trace_orig, traces_pert, weights)
+    """Score, filter and weight the layers of one batched probability trace."""
+    scores = layer_importance(trace, weights)
     selected = filter_layers(scores, threshold)
     return LayerScoreReport(
         scores=scores,
-        perturbation_weights=list(weights),
+        perturbation_weights=np.asarray(weights, dtype=np.float64),
         selected=selected,
         layer_weights=layer_weights(scores, selected),
         threshold=threshold,

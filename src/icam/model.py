@@ -9,6 +9,7 @@ captured for layer scoring and CAM computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .prng import SplitMix64
 
 MAGIC = b"ICAMW001"
 _META_KEY = "__meta__"
+_BLOCK_MINIMA = {"out_channels": 1, "kernel_size": 1, "stride": 1, "padding": 0}
 
 
 class ModelFormatError(ValueError):
@@ -81,16 +83,17 @@ class ForwardTrace:
     Gradients are of the selected scalar: the logit S^c when
     scalar_kind == "logit", the softmax probability Y^c when
     scalar_kind == "probability". Only probability traces carry an
-    input gradient; it is None on logit traces.
+    input gradient; it is None on logit traces. Arrays keep the input's
+    leading axes ("..." below: none, or N for an [N,C,H,W] batch).
     """
 
-    image: np.ndarray                 # [C,H,W] input
-    activations: dict                 # scoring point -> [C_l,H_l,W_l]
+    image: np.ndarray                 # [...,C,H,W] input
+    activations: dict                 # scoring point -> [...,C_l,H_l,W_l]
     gradients: dict                   # scoring point -> same shape
-    logits: np.ndarray                # [C_cls]
-    probabilities: np.ndarray         # [C_cls]
+    logits: np.ndarray                # [...,C_cls]
+    probabilities: np.ndarray         # [...,C_cls]
     input_gradient: np.ndarray        # matches image, or None
-    class_index: int
+    class_index: int                  # int, or an [N] int array for a batch
     scalar_kind: str                  # "logit" | "probability"
 
 
@@ -155,23 +158,22 @@ def forward(model: Model, image: np.ndarray) -> np.ndarray:
 
 
 def forward_trace(model: Model, image: np.ndarray, class_index=None,
-                  scalar_kind: str = "probability"):
+                  scalar_kind: str = "probability") -> ForwardTrace:
     """Run the model and fill gradients at every scoring point.
 
-    A [C,H,W] image gives one ForwardTrace; an [N,C,H,W] batch gives a list
-    of N, one per row, each equal to the single-image call on that row.
-    class_index defaults to each row's argmax logit (ties break to the
-    lowest index). The backward pass walks the blocks in reverse from the
-    seed dScalar/dLogits: e_c for "logit", y * (e_c - y_c) for
-    "probability". Logit traces stop at the first block's output;
-    probability traces continue to the input.
+    A [C,H,W] image gives an unbatched trace; an [N,C,H,W] batch gives one
+    trace whose row r equals the single-image call on row r. class_index
+    defaults to each row's argmax logit (ties break to the lowest index).
+    The backward pass walks the blocks in reverse from the seed
+    dScalar/dLogits: e_c for "logit", y * (e_c - y_c) for "probability".
+    Logit traces stop at the first block's output; probability traces
+    continue to the input.
     """
     images = _as_images(model, image)
     if scalar_kind not in ("logit", "probability"):
         raise ValueError(f"unknown scalar_kind {scalar_kind!r}")
-    batch = images.reshape(-1, *model.spec.input_shape)
     blocks = model.spec.blocks
-    acts, logits = _run(model, batch, blocks)
+    acts, logits = _run(model, images, blocks)
     probs = T.softmax(logits)
 
     if class_index is None:
@@ -181,14 +183,13 @@ def forward_trace(model: Model, image: np.ndarray, class_index=None,
         if not 0 <= c < model.spec.num_classes:
             raise IndexError(f"class_index {c} out of range "
                              f"[0, {model.spec.num_classes})")
-        classes = np.full(len(batch), c)
-    g = np.zeros_like(logits)
-    g[np.arange(len(batch)), classes] = 1.0
+        classes = np.full(images.shape[:-3], c)
+    g = np.eye(model.spec.num_classes)[classes]
     if scalar_kind == "probability":
         g = T.softmax_grad(g, probs)
     g = T.global_avg_pool_grad(T.linear_grad(g, model.weights["head.weight"]),
                                acts[-1].shape[-2:])
-    inputs = [batch] + acts[:-1]
+    inputs = [images] + acts[:-1]
     grads = [None] * len(blocks)
     for i in reversed(range(len(blocks))):
         grads[i] = g
@@ -198,20 +199,18 @@ def forward_trace(model: Model, image: np.ndarray, class_index=None,
                                 model.weights[f"{blocks[i].name}.weight"],
                                 inputs[i].shape[-2:], stride=blocks[i].stride,
                                 padding=blocks[i].padding)
-    input_gradient = g if scalar_kind == "probability" else None
 
     names = model.spec.scoring_points
-    traces = [ForwardTrace(
-        image=batch[r],
-        activations={n: a[r] for n, a in zip(names, acts)},
-        gradients={n: d[r] for n, d in zip(names, grads)},
-        logits=logits[r],
-        probabilities=probs[r],
-        input_gradient=None if input_gradient is None else input_gradient[r],
-        class_index=int(classes[r]),
+    return ForwardTrace(
+        image=images,
+        activations=dict(zip(names, acts)),
+        gradients=dict(zip(names, grads)),
+        logits=logits,
+        probabilities=probs,
+        input_gradient=g if scalar_kind == "probability" else None,
+        class_index=classes if classes.ndim else int(classes),
         scalar_kind=scalar_kind,
-    ) for r in range(len(batch))]
-    return traces[0] if images.ndim == 3 else traces
+    )
 
 
 def forward_from(model: Model, layer: str, activation: np.ndarray) -> np.ndarray:
@@ -251,9 +250,28 @@ def _meta_to_spec(meta: dict) -> ModelSpec:
         blocks = tuple(ConvBlockSpec(b["name"], b["out_channels"],
                                      b["kernel_size"], b["stride"], b["padding"])
                        for b in meta["blocks"])
-        return ModelSpec(tuple(meta["input_shape"]), blocks, meta["num_classes"])
+        spec = ModelSpec(tuple(meta["input_shape"]), blocks, meta["num_classes"])
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad __meta__ entry: {exc}") from exc
+
+    if len(spec.input_shape) != 3:
+        raise ModelFormatError("bad __meta__ entry: input_shape must be [C, H, W]")
+    if not blocks or len({str(b.name) for b in blocks}) < len(blocks):
+        raise ModelFormatError("bad __meta__ entry: blocks must be non-empty "
+                               "with unique names")
+    ints = [("input_shape", d, 1) for d in spec.input_shape]
+    ints += [("num_classes", spec.num_classes, 1)]
+    ints += [(f"block {b.name!r} {f}", getattr(b, f), low)
+             for b in blocks for f, low in _BLOCK_MINIMA.items()]
+    for what, value, low in ints:
+        if type(value) is not int or value < low:
+            raise ModelFormatError(f"bad __meta__ entry: {what} {value!r} "
+                                   f"must be an integer >= {low}")
+    for b, (_, h, w) in zip(blocks, spec.block_shapes()):
+        if h < 1 or w < 1:
+            raise ModelFormatError(f"bad __meta__ entry: block {b.name!r} "
+                                   f"output {h}x{w} is smaller than 1x1")
+    return spec
 
 
 def save_model(model: Model, path) -> None:
@@ -289,7 +307,7 @@ def load_model(path) -> Model:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"bad header JSON: {exc}") from exc
-    if _META_KEY not in header:
+    if not isinstance(header, dict) or _META_KEY not in header:
         raise ModelFormatError("bad header: missing __meta__ entry")
     spec = _meta_to_spec(header.pop(_META_KEY))
 
@@ -299,12 +317,14 @@ def load_model(path) -> Model:
         try:
             shape = tuple(entry["shape"])
             off, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad entry for tensor {name!r}: {exc}") from exc
-        if nbytes != 4 * int(np.prod(shape, dtype=np.int64)):
+        if not all(type(d) is int and d >= 0 for d in shape) \
+                or nbytes != 4 * math.prod(shape):
             raise ModelFormatError(
-                f"shape/offset inconsistency: tensor {name!r} shape {shape} "
-                f"does not match nbytes {nbytes}")
+                f"shape/offset inconsistency: tensor {name!r} shape "
+                f"{list(shape)} must be non-negative integers whose product "
+                f"is nbytes / 4 (nbytes {nbytes})")
         if off < 0 or off + nbytes > len(body):
             raise ModelFormatError(
                 f"truncated payload: tensor {name!r} at offset {off} "

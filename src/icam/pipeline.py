@@ -14,6 +14,7 @@ import numpy as np
 from . import cam, layerscore, metrics
 from .model import Model, forward, forward_trace
 from .perturb import PerturbationConfig, generate_set
+from .render import read_ppm
 
 
 @dataclass
@@ -68,16 +69,13 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
         if perturb_config is None:
             perturb_config = PerturbationConfig()
         perturbed = generate_set(image, perturb_config)
-        prob_trace, *traces = forward_trace(
+        # row 0 is the image, rows 1..n its perturbations
+        prob_trace = forward_trace(
             model, np.concatenate([image[None], perturbed]), class_index=c,
             scalar_kind="probability")
-        weights = [
-            metrics.perturbation_weight(image, p, prob_trace.probabilities,
-                                        tr.probabilities)
-            for p, tr in zip(perturbed, traces)
-        ]
-        report = layerscore.score_layers(prob_trace, traces, weights,
-                                         threshold)
+        y = prob_trace.probabilities
+        weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
+        report = layerscore.score_layers(prob_trace, weights, threshold)
         layers = report.selected
         weights = report.layer_weights
     else:
@@ -94,8 +92,7 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
 
 
 def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
-                 perturb_config: PerturbationConfig,
-                 threshold: float) -> dict:
+                 perturb_config: PerturbationConfig) -> dict:
     out = {
         "class": result.class_index,
         "probability": result.probability,
@@ -157,47 +154,32 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
                       perturb_config: PerturbationConfig,
                       threshold: float = layerscore.DEFAULT_THRESHOLD,
                       iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC,
-                      load_image=None) -> dict:
+                      ) -> dict:
     """Mean IoU and saliency over correct predictions, plus accuracy.
 
     IoU and saliency are computed only where argmax == label, matching the
     weak-localization protocol.
     """
-    if load_image is None:
-        from .render import read_ppm
-
-        def load_image(p):
-            return image_from_rgb(read_ppm(p))
-
     _, in_h, in_w = model.spec.input_shape
-
-    def process(rec):
-        image = load_image(rec["image"])
+    ious, saliencies = [], []   # one entry per correct prediction
+    for rec in records:
+        image = image_from_rgb(read_ppm(rec["image"]))
         pred = int(np.argmax(forward(model, image)))
         if pred != rec["label"]:
-            return {"correct": False}
-        result = explain(model, image, request, perturb_config, threshold,
-                         class_index=pred)
-        mask = metrics.threshold_heatmap(result.heatmap.values,
-                                         iou_threshold_frac)
+            continue
+        heat = explain(model, image, request, perturb_config, threshold,
+                       class_index=pred).heatmap.values
         truth = bbox_mask(rec["bbox"], in_h, in_w)
-        return {
-            "correct": True,
-            "iou": metrics.iou(mask, truth),
-            "saliency": metrics.saliency_score(result.heatmap.values, truth),
-        }
+        ious.append(metrics.iou(
+            metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
+        saliencies.append(metrics.saliency_score(heat, truth))
 
-    outcomes = [process(r) for r in records]
-
-    correct = [o for o in outcomes if o["correct"]]
-    n_total, n_correct = len(outcomes), len(correct)
+    n_correct = len(ious)
     return {
-        "records": n_total,
+        "records": len(records),
         "correct": n_correct,
-        "accuracy": n_correct / n_total,
-        "mean_iou": (sum(o["iou"] for o in correct) / n_correct
-                     if n_correct else 0.0),
-        "mean_saliency": (sum(o["saliency"] for o in correct) / n_correct
-                          if n_correct else 0.0),
+        "accuracy": n_correct / len(records),
+        "mean_iou": sum(ious) / n_correct if n_correct else 0.0,
+        "mean_saliency": sum(saliencies) / n_correct if n_correct else 0.0,
         "iou_threshold_frac": iou_threshold_frac,
     }

@@ -26,6 +26,13 @@ COLORMAP_ANCHORS = np.array([
 def _read_netpbm(path, magic, channels):
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _parse_netpbm(blob, magic, channels)
+    except ImageFormatError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from None
+
+
+def _parse_netpbm(blob, magic, channels):
     if not blob.startswith(magic + b" ") and not blob.startswith(magic + b"\n") \
             and not blob.startswith(magic + b"\t"):
         raise ImageFormatError(
@@ -50,6 +57,8 @@ def _read_netpbm(path, magic, channels):
         raise ImageFormatError(f"non-numeric header field: {exc}") from exc
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (must be 255)")
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"bad size {width}x{height} (must be >= 1x1)")
     need = width * height * channels
     data = blob[pos:pos + need]
     if len(data) < need:

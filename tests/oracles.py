@@ -97,3 +97,16 @@ def kl(x, y, floor=1e-12):
     x = np.clip(np.asarray(x, dtype=np.float64), floor, 1.0)
     y = np.clip(np.asarray(y, dtype=np.float64), floor, 1.0)
     return float(np.sum(x * np.log(x / y)))
+
+
+def naive_ssim(x, y, c1, c2):
+    """Global SSIM of one [C,H,W] pair, one channel at a time."""
+    vals = []
+    for xc, yc in zip(x, y):
+        mx, my = xc.mean(), yc.mean()
+        vx = ((xc - mx) ** 2).mean()
+        vy = ((yc - my) ** 2).mean()
+        cov = ((xc - mx) * (yc - my)).mean()
+        vals.append(((2 * mx * my + c1) * (2 * cov + c2))
+                    / ((mx * mx + my * my + c1) * (vx + vy + c2)))
+    return float(np.mean(vals))

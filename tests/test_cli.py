@@ -216,3 +216,122 @@ class TestArgumentErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-perturb", "0"), ("--n-perturb", "1.5"), ("--alpha", "-0.1"),
+        ("--alpha", "nan"), ("--threshold", "0"), ("--threshold", "1.01"),
+        ("--blend", "3")])
+    def test_bad_flag_exits_at_parse_time(self, workspace, tmp_path, capsys,
+                                          flag, value):
+        _, model_path, image_path = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", model_path, "--image", image_path,
+                  "--out-prefix", str(out / "x"), flag, value])
+        assert exc.value.code == 2   # argparse's usage error
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "1", "x"])
+    def test_bad_iou_threshold_frac(self, workspace, tmp_path, capsys, value):
+        _, model_path, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", model_path, "--manifest", "none.jsonl",
+                  "--iou-threshold-frac", value])
+        assert exc.value.code == 2
+        assert "argument --iou-threshold-frac" in capsys.readouterr().err
+
+
+def _resaved_model(path, mutate_header):
+    """Copy the workspace fixture to `path` with its JSON header edited."""
+    blob = open(path, "rb").read()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    mutate_header(header)
+    hdr = json.dumps(header).encode()
+    return blob[:8] + len(hdr).to_bytes(8, "little") + hdr + blob[16 + hlen:]
+
+
+class TestUserErrors:
+    """Each named error reaches the user as one "error: ..." line, exit 1."""
+
+    def _explain_fails(self, workspace, tmp_path, model=None, image=None):
+        _, model_path, image_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", model or model_path,
+                  "--image", image or image_path, "--n-perturb", "2",
+                  "--out-prefix", str(tmp_path / "out")])
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith("error: ")
+        assert not list(tmp_path.glob("out*"))
+        return exc.value.code
+
+    def test_os_error(self, workspace, tmp_path):
+        msg = self._explain_fails(workspace, tmp_path,
+                                  model=str(tmp_path / "nope.icamw"))
+        assert "nope.icamw" in msg
+
+    def test_model_format_error_bad_magic(self, workspace, tmp_path):
+        bad = tmp_path / "bad.icamw"
+        bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+        assert "bad magic" in self._explain_fails(workspace, tmp_path,
+                                                  model=str(bad))
+
+    def test_model_format_error_bad_meta(self, workspace, tmp_path):
+        def stride_zero(header):
+            header["__meta__"]["blocks"][1]["stride"] = 0
+        bad = tmp_path / "stride0.icamw"
+        bad.write_bytes(_resaved_model(workspace[1], stride_zero))
+        assert "stride" in self._explain_fails(workspace, tmp_path,
+                                               model=str(bad))
+
+    def test_image_format_error_names_file(self, workspace, tmp_path):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P3 2 2 255\n" + b"\x00" * 12)
+        msg = self._explain_fails(workspace, tmp_path, image=str(bad))
+        assert "bad.ppm" in msg and "wrong magic" in msg
+
+    def test_shape_error(self, workspace, tmp_path):
+        wrong = tmp_path / "wide.ppm"
+        write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
+        assert "(3, 40, 48)" in self._explain_fails(workspace, tmp_path,
+                                                    image=str(wrong))
+
+    def test_non_finite_image_error(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "image_from_rgb",
+                            lambda rgb: np.full((3, 32, 32), np.nan))
+        assert "non-finite" in self._explain_fails(workspace, tmp_path)
+
+    def test_manifest_error(self, workspace, tmp_path):
+        manifest = tmp_path / "bad.jsonl"
+        manifest.write_text('{"image": "x.ppm"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", workspace[1], "--manifest", str(manifest)])
+        assert exc.value.code.startswith("error: malformed manifest line 1")
+
+    def test_eval_record_image_missing(self, workspace, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"image": str(tmp_path / "gone.ppm"),
+                                        "bbox": [0, 0, 3, 3], "label": 0}))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", workspace[1], "--manifest", str(manifest)])
+        assert exc.value.code.startswith("error: ") \
+            and "gone.ppm" in exc.value.code
+
+    def test_process_prints_message_without_traceback(self, workspace,
+                                                      tmp_path):
+        import os
+        import subprocess
+        import sys
+        wrong = tmp_path / "wide.ppm"
+        write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pipeline.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "icam.cli", "explain", "--model",
+             workspace[1], "--image", str(wrong), "--out-prefix",
+             str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: image shape (3, 40, 48)")
+        assert "Traceback" not in proc.stderr

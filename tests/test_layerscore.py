@@ -71,37 +71,41 @@ class TestChannelNormMap:
 class TestLayerImportance:
     def test_zero_weights_zero_scores(self, fixture_model):
         img = np.random.default_rng(2).random((3, 32, 32))
-        tr = forward_trace(fixture_model, img, scalar_kind="probability")
-        scores = layerscore.layer_importance(tr, [tr, tr], [0.0, 0.0])
+        tr = forward_trace(fixture_model, np.stack([img, img, img]),
+                           scalar_kind="probability")
+        scores = layerscore.layer_importance(tr, [0.0, 0.0])
         assert all(v == 0.0 for v in scores.values())
 
     def test_constructed_zero_distance(self):
-        # perturbed phi map engineered to equal the input-saliency map R
+        # row 1's phi map engineered to equal row 0's input-saliency map R
         img = np.random.default_rng(3).random((2, 4, 4))
         grad = np.random.default_rng(4).normal(size=(2, 4, 4))
         ref = layerscore.channel_norm_map(img * grad)
-        orig = make_trace(img, grad, {"L": np.zeros((1, 4, 4))},
-                          {"L": np.zeros((1, 4, 4))})
-        pert = make_trace(img, grad, {"L": ref[None]},
-                          {"L": np.ones((1, 4, 4))})
-        scores = layerscore.layer_importance(orig, [pert], [1.0])
+        tr = make_trace(np.stack([img, img]), np.stack([grad, grad]),
+                        {"L": np.stack([np.zeros((1, 4, 4)), ref[None]])},
+                        {"L": np.stack([np.zeros((1, 4, 4)),
+                                        np.ones((1, 4, 4))])})
+        scores = layerscore.layer_importance(tr, [1.0])
         assert scores["L"] == 0.0
 
     def test_matches_naive_pipeline_oracle(self):
         model = build_fixture_model(42)
         img = np.random.default_rng(5).random((3, 32, 32))
-        tr = forward_trace(model, img, scalar_kind="probability")
+        c = forward_trace(model, img, scalar_kind="probability").class_index
         perturbed = generate_set(img, PerturbationConfig(n=2, alpha=0.4,
                                                          seed=42))
-        traces = [forward_trace(model, p, class_index=tr.class_index,
+        tr = forward_trace(model, np.concatenate([img[None], perturbed]),
+                           class_index=c, scalar_kind="probability")
+        weights = [metrics.perturbation_weight(img, p, tr.probabilities[0], q)
+                   for p, q in zip(perturbed, tr.probabilities[1:])]
+        got = layerscore.layer_importance(tr, weights)
+
+        # the oracle runs each image through the engine on its own
+        orig = forward_trace(model, img, scalar_kind="probability")
+        traces = [forward_trace(model, p, class_index=c,
                                 scalar_kind="probability")
                   for p in perturbed]
-        weights = [metrics.perturbation_weight(img, p, tr.probabilities,
-                                               t.probabilities)
-                   for p, t in zip(perturbed, traces)]
-        got = layerscore.layer_importance(tr, traces, weights)
-
-        ref_map = naive_channel_norm(img * tr.input_gradient)
+        ref_map = naive_channel_norm(img * orig.input_gradient)
         for layer in model.spec.scoring_points:
             expected = 0.0
             for w, t in zip(weights, traces):
@@ -118,9 +122,14 @@ class TestLayerImportance:
 
     def test_length_mismatch(self, fixture_model):
         img = np.zeros((3, 32, 32))
-        tr = forward_trace(fixture_model, img)
+        tr = forward_trace(fixture_model, np.stack([img, img]))
         with pytest.raises(ValueError):
-            layerscore.layer_importance(tr, [tr], [1.0, 2.0])
+            layerscore.layer_importance(tr, [1.0, 2.0])
+
+    def test_no_perturbed_rows_rejected(self, fixture_model):
+        tr = forward_trace(fixture_model, np.zeros((1, 3, 32, 32)))
+        with pytest.raises(ValueError, match="at least one"):
+            layerscore.layer_importance(tr, [])
 
 
 class TestFilterLayers:
@@ -200,10 +209,11 @@ class TestLayerWeights:
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
-    tr = forward_trace(fixture_model, img, scalar_kind="probability")
-    report = layerscore.score_layers(tr, [tr], [0.5])
-    blob = report.to_json(n=1, alpha=0.4, seed=9)
-    parsed = json.loads(blob)
+    tr = forward_trace(fixture_model, np.stack([img, img]),
+                       scalar_kind="probability")
+    report = layerscore.score_layers(tr, [0.5])
+    parsed = json.loads(json.dumps(report.to_json_dict(n=1, alpha=0.4,
+                                                       seed=9)))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}
     assert abs(sum(parsed["weights"].values()) - 1.0) < 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icam import metrics
-from oracles import kl, naive_iou, naive_saliency
+from oracles import kl, naive_iou, naive_saliency, naive_ssim
 
 
 class TestSsim:
@@ -136,6 +136,82 @@ class TestPerturbationWeight:
         w = metrics.perturbation_weight(img, img, np.array([1 - eps, eps]),
                                         np.array([eps, 1 - eps]))
         assert w == 0.0
+
+
+class TestBatchedRows:
+    """Leading axes broadcast: each row equals the single-pair call bitwise."""
+
+    @staticmethod
+    def _batch(seed, n=6):
+        rng = np.random.default_rng(seed)
+        image = rng.random((3, 8, 8))
+        noisy = 1.5 * rng.random((n - 1, 3, 8, 8)) - 0.2
+        perturbed = np.concatenate([image[None], noisy])
+        probs = rng.random((n + 1, 5)) + 1e-3
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[-1] = [1 - 4e-6, 1e-6, 1e-6, 1e-6, 1e-6]  # MDS clamps to 0
+        return image, perturbed, probs[0], probs[1:]
+
+    def test_ssim_and_svim_rows(self):
+        image, perturbed, _, _ = self._batch(0)
+        got = metrics.ssim(image, perturbed)
+        got_svim = metrics.svim(image, perturbed)
+        assert got.shape == got_svim.shape == (len(perturbed),)
+        for r, p in enumerate(perturbed):
+            assert got[r] == metrics.ssim(image, p)
+            assert got_svim[r] == metrics.svim(image, p)
+        both = metrics.ssim(perturbed, perturbed[::-1])
+        for r in range(len(perturbed)):
+            assert both[r] == metrics.ssim(perturbed[r], perturbed[-1 - r])
+
+    def test_mdd_and_mds_rows(self):
+        _, _, probs, probs_pert = self._batch(1)
+        got_mdd = metrics.mdd(probs, probs_pert)
+        got_mds = metrics.mds(probs, probs_pert)
+        assert got_mdd.shape == got_mds.shape == (len(probs_pert),)
+        for r, q in enumerate(probs_pert):
+            assert got_mdd[r] == metrics.mdd(probs, q)
+            assert got_mds[r] == metrics.mds(probs, q)
+        assert got_mds[-1] == 0.0
+
+    def test_perturbation_weight_rows(self):
+        image, perturbed, probs, probs_pert = self._batch(2)
+        got = metrics.perturbation_weight(image, perturbed, probs, probs_pert)
+        assert got.shape == (len(perturbed),)
+        for r, (p, q) in enumerate(zip(perturbed, probs_pert)):
+            assert got[r] == metrics.perturbation_weight(image, p, probs, q)
+
+    def test_single_pair_gives_scalar(self):
+        image, perturbed, probs, probs_pert = self._batch(3)
+        for v in (metrics.ssim(image, perturbed[1]),
+                  metrics.ssim(image[0], perturbed[1, 0]),
+                  metrics.mds(probs, probs_pert[0]), metrics.svim_of_ssim(0.3),
+                  metrics.perturbation_weight(image, perturbed[1], probs,
+                                              probs_pert[0])):
+            assert np.ndim(v) == 0 and isinstance(v, float)
+
+    def test_ssim_matches_channel_loop_oracle(self):
+        image, perturbed, _, _ = self._batch(6)
+        c1, c2 = metrics.DEFAULT_C1, metrics.DEFAULT_C2
+        got = metrics.ssim(image, perturbed)
+        for r, p in enumerate(perturbed):
+            assert got[r] == naive_ssim(image, p, c1, c2)
+
+    def test_layout_does_not_change_ssim(self):
+        # image_from_rgb gives a transposed, non-contiguous [C,H,W] view
+        rgb = np.random.default_rng(4).random((8, 8, 3))
+        image = np.transpose(rgb, (2, 0, 1))
+        _, perturbed, _, _ = self._batch(5)
+        want = metrics.ssim(np.ascontiguousarray(image), perturbed)
+        assert metrics.ssim(image, perturbed).tobytes() == want.tobytes()
+        c1, c2 = metrics.DEFAULT_C1, metrics.DEFAULT_C2
+        for r, p in enumerate(perturbed):
+            assert metrics.ssim(image, p) == want[r]
+            assert want[r] == naive_ssim(image, p, c1, c2)
+
+    def test_image_axes_must_match(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metrics.ssim(np.ones((3, 4, 4)), np.ones((2, 2, 4, 4)))
 
 
 class TestThresholdHeatmap:

@@ -114,21 +114,23 @@ class TestBatchedTrace:
                          rng.random((3, 32, 32))])
         batch = forward_trace(fixture_model, imgs, class_index=class_index,
                               scalar_kind=scalar_kind)
-        assert isinstance(batch, list) and len(batch) == len(imgs)
-        for img, tb in zip(imgs, batch):
+        assert batch.class_index.shape == (len(imgs),)
+        assert batch.scalar_kind == scalar_kind
+        for r, img in enumerate(imgs):
             ts = forward_trace(fixture_model, img, class_index=class_index,
                                scalar_kind=scalar_kind)
-            assert tb.class_index == ts.class_index
-            assert tb.scalar_kind == ts.scalar_kind == scalar_kind
-            pairs = [(tb.image, ts.image), (tb.logits, ts.logits),
-                     (tb.probabilities, ts.probabilities)]
-            pairs += [(tb.activations[n], ts.activations[n])
+            assert type(ts.class_index) is int
+            assert batch.class_index[r] == ts.class_index
+            pairs = [(batch.image[r], ts.image), (batch.logits[r], ts.logits),
+                     (batch.probabilities[r], ts.probabilities)]
+            pairs += [(batch.activations[n][r], ts.activations[n])
                       for n in ts.activations]
-            pairs += [(tb.gradients[n], ts.gradients[n]) for n in ts.gradients]
+            pairs += [(batch.gradients[n][r], ts.gradients[n])
+                      for n in ts.gradients]
             if scalar_kind == "probability":
-                pairs.append((tb.input_gradient, ts.input_gradient))
+                pairs.append((batch.input_gradient[r], ts.input_gradient))
             else:
-                assert tb.input_gradient is None
+                assert batch.input_gradient is None
             for got, want in pairs:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12
@@ -261,6 +263,66 @@ class TestWeightFile:
         p = tmp_path / "m.icamw"
         save_model(Model(fixture_model.spec, weights), p)
         with pytest.raises(ModelFormatError, match=name.replace(".", r"\.")):
+            load_model(p)
+
+    @staticmethod
+    def _save_with_header(tmp_path, model, mutate):
+        import json
+        p = tmp_path / "m.icamw"
+        save_model(model, p)
+        blob = p.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        mutate(header)
+        hdr = json.dumps(header).encode()
+        p.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr
+                      + blob[16 + hlen:])
+        return p
+
+    @pytest.mark.parametrize("block, field, value", [
+        (1, "stride", 0), (0, "stride", -1), (2, "kernel_size", 0),
+        (0, "padding", -1), (1, "out_channels", 0), (0, "stride", 1.5),
+        (2, "padding", "1")])
+    def test_bad_block_field_rejected(self, tmp_path, fixture_model, block,
+                                      field, value):
+        def mutate(header):
+            header["__meta__"]["blocks"][block][field] = value
+        p = self._save_with_header(tmp_path, fixture_model, mutate)
+        name = fixture_model.spec.blocks[block].name
+        with pytest.raises(ModelFormatError, match=f"'{name}' {field}"):
+            load_model(p)
+
+    def test_block_output_below_one_pixel_rejected(self, tmp_path,
+                                                   fixture_model):
+        # kernel 40 without padding on a 32x32 input: output -7x-7
+        def mutate(header):
+            header["__meta__"]["blocks"][0].update(kernel_size=40, padding=0)
+            header["block1.weight"]["shape"] = [8, 3, 40, 40]
+        p = self._save_with_header(tmp_path, fixture_model, mutate)
+        with pytest.raises(ModelFormatError,
+                           match=r"'block1' output -7x-7 is smaller than 1x1"):
+            load_model(p)
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda m: m.update(input_shape=[3, 32]), "input_shape"),
+        (lambda m: m.update(input_shape=[3, 0, 32]), "input_shape"),
+        (lambda m: m.update(num_classes=0), "num_classes"),
+        (lambda m: m.update(blocks=[]), "blocks"),
+        (lambda m: m["blocks"][1].update(name="block1"), "unique names"),
+    ])
+    def test_bad_meta_rejected(self, tmp_path, fixture_model, mutate, match):
+        p = self._save_with_header(tmp_path, fixture_model,
+                                   lambda h: mutate(h["__meta__"]))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(p)
+
+    def test_negative_header_dimension_rejected(self, tmp_path,
+                                                fixture_model):
+        # [-1, -5] has the right element count (5) for head.bias's nbytes
+        def mutate(header):
+            header["head.bias"]["shape"] = [-1, -5]
+        p = self._save_with_header(tmp_path, fixture_model, mutate)
+        with pytest.raises(ModelFormatError, match=r"head\.bias.*\[-1, -5\]"):
             load_model(p)
 
     def test_missing_meta(self, tmp_path):

@@ -97,7 +97,7 @@ class TestSidecar:
         cfg = small_config()
         req = cam.CamRequest("icam")
         result = pipeline.explain(model, image, req, cfg)
-        d = pipeline.sidecar_dict(result, req, cfg, 0.95)
+        d = pipeline.sidecar_dict(result, req, cfg)
         assert d["method"] == "icam"
         assert d["smooth"] == "softmax"
         blob = d["layer_scores"]
@@ -108,7 +108,7 @@ class TestSidecar:
     def test_gradcam_has_no_layer_scores(self, model, image):
         req = cam.CamRequest("gradcam")
         result = pipeline.explain(model, image, req)
-        d = pipeline.sidecar_dict(result, req, small_config(), 0.95)
+        d = pipeline.sidecar_dict(result, req, small_config())
         assert "layer_scores" not in d
         assert json.dumps(d)  # serializable
 

@@ -80,6 +80,13 @@ class TestNetpbmIo:
         with pytest.raises(ImageFormatError, match="non-numeric"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("size", [b"-2 2", b"2 -2", b"0 0", b"0 3"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6 " + size + b" 255\n" + b"\x00" * 12)
+        with pytest.raises(ImageFormatError, match="bad size"):
+            read_ppm(p)
+
     def test_write_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(np.zeros((4, 4), dtype=np.uint8), tmp_path / "a.ppm")
@@ -111,6 +118,10 @@ class TestBilinearResize:
     def test_same_size_is_identity(self):
         h = np.random.default_rng(5).random((6, 7))
         assert np.max(np.abs(bilinear_resize(h, 6, 7) - h)) < 1e-15
+
+    def test_same_size_returns_input_bitwise(self):
+        h = np.random.default_rng(5).random((4, 2, 6, 7)) * 1e3
+        assert bilinear_resize(h, 6, 7).tobytes() == h.tobytes()
 
     def test_one_by_one_input_broadcasts(self):
         out = bilinear_resize(np.array([[3.5]]), 4, 5)
