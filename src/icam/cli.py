@@ -28,7 +28,8 @@ DEFAULT_BLEND = 0.5
 
 # what main() reports as "error: ..." with exit status 1, without a traceback
 _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
-               pipeline.ManifestError, ShapeError, NonFiniteImageError)
+               pipeline.ManifestError, pipeline.UnknownLayerError, ShapeError,
+               NonFiniteImageError)
 
 
 def _bounded(convert, accept, bounds):

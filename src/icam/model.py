@@ -329,9 +329,11 @@ def load_model(path) -> Model:
             raise ModelFormatError(
                 f"truncated payload: tensor {name!r} at offset {off} "
                 f"({nbytes} bytes) extends past end of file")
-        weights[name] = np.frombuffer(
-            body, dtype="<f4", count=nbytes // 4, offset=off
-        ).astype(np.float64).reshape(shape)
+        raw = np.frombuffer(body, dtype="<f4", count=nbytes // 4, offset=off)
+        if not np.isfinite(raw).all():
+            raise ModelFormatError(f"tensor {name!r} holds NaN or infinite "
+                                   f"values")
+        weights[name] = raw.astype(np.float64).reshape(shape)
 
     expected = spec.weight_shapes()
     missing = [n for n in expected if n not in weights]

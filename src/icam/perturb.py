@@ -3,11 +3,17 @@
 A perturbed image is (I + alpha * N) * M where N is standard Gaussian per
 element and M is a per-pixel Bernoulli(1 - alpha) mask shared across all
 channels. The result is deliberately not clamped to [0,1].
+
+The draws behind N and M depend only on the seed, n and the image shape,
+never on the pixels or on alpha. They are computed once per (seed, n,
+shape) and reused by every image explained with that configuration; only
+the most recent set is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,30 +36,36 @@ class PerturbationConfig:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
 
 
-def perturb_image(image: np.ndarray, alpha: float, rng: SplitMix64) -> np.ndarray:
-    """One perturbation draw from a shared Prng stream.
+@lru_cache(maxsize=1)
+def _draws(seed: int, n: int, shape: tuple) -> tuple:
+    """Read-only raw noise [n,C,H,W] and uniforms [n,H,W] of SplitMix64(seed).
 
-    All C*H*W noise values are drawn first (row-major over channels, then
-    rows, then columns), then one mask value per spatial position.
+    Per perturbation, all C*H*W Gaussian values are drawn first (row-major
+    over channels, then rows, then columns), then one uniform per spatial
+    position.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    image = np.asarray(image, dtype=np.float64)
-    c, h, w = image.shape
-    noise = rng.gaussian_array(c * h * w).reshape(c, h, w)
-    mask = (rng.uniform_array(h * w) < 1.0 - alpha).reshape(h, w)
-    return (image + alpha * noise) * mask[None, :, :]
+    c, h, w = shape
+    rng = SplitMix64(seed)
+    noise = np.empty((n, c, h, w))
+    uniforms = np.empty((n, h, w))
+    for i in range(n):
+        noise[i] = rng.gaussian_array(c * h * w).reshape(c, h, w)
+        uniforms[i] = rng.uniform_array(h * w).reshape(h, w)
+    noise.flags.writeable = False
+    uniforms.flags.writeable = False
+    return noise, uniforms
 
 
 def generate_set(image: np.ndarray, config: PerturbationConfig) -> np.ndarray:
     """n perturbations from a single stream seeded by config.seed.
 
-    Returns a float64 [n, C, H, W] array; perturbation i is the i-th
-    perturb_image draw from SplitMix64(config.seed).
+    Returns a new float64 [n, C, H, W] array; pixel (h, w) of perturbation
+    i is masked when its uniform draw is >= 1 - alpha.
     """
     image = np.asarray(image, dtype=np.float64)
-    rng = SplitMix64(config.seed)
-    out = np.empty((config.n,) + image.shape)
-    for i in range(config.n):
-        out[i] = perturb_image(image, config.alpha, rng)
+    noise, uniforms = _draws(config.seed, config.n, image.shape)
+    alpha = config.alpha
+    out = alpha * noise   # then in place: one [n,C,H,W] allocation, not three
+    out += image
+    out *= (uniforms < 1.0 - alpha)[:, None]
     return out

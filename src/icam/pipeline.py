@@ -31,6 +31,13 @@ def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
     return np.transpose(rgb.astype(np.float64) / 255.0, (2, 0, 1))
 
 
+class UnknownLayerError(KeyError):
+    """A requested layer is not one of the model's scoring points."""
+
+    def __str__(self):
+        return str(self.args[0])   # KeyError's own str would quote it
+
+
 def _resolve_layers(model: Model, layers):
     points = model.spec.scoring_points
     if layers is None:
@@ -40,8 +47,8 @@ def _resolve_layers(model: Model, layers):
         if name == "final":
             name = points[-1]
         if name not in points:
-            raise KeyError(f"unknown scoring point {name!r} "
-                           f"(available: {', '.join(points)})")
+            raise UnknownLayerError(f"unknown scoring point {name!r} "
+                                    f"(available: {', '.join(points)})")
         resolved.append(name)
     return resolved
 
@@ -161,6 +168,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     weak-localization protocol.
     """
     _, in_h, in_w = model.spec.input_shape
+    _resolve_layers(model, request.layers)   # fail before any record is read
     ious, saliencies = [], []   # one entry per correct prediction
     for rec in records:
         image = image_from_rgb(read_ppm(rec["image"]))

@@ -14,8 +14,7 @@ import pytest
 from icam import cam, metrics, pipeline, verify
 from icam.cli import main
 from icam.model import build_fixture_model, forward_from, forward_trace
-from icam.perturb import perturb_image
-from icam.prng import SplitMix64
+from icam.perturb import PerturbationConfig, generate_set
 from icam.render import read_pgm, read_ppm, write_pgm, write_ppm
 from conftest import make_gap_linear_model
 from oracles import naive_iou, naive_saliency
@@ -165,10 +164,14 @@ def test_07_layer_filtering():
 
 def test_08_perturbation_statistics():
     img = np.random.default_rng(5).random((1, 100, 100))
-    assert np.array_equal(perturb_image(img, 0.0, SplitMix64(1)), img)
-    assert np.array_equal(perturb_image(img, 1.0, SplitMix64(1)),
-                          np.zeros_like(img))
-    out = perturb_image(img, 0.4, SplitMix64(42))
+
+    def one(alpha, seed):
+        cfg = PerturbationConfig(n=1, alpha=alpha, seed=seed)
+        return generate_set(img, cfg)[0]
+
+    assert np.array_equal(one(0.0, 1), img)
+    assert np.array_equal(one(1.0, 1), np.zeros_like(img))
+    out = one(0.4, 42)
     frac = float((out == 0.0).mean())
     assert 0.39 <= frac <= 0.41
     _report(8, f"alpha=0 identity, alpha=1 zeros, alpha=0.4 masks "

@@ -6,7 +6,7 @@ import pytest
 
 from icam import cam, pipeline
 from icam.cli import main
-from icam.model import forward_trace, load_model
+from icam.model import forward_trace, load_model, save_model
 from icam.perturb import PerturbationConfig
 from icam.render import read_pgm, read_ppm, write_ppm
 
@@ -256,12 +256,13 @@ def _resaved_model(path, mutate_header):
 class TestUserErrors:
     """Each named error reaches the user as one "error: ..." line, exit 1."""
 
-    def _explain_fails(self, workspace, tmp_path, model=None, image=None):
+    def _explain_fails(self, workspace, tmp_path, model=None, image=None,
+                       extra=()):
         _, model_path, image_path = workspace
         with pytest.raises(SystemExit) as exc:
             main(["explain", "--model", model or model_path,
                   "--image", image or image_path, "--n-perturb", "2",
-                  "--out-prefix", str(tmp_path / "out")])
+                  "--out-prefix", str(tmp_path / "out"), *extra])
         assert isinstance(exc.value.code, str)
         assert exc.value.code.startswith("error: ")
         assert not list(tmp_path.glob("out*"))
@@ -285,6 +286,32 @@ class TestUserErrors:
         bad.write_bytes(_resaved_model(workspace[1], stride_zero))
         assert "stride" in self._explain_fails(workspace, tmp_path,
                                                model=str(bad))
+
+    def test_model_format_error_non_finite_weight(self, workspace, tmp_path):
+        model = load_model(workspace[1])
+        model.weights["head.bias"][2] = np.nan
+        bad = tmp_path / "nan.icamw"
+        save_model(model, bad)
+        msg = self._explain_fails(workspace, tmp_path, model=str(bad))
+        assert "'head.bias'" in msg and "NaN or infinite" in msg
+
+    def test_unknown_layer(self, workspace, tmp_path):
+        msg = self._explain_fails(workspace, tmp_path,
+                                  extra=["--method", "gradcam",
+                                         "--layer", "block9"])
+        assert msg == ("error: unknown scoring point 'block9' "
+                       "(available: block1, block2, block3)")
+
+    def test_eval_unknown_layer(self, workspace, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"image": workspace[2],
+                                        "bbox": [0, 0, 3, 3], "label": 0}))
+        out = tmp_path / "eval.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", workspace[1], "--manifest", str(manifest),
+                  "--layer", "block9", "--out", str(out)])
+        assert exc.value.code.startswith("error: unknown scoring point")
+        assert not out.exists()
 
     def test_image_format_error_names_file(self, workspace, tmp_path):
         bad = tmp_path / "bad.ppm"
@@ -319,19 +346,32 @@ class TestUserErrors:
         assert exc.value.code.startswith("error: ") \
             and "gone.ppm" in exc.value.code
 
-    def test_process_prints_message_without_traceback(self, workspace,
-                                                      tmp_path):
+    @staticmethod
+    def _run_explain(workspace, tmp_path, *args):
         import os
         import subprocess
         import sys
-        wrong = tmp_path / "wide.ppm"
-        write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(pipeline.__file__)))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "icam.cli", "explain", "--model",
-             workspace[1], "--image", str(wrong), "--out-prefix",
-             str(tmp_path / "out")], capture_output=True, text=True, env=env)
+             workspace[1], "--out-prefix", str(tmp_path / "out"), *args],
+            capture_output=True, text=True, env=env)
+
+    def test_process_prints_message_without_traceback(self, workspace,
+                                                      tmp_path):
+        wrong = tmp_path / "wide.ppm"
+        write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
+        proc = self._run_explain(workspace, tmp_path, "--image", str(wrong))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: image shape (3, 40, 48)")
         assert "Traceback" not in proc.stderr
+
+    def test_process_unknown_layer_without_traceback(self, workspace,
+                                                     tmp_path):
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 "--layer", "block9")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: unknown scoring point 'block9' "
+                               "(available: block1, block2, block3)\n")
+        assert not list(tmp_path.glob("out*"))

@@ -46,7 +46,6 @@ def corruptions(blob, header_len, seed):
         yield bytes(out)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_weight_file_corruption(tmp_path, fixture_model, seed):
     p = tmp_path / "m.icamw"
@@ -72,7 +71,6 @@ def _load_and_run(path):
     assert logits.shape == (model.spec.num_classes,)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 def test_weight_header_number_edits(tmp_path, fixture_model):
     """Every number in the JSON header set to 0, -1 and 1.5 in turn.
 

@@ -242,6 +242,21 @@ class TestWeightFile:
         with pytest.raises(ModelFormatError, match="head.bias"):
             load_model(p)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("head.bias", (2,), np.nan), ("block1.weight", (0, 0, 1, 1), np.inf),
+        ("block3.bias", (5,), -np.inf),
+        ("head.weight", (1, 3), 1e39)])   # overflows float32 on save
+    def test_non_finite_weight_rejected_at_load(self, tmp_path, fixture_model,
+                                                name, index, value):
+        weights = dict(fixture_model.weights)
+        weights[name] = weights[name].copy()
+        weights[name][index] = value
+        p = tmp_path / "m.icamw"
+        with np.errstate(over="ignore"):
+            save_model(Model(fixture_model.spec, weights), p)
+        with pytest.raises(ModelFormatError, match=f"{name}.*NaN or infinite"):
+            load_model(p)
+
     def test_block_weight_channel_mismatch_rejected_at_load(self, tmp_path,
                                                             fixture_model):
         # a block2 kernel with C_in=4 where block1 has 8 output channels

@@ -80,6 +80,13 @@ class TestExplain:
         with pytest.raises(KeyError):
             pipeline.explain(model, image, req)
 
+    def test_unknown_layer_error_reads_as_plain_message(self, model, image):
+        req = cam.CamRequest("gradcam", layers=("block1", "block7"))
+        with pytest.raises(pipeline.UnknownLayerError) as exc:
+            pipeline.explain(model, image, req)
+        assert str(exc.value) == ("unknown scoring point 'block7' "
+                                  "(available: block1, block2, block3)")
+
     @pytest.mark.parametrize("method", ["gradcam", "icam"])
     def test_all_nan_image_rejected(self, model, method):
         with pytest.raises(NonFiniteImageError):
@@ -231,3 +238,12 @@ class TestEvaluateManifest:
                                              small_config())
         assert summary["correct"] == 0
         assert summary["mean_iou"] == 0.0 and summary["mean_saliency"] == 0.0
+
+    def test_unknown_layer_rejected_without_correct_predictions(
+            self, tmp_path, model):
+        records, _ = self._setup(tmp_path, model, n_images=1)
+        records[0]["label"] = (records[0]["label"] + 2) % 5
+        with pytest.raises(pipeline.UnknownLayerError, match="block9"):
+            pipeline.evaluate_manifest(
+                model, records, cam.CamRequest("gradcam", layers=("block9",)),
+                small_config())
