@@ -256,13 +256,12 @@ def _resaved_model(path, mutate_header):
 class TestUserErrors:
     """Each named error reaches the user as one "error: ..." line, exit 1."""
 
-    def _explain_fails(self, workspace, tmp_path, model=None, image=None,
-                       extra=()):
+    def _explain_fails(self, workspace, tmp_path, model=None, image=None):
         _, model_path, image_path = workspace
         with pytest.raises(SystemExit) as exc:
             main(["explain", "--model", model or model_path,
                   "--image", image or image_path, "--n-perturb", "2",
-                  "--out-prefix", str(tmp_path / "out"), *extra])
+                  "--out-prefix", str(tmp_path / "out")])
         assert isinstance(exc.value.code, str)
         assert exc.value.code.startswith("error: ")
         assert not list(tmp_path.glob("out*"))
@@ -294,13 +293,6 @@ class TestUserErrors:
         save_model(model, bad)
         msg = self._explain_fails(workspace, tmp_path, model=str(bad))
         assert "'head.bias'" in msg and "NaN or infinite" in msg
-
-    def test_unknown_layer(self, workspace, tmp_path):
-        msg = self._explain_fails(workspace, tmp_path,
-                                  extra=["--method", "gradcam",
-                                         "--layer", "block9"])
-        assert msg == ("error: unknown scoring point 'block9' "
-                       "(available: block1, block2, block3)")
 
     def test_eval_unknown_layer(self, workspace, tmp_path):
         manifest = tmp_path / "m.jsonl"

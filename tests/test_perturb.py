@@ -1,7 +1,7 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from icam import perturb
 from icam.perturb import PerturbationConfig, generate_set
