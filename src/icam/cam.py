@@ -1,11 +1,11 @@
 """Class activation maps: Grad-CAM, Grad-CAM++, LayerCAM, and I-CAM.
 
-All engine entry points consume a logit-kind ForwardTrace (gradients are
-dS^c/dA). Any smoothing transform f applied on top of the logit is handled
-analytically through its derivative table, never by differentiating
-through f numerically, so higher-order terms need no higher-order gradients:
-d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head after the scoring point is
-linear.
+Every map reads row 0 of a ForwardTrace: the image's activations and
+its logit gradients dS^c/dA. Any smoothing transform f applied on top of
+the logit is handled analytically through its derivative table, never by
+differentiating through f numerically, so higher-order terms need no
+higher-order gradients: d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head
+after the scoring point is linear.
 """
 
 from __future__ import annotations
@@ -61,8 +61,17 @@ def smooth_identity(s: float):
     return (s, 1.0, 0.0, 0.0)
 
 
+class SmoothOverflowError(OverflowError):
+    """The exp smooth's e^(S^c) exceeds the float64 range."""
+
+
 def smooth_exp(s: float):
-    e = math.exp(s)
+    try:
+        e = math.exp(s)
+    except OverflowError:
+        raise SmoothOverflowError(
+            f"exp smooth overflows at logit S^c = {s:.6g}; use the identity "
+            f"or softmax smooth") from None
     return (e, e, e, e)
 
 
@@ -101,16 +110,15 @@ def smooth_table(name: str, logits: np.ndarray, c: int):
 # per-layer maps
 # ---------------------------------------------------------------------------
 
-def _layer_arrays(trace: ForwardTrace, layer: str):
-    if layer not in trace.activations:
-        raise KeyError(f"unknown scoring point {layer!r}")
-    return trace.activations[layer], trace.gradients[layer]
+def _row0(trace: ForwardTrace, layer: str, smooth: str):
+    """Row 0's activation and logit gradient, and f's table at its S^c."""
+    return (trace.activations[layer][0], trace.gradients[layer][0],
+            smooth_table(smooth, trace.logits[0], trace.class_index))
 
 
 def gradcam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> Heatmap:
     """relu(sum_k w_k A_k) with w_k the spatial mean of the class gradient."""
-    a, g = _layer_arrays(trace, layer)
-    _, f1, _, _ = smooth_table(smooth, trace.logits, trace.class_index)
+    a, g, (_, f1, _, _) = _row0(trace, layer, smooth)
     w = (f1 * g).mean(axis=(1, 2))
     raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
     return Heatmap(raw)
@@ -118,8 +126,7 @@ def gradcam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> He
 
 def layercam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> Heatmap:
     """relu(sum_k relu(g) * A) with element-wise gradient weights."""
-    a, g = _layer_arrays(trace, layer)
-    _, f1, _, _ = smooth_table(smooth, trace.logits, trace.class_index)
+    a, g, (_, f1, _, _) = _row0(trace, layer, smooth)
     raw = np.maximum((np.maximum(f1 * g, 0.0) * a).sum(axis=0), 0.0)
     return Heatmap(raw)
 
@@ -147,8 +154,7 @@ def icam_weights(alpha: np.ndarray, f1: float, g: np.ndarray) -> np.ndarray:
 
 def gradcampp_map(trace: ForwardTrace, layer: str, smooth: str = "exp") -> Heatmap:
     """Grad-CAM++ via the generalized alpha (raw, no tanh wrapper)."""
-    a, g = _layer_arrays(trace, layer)
-    _, f1, f2, f3 = smooth_table(smooth, trace.logits, trace.class_index)
+    a, g, (_, f1, f2, f3) = _row0(trace, layer, smooth)
     alpha = generalized_alpha(f2, f3, g, a)
     w = (alpha * np.maximum(f1 * g, 0.0)).sum(axis=(1, 2))
     raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
@@ -175,18 +181,14 @@ def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray):
 def icam_layer_map(trace: ForwardTrace, layer: str, smooth: str = "softmax",
                    bias_mode: str = "channel") -> Heatmap:
     """Per-layer I-CAM map: tanh-wrapped alpha weights, optional bias, relu."""
-    a, g = _layer_arrays(trace, layer)
-    _, f1, f2, f3 = smooth_table(smooth, trace.logits, trace.class_index)
+    a, g, (_, f1, f2, f3) = _row0(trace, layer, smooth)
     alpha = generalized_alpha(f2, f3, g, a)
     w = icam_weights(alpha, f1, g)
     raw = (w * a).sum(axis=0)
     if bias_mode != "none":
-        s_c = float(trace.logits[trace.class_index])
+        s_c = float(trace.logits[0, trace.class_index])
         b = bias_term(bias_mode, s_c, w, a)
-        if bias_mode == "channel":
-            raw = raw + b.sum()
-        else:
-            raw = raw + b.sum(axis=0)
+        raw = raw + (b.sum() if bias_mode == "channel" else b.sum(axis=0))
     return Heatmap(np.maximum(raw, 0.0))
 
 
@@ -210,9 +212,7 @@ def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
 
 def single_layer_map(trace: ForwardTrace, method: str, layer: str,
                      smooth: str = None, bias_mode: str = "channel") -> Heatmap:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    smooth = smooth if smooth is not None else DEFAULT_SMOOTH[method]
+    smooth = smooth if smooth is not None else DEFAULT_SMOOTH.get(method)
     if method == "gradcam":
         return gradcam_map(trace, layer, smooth)
     if method == "gradcampp":

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cam, metrics, pipeline, render, verify
-from .layerscore import DEFAULT_THRESHOLD
+from .layerscore import DEFAULT_THRESHOLD, NoInformativeLayersError
 from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
                     load_model, save_model)
 from .perturb import DEFAULT_ALPHA, DEFAULT_N, PerturbationConfig
@@ -29,7 +29,8 @@ DEFAULT_BLEND = 0.5
 # what main() reports as "error: ..." with exit status 1, without a traceback
 _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
                pipeline.ManifestError, pipeline.UnknownLayerError, ShapeError,
-               NonFiniteImageError)
+               NonFiniteImageError, cam.SmoothOverflowError,
+               NoInformativeLayersError)
 
 
 def _bounded(convert, accept, bounds):

@@ -3,8 +3,8 @@
 A layer's score is the perturbation-weighted L2 distance between the
 input-gradient saliency magnitude map and the layer's gradient-weighted
 activation magnitude map (upsampled to input resolution). Scoring reads
-one batched probability trace: row 0 is the original image and rows
-1..n are its perturbations.
+one trace of [image; perturbations]: the image's input gradient and the
+probability gradients of rows 1..n.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from .model import ForwardTrace
 from .render import bilinear_resize
 
 DEFAULT_THRESHOLD = 0.95
+
+
+class NoInformativeLayersError(ValueError):
+    """Every layer scored zero (a saturated softmax has zero gradients)."""
 
 
 @dataclass
@@ -41,8 +45,6 @@ class LayerScoreReport:
 
 def phi(trace: ForwardTrace, layer: str) -> np.ndarray:
     """Gradient-weighted activation relu(A * G) at a scoring point."""
-    if layer not in trace.activations:
-        raise KeyError(f"unknown scoring point {layer!r}")
     return np.maximum(trace.activations[layer] * trace.gradients[layer], 0.0)
 
 
@@ -56,15 +58,15 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
     """Importance score per scoring point.
 
     S_l = sum_i w_i * || R - up(P_{i,l}) ||_2 over pixels, where R is the
-    channel magnitude of I * dO/dI for row 0 of the probability trace and
-    P_{i,l} the channel magnitude of phi for row i (i = 1..n) at layer l.
+    channel magnitude of I * dY^c/dI for the image (row 0) and P_{i,l} the
+    channel magnitude of phi for perturbation row i (i = 1..n) at layer l.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) < 1 or len(weights) != len(trace.image) - 1:
         raise ValueError(f"need one weight per perturbed row, at least one: "
                          f"got {len(trace.image) - 1} rows, {len(weights)} weights")
 
-    ref = channel_norm_map(trace.image[0] * trace.input_gradient[0])
+    ref = channel_norm_map(trace.image[0] * trace.input_gradient)
     out_h, out_w = ref.shape
     scores = {}
     for layer in trace.activations:
@@ -88,7 +90,8 @@ def filter_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> list:
     names = list(scores)
     total = sum(scores[n] for n in names)
     if total <= 0.0:
-        raise ValueError("no informative layers: all scores are zero")
+        raise NoInformativeLayersError("no informative layers: all scores "
+                                       "are zero; name the layers to map")
     ranked = sorted(names, key=lambda n: -scores[n])  # stable for ties
     selected = []
     cum = 0.0
@@ -106,13 +109,13 @@ def layer_weights(scores: dict, selected) -> dict:
         raise ValueError("empty selection")
     total = sum(scores[n] for n in selected)
     if total <= 0.0:
-        raise ValueError("selected scores sum to zero")
+        raise NoInformativeLayersError("selected scores sum to zero")
     return {n: scores[n] / total for n in selected}
 
 
 def score_layers(trace: ForwardTrace, weights,
                  threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
-    """Score, filter and weight the layers of one batched probability trace."""
+    """Score, filter and weight the layers of an image's perturbation trace."""
     scores = layer_importance(trace, weights)
     selected = filter_layers(scores, threshold)
     return LayerScoreReport(

@@ -78,23 +78,22 @@ class Model:
 
 @dataclass
 class ForwardTrace:
-    """One forward + backward pass at every scoring point.
+    """One forward and one reverse walk over the rows [image; perturbations].
 
-    Gradients are of the selected scalar: the logit S^c when
-    scalar_kind == "logit", the softmax probability Y^c when
-    scalar_kind == "probability". Only probability traces carry an
-    input gradient; it is None on logit traces. Arrays keep the input's
-    leading axes ("..." below: none, or N for an [N,C,H,W] batch).
+    Every array keeps the leading row axis N (N = 1 for a lone image).
+    Row 0 of `gradients` is the logit gradient dS^c/dA of the image; rows
+    1..N-1 are the probability gradients dY^c/dA of the perturbations.
+    `input_gradient` is the image's probability gradient dY^c/dI, or None
+    for a lone image. One class index holds for every row.
     """
 
-    image: np.ndarray                 # [...,C,H,W] input
-    activations: dict                 # scoring point -> [...,C_l,H_l,W_l]
+    image: np.ndarray                 # [N,C,H,W] input rows
+    activations: dict                 # scoring point -> [N,C_l,H_l,W_l]
     gradients: dict                   # scoring point -> same shape
-    logits: np.ndarray                # [...,C_cls]
-    probabilities: np.ndarray         # [...,C_cls]
-    input_gradient: np.ndarray        # matches image, or None
-    class_index: int                  # int, or an [N] int array for a batch
-    scalar_kind: str                  # "logit" | "probability"
+    logits: np.ndarray                # [N,C_cls]
+    probabilities: np.ndarray         # [N,C_cls]
+    input_gradient: np.ndarray        # [C,H,W], or None
+    class_index: int
 
 
 class NonFiniteImageError(ValueError):
@@ -128,10 +127,10 @@ def build_fixture_model(seed: int) -> Model:
     return Model(spec, weights)
 
 
-def _as_images(model: Model, image) -> np.ndarray:
+def check_images(model: Model, image, ndims=(3, 4)) -> np.ndarray:
     """Validate one [C,H,W] image or an [N,C,H,W] batch at the boundary."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim not in (3, 4) or image.shape[-3:] != model.spec.input_shape:
+    if image.ndim not in ndims or image.shape[-3:] != model.spec.input_shape:
         raise T.ShapeError(
             f"image shape {image.shape} != model input {model.spec.input_shape}")
     if not np.isfinite(image).all():
@@ -154,48 +153,48 @@ def _run(model: Model, x: np.ndarray, blocks):
 
 def forward(model: Model, image: np.ndarray) -> np.ndarray:
     """Logits of one [C,H,W] image or an [N,C,H,W] batch; no backward pass."""
-    return _run(model, _as_images(model, image), model.spec.blocks)[1]
+    return _run(model, check_images(model, image), model.spec.blocks)[1]
 
 
-def forward_trace(model: Model, image: np.ndarray, class_index=None,
-                  scalar_kind: str = "probability") -> ForwardTrace:
-    """Run the model and fill gradients at every scoring point.
+def forward_trace(model: Model, image: np.ndarray,
+                  class_index=None) -> ForwardTrace:
+    """Run the rows forward once and walk the blocks back once.
 
-    A [C,H,W] image gives an unbatched trace; an [N,C,H,W] batch gives one
-    trace whose row r equals the single-image call on row r. class_index
-    defaults to each row's argmax logit (ties break to the lowest index).
-    The backward pass walks the blocks in reverse from the seed
-    dScalar/dLogits: e_c for "logit", y * (e_c - y_c) for "probability".
-    Logit traces stop at the first block's output; probability traces
-    continue to the input.
+    `image` is one [C,H,W] image, or an [1+n,C,H,W] batch: the image, then
+    its n perturbations. class_index defaults to row 0's argmax logit (ties
+    break to the lowest index) and holds for every row. The reverse walk
+    starts from seeds dScalar/dLogits stacked per row: e_c on row 0,
+    y * (e_c - y_c) on rows 1..n and, for a batch, on a copy of row 0
+    appended last, the only row that goes on past the first block to the
+    input. Every matmul is per row, so a row's values do not depend on the
+    other rows.
     """
-    images = _as_images(model, image)
-    if scalar_kind not in ("logit", "probability"):
-        raise ValueError(f"unknown scalar_kind {scalar_kind!r}")
+    images = check_images(model, image)
+    batch = images.ndim == 4
+    images = images if batch else images[None]
     blocks = model.spec.blocks
     acts, logits = _run(model, images, blocks)
     probs = T.softmax(logits)
 
-    if class_index is None:
-        classes = np.argmax(logits, axis=-1)
-    else:
-        c = int(class_index)
-        if not 0 <= c < model.spec.num_classes:
-            raise IndexError(f"class_index {c} out of range "
-                             f"[0, {model.spec.num_classes})")
-        classes = np.full(images.shape[:-3], c)
-    g = np.eye(model.spec.num_classes)[classes]
-    if scalar_kind == "probability":
-        g = T.softmax_grad(g, probs)
+    c = int(np.argmax(logits[0]) if class_index is None else class_index)
+    if not 0 <= c < model.spec.num_classes:
+        raise IndexError(f"class_index {c} out of range "
+                         f"[0, {model.spec.num_classes})")
+    n = len(images)
+    rows = np.append(np.arange(n), 0) if batch else np.arange(n)
+    e_c = np.eye(model.spec.num_classes)[c]
+    g = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[rows[1:]])])
     g = T.global_avg_pool_grad(T.linear_grad(g, model.weights["head.weight"]),
                                acts[-1].shape[-2:])
     inputs = [images] + acts[:-1]
     grads = [None] * len(blocks)
     for i in reversed(range(len(blocks))):
-        grads[i] = g
-        if i == 0 and scalar_kind == "logit":
-            break
-        g = T.conv2d_input_grad(T.relu_grad(g, acts[i]),
+        grads[i] = g[:n]
+        if i == 0:   # only the appended copy of row 0 goes on to the input
+            if not batch:
+                break
+            g, rows = g[n:], rows[n:]
+        g = T.conv2d_input_grad(T.relu_grad(g, acts[i][rows]),
                                 model.weights[f"{blocks[i].name}.weight"],
                                 inputs[i].shape[-2:], stride=blocks[i].stride,
                                 padding=blocks[i].padding)
@@ -207,9 +206,8 @@ def forward_trace(model: Model, image: np.ndarray, class_index=None,
         gradients=dict(zip(names, grads)),
         logits=logits,
         probabilities=probs,
-        input_gradient=g if scalar_kind == "probability" else None,
-        class_index=classes if classes.ndim else int(classes),
-        scalar_kind=scalar_kind,
+        input_gradient=g[0] if batch else None,
+        class_index=c,
     )
 
 

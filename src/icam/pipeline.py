@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cam, layerscore, metrics
-from .model import Model, forward, forward_trace
+from .model import Model, check_images, forward, forward_trace
 from .perturb import PerturbationConfig, generate_set
 from .render import read_ppm
 
@@ -62,40 +62,36 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
     I-CAM without an explicit layer list runs the full perturbation +
     layer-scoring pipeline; every other configuration maps the requested
     layers (default: the final scoring point) and fuses them with equal
-    weights when there is more than one.
+    weights when there is more than one. Either way the engine runs once.
     """
-    image = np.asarray(image, dtype=np.float64)
-    _, in_h, in_w = model.spec.input_shape
-    trace = forward_trace(model, image, class_index=class_index,
-                          scalar_kind="logit")
-    c = trace.class_index
-
     layers = _resolve_layers(model, request.layers)
+    image = check_images(model, image, ndims=(3,))
+    _, in_h, in_w = model.spec.input_shape
     report = None
     if request.method == "icam" and layers is None:
         if perturb_config is None:
             perturb_config = PerturbationConfig()
         perturbed = generate_set(image, perturb_config)
         # row 0 is the image, rows 1..n its perturbations
-        prob_trace = forward_trace(
-            model, np.concatenate([image[None], perturbed]), class_index=c,
-            scalar_kind="probability")
-        y = prob_trace.probabilities
+        trace = forward_trace(model, np.concatenate([image[None], perturbed]),
+                              class_index=class_index)
+        y = trace.probabilities
         weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
-        report = layerscore.score_layers(prob_trace, weights, threshold)
-        layers = report.selected
-        weights = report.layer_weights
+        report = layerscore.score_layers(trace, weights, threshold)
+        layers, weights = report.selected, report.layer_weights
     else:
+        trace = forward_trace(model, image, class_index=class_index)
         if layers is None:
             layers = [model.spec.scoring_points[-1]]
         weights = {name: 1.0 / len(layers) for name in layers}
 
+    c = trace.class_index
     maps = {name: cam.single_layer_map(trace, request.method, name,
                                        request.effective_smooth, request.bias)
             for name in layers}
     fused = cam.fuse(maps, weights, in_h, in_w)
-    prob = float(trace.probabilities[c])
-    return ExplainResult(fused, c, prob, report, list(layers))
+    return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
+                         list(layers))
 
 
 def sidecar_dict(result: ExplainResult, request: cam.CamRequest,

@@ -88,10 +88,10 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
 
     for _ in range(trials):
         image = _random_image(rng, model.spec.input_shape)
-        trace = forward_trace(model, image, scalar_kind="logit")
-        c = trace.class_index
-        a = trace.activations[layer]
-        g_map = trace.gradients[layer]
+        trace = forward_trace(model, image)
+        c, logits = trace.class_index, trace.logits[0]
+        a = trace.activations[layer][0]
+        g_map = trace.gradients[layer][0]
         flat = np.abs(g_map).ravel()
         candidates = np.nonzero(flat > 1e-8)[0]
         idx = candidates[rng.next_u64() % len(candidates)]
@@ -99,8 +99,8 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
         g = float(g_map[pos])
 
         for smooth in ("exp", "softmax"):
-            _, _, f2, f3 = table_fn(smooth, trace.logits, c)
-            f = _smooth_scalar(smooth, trace.logits, c)
+            _, _, f2, f3 = table_fn(smooth, logits, c)
+            f = _smooth_scalar(smooth, logits, c)
 
             def y_of_t(t):
                 ap = a.copy()

@@ -77,8 +77,8 @@ def test_05_gradcam_analytic_oracle():
     img = np.random.default_rng(1).random((6, 5, 5)) + 0.1
     worst = 0.0
     for c in range(4):
-        trace = forward_trace(model, img, class_index=c, scalar_kind="logit")
-        got = (1.0 * trace.gradients["block1"]).mean(axis=(1, 2))
+        trace = forward_trace(model, img, class_index=c)
+        got = (1.0 * trace.gradients["block1"][0]).mean(axis=(1, 2))
         expected = model.weights["head.weight"][c] / 25.0
         worst = max(worst, float(np.max(np.abs(got - expected))))
     assert worst < 1e-10
@@ -90,11 +90,11 @@ def test_06_gradcampp_alpha_vs_finite_differences():
     model = build_fixture_model(7)
     layer = model.spec.scoring_points[-1]
     img = np.random.default_rng(2).random((3, 32, 32))
-    trace = forward_trace(model, img, scalar_kind="logit")
+    trace = forward_trace(model, img)
     c = trace.class_index
-    a = trace.activations[layer]
-    g = trace.gradients[layer]
-    s_c = float(trace.logits[c])
+    a = trace.activations[layer][0]
+    g = trace.gradients[layer][0]
+    s_c = float(trace.logits[0, c])
     e = float(np.exp(s_c))
     analytic = cam.generalized_alpha(e, e, g, a)
 

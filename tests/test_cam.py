@@ -11,7 +11,7 @@ from oracles import naive_bilinear_resize
 def logit_trace():
     model = build_fixture_model(7)
     img = np.random.default_rng(0).random((3, 32, 32))
-    return forward_trace(model, img, scalar_kind="logit")
+    return forward_trace(model, img)
 
 
 class TestSmoothTables:
@@ -78,7 +78,7 @@ class TestGradCam:
         from conftest import make_gap_linear_model
         model = make_gap_linear_model()
         img = np.random.default_rng(3).random((4, 6, 6)) + 0.1
-        tr = forward_trace(model, img, class_index=1, scalar_kind="logit")
+        tr = forward_trace(model, img, class_index=1)
         w = model.weights["head.weight"][1] / 36.0
         expected = np.maximum((w[:, None, None] * img).sum(axis=0), 0.0)
         got = cam.gradcam_map(tr, "block1").values
@@ -89,13 +89,13 @@ class TestGradCam:
         zeroed = type(tr)(tr.image, tr.activations,
                           {k: np.zeros_like(v) for k, v in tr.gradients.items()},
                           tr.logits, tr.probabilities, tr.input_gradient,
-                          tr.class_index, tr.scalar_kind)
+                          tr.class_index)
         out = cam.gradcam_map(zeroed, "block2").values
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_matches_loop_oracle(self, logit_trace):
-        a = logit_trace.activations["block2"]
-        g = logit_trace.gradients["block2"]
+        a = logit_trace.activations["block2"][0]
+        g = logit_trace.gradients["block2"][0]
         got = cam.gradcam_map(logit_trace, "block2").values
         k, h, w = a.shape
         ref = np.zeros((h, w))
@@ -114,8 +114,8 @@ class TestGradCam:
 
 class TestLayerCam:
     def test_matches_loop_oracle(self, logit_trace):
-        a = logit_trace.activations["block3"]
-        g = logit_trace.gradients["block3"]
+        a = logit_trace.activations["block3"][0]
+        g = logit_trace.gradients["block3"][0]
         got = cam.layercam_map(logit_trace, "block3").values
         k, h, w = a.shape
         ref = np.zeros((h, w))
@@ -131,9 +131,9 @@ class TestLayerCam:
         from icam.model import ForwardTrace
         a = np.abs(np.random.default_rng(4).normal(size=(2, 3, 3)))
         g = np.abs(np.random.default_rng(5).normal(size=(2, 3, 3)))
-        tr = ForwardTrace(np.zeros((1, 3, 3)), {"L": a}, {"L": g},
-                          np.zeros(2), np.full(2, 0.5), np.zeros((1, 3, 3)),
-                          0, "logit")
+        tr = ForwardTrace(np.zeros((1, 1, 3, 3)), {"L": a[None]},
+                          {"L": g[None]}, np.zeros((1, 2)),
+                          np.full((1, 2), 0.5), None, 0)
         got = cam.layercam_map(tr, "L").values
         assert np.max(np.abs(got - (g * a).sum(axis=0))) < 1e-14
 
@@ -253,15 +253,15 @@ class TestBiasTerm:
 
 class TestIcamLayerMap:
     def _golden(self, tr, layer, bias_mode):
-        a = tr.activations[layer]
-        g = tr.gradients[layer]
-        _, f1, f2, f3 = cam.smooth_softmax(tr.logits, tr.class_index)
+        a = tr.activations[layer][0]
+        g = tr.gradients[layer][0]
+        _, f1, f2, f3 = cam.smooth_softmax(tr.logits[0], tr.class_index)
         alpha = cam.generalized_alpha(f2, f3, g, a)
         w = np.tanh(alpha) * np.maximum(f1 * g, 0.0)
         raw = np.zeros(a.shape[1:])
         for k in range(a.shape[0]):
             raw += w[k] * a[k]
-        s_c = float(tr.logits[tr.class_index])
+        s_c = float(tr.logits[0][tr.class_index])
         if bias_mode == "channel":
             raw = raw + sum(s_c - w[k].sum() * a[k].sum()
                             for k in range(a.shape[0]))
@@ -283,9 +283,9 @@ class TestIcamLayerMap:
         rng = np.random.default_rng(13)
         a = rng.normal(size=(2, 4, 4))
         g = rng.normal(size=(2, 4, 4))
-        tr = ForwardTrace(np.zeros((1, 4, 4)), {"L": a}, {"L": g},
-                          np.array([2.0, -1.0]), np.array([0.95, 0.05]),
-                          np.zeros((1, 4, 4)), 0, "logit")
+        tr = ForwardTrace(np.zeros((1, 1, 4, 4)), {"L": a[None]},
+                          {"L": g[None]}, np.array([[2.0, -1.0]]),
+                          np.array([[0.95, 0.05]]), None, 0)
         none = cam.icam_layer_map(tr, "L", bias_mode="none").values
         chan = cam.icam_layer_map(tr, "L", bias_mode="channel").values
         assert not np.array_equal(none, chan)

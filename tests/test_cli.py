@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ class TestMakeFixture:
         _, model_path, _ = workspace
         other = str(tmp_path / "again.icamw")
         assert main(["make-fixture", "--seed", "42", "--out", other]) == 0
-        blob = open(model_path, "rb").read()
-        assert blob == open(other, "rb").read()
+        blob = Path(model_path).read_bytes()
+        assert blob == Path(other).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == FIXTURE_SHA256
 
     def test_loadable(self, workspace):
@@ -57,7 +58,7 @@ class TestExplain:
         over = read_ppm(prefix + "_overlay.ppm")
         assert heat.shape == (32, 32)
         assert over.shape == (32, 32, 3)
-        sidecar = json.load(open(prefix + ".json"))
+        sidecar = json.loads(Path(prefix + ".json").read_text())
         assert sidecar["method"] == "icam"
         assert abs(sum(sidecar["layer_scores"]["weights"].values()) - 1.0) < 1e-12
 
@@ -67,13 +68,13 @@ class TestExplain:
         p1 = self._run(workspace, tmp_path / "a")
         p2 = self._run(workspace, tmp_path / "b")
         for suffix in (".pgm", "_overlay.ppm", ".json"):
-            assert open(p1 + suffix, "rb").read() == \
-                open(p2 + suffix, "rb").read()
+            assert Path(p1 + suffix).read_bytes() == \
+                Path(p2 + suffix).read_bytes()
 
     def test_gradcam_final_layer_has_no_scores(self, workspace, tmp_path):
         prefix = self._run(workspace, tmp_path,
                            ["--method", "gradcam", "--layer", "final"])
-        sidecar = json.load(open(prefix + ".json"))
+        sidecar = json.loads(Path(prefix + ".json").read_text())
         assert "layer_scores" not in sidecar
         assert sidecar["layers"] == ["block3"]
 
@@ -97,7 +98,7 @@ class TestScoreLayers:
                    "--n-perturb", "1", "--out", out])
         assert rc == 0
         table = capsys.readouterr().out
-        blob = json.load(open(out))
+        blob = json.loads(Path(out).read_text())
         assert set(blob["scores"]) == {"block1", "block2", "block3"}
         for name in blob["selected"]:
             assert name in table
@@ -108,7 +109,7 @@ class TestScoreLayers:
         out = str(tmp_path / "scores.json")
         main(["score-layers", "--model", model_path, "--image", image_path,
               "--n-perturb", "1", "--out", out])
-        blob = json.load(open(out))
+        blob = json.loads(Path(out).read_text())
 
         model = load_model(model_path)
         image = pipeline.image_from_rgb(read_ppm(image_path))
@@ -122,7 +123,7 @@ class TestScoreLayers:
         out = str(tmp_path / "scores.json")
         main(["score-layers", "--model", model_path, "--image", image_path,
               "--n-perturb", "1", "--threshold", "1.0", "--out", out])
-        blob = json.load(open(out))
+        blob = json.loads(Path(out).read_text())
         informative = [n for n, s in blob["scores"].items() if s > 0]
         assert sorted(blob["selected"]) == sorted(informative)
 
@@ -136,7 +137,7 @@ class TestCompare:
         assert rc == 0
         digests = set()
         for method in ("gradcam", "gradcampp", "layercam", "icam"):
-            heat = open(f"{prefix}_{method}.pgm", "rb").read()
+            heat = Path(f"{prefix}_{method}.pgm").read_bytes()
             digests.add(hashlib.sha256(heat).hexdigest())
             assert read_ppm(f"{prefix}_{method}_overlay.ppm").shape \
                 == (32, 32, 3)
@@ -165,7 +166,7 @@ class TestEval:
         rc = main(["eval", "--model", model_path, "--manifest", str(manifest),
                    "--method", "gradcam", "--n-perturb", "2", "--out", out])
         assert rc == 0
-        summary = json.load(open(out))
+        summary = json.loads(Path(out).read_text())
         assert summary["records"] == 3
         assert summary["correct"] == 2
         assert abs(summary["accuracy"] - 2 / 3) < 1e-12
@@ -245,7 +246,7 @@ class TestArgumentErrors:
 
 def _resaved_model(path, mutate_header):
     """Copy the workspace fixture to `path` with its JSON header edited."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     hlen = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + hlen])
     mutate_header(header)
@@ -339,7 +340,7 @@ class TestUserErrors:
             and "gone.ppm" in exc.value.code
 
     @staticmethod
-    def _run_explain(workspace, tmp_path, *args):
+    def _run_explain(workspace, tmp_path, *args, model=None):
         import os
         import subprocess
         import sys
@@ -347,8 +348,8 @@ class TestUserErrors:
             os.path.dirname(pipeline.__file__)))
         return subprocess.run(
             [sys.executable, "-m", "icam.cli", "explain", "--model",
-             workspace[1], "--out-prefix", str(tmp_path / "out"), *args],
-            capture_output=True, text=True, env=env)
+             model or workspace[1], "--out-prefix", str(tmp_path / "out"),
+             *args], capture_output=True, text=True, env=env)
 
     def test_process_prints_message_without_traceback(self, workspace,
                                                       tmp_path):
@@ -366,4 +367,27 @@ class TestUserErrors:
         assert proc.returncode == 1
         assert proc.stderr == ("error: unknown scoring point 'block9' "
                                "(available: block1, block2, block3)\n")
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("args, message", [
+        (("--method", "gradcampp"), "error: exp smooth overflows at logit"),
+        (("--method", "icam", "--smooth", "exp"),
+         "error: no informative layers"),
+        (("--method", "icam", "--layer", "block2", "--smooth", "exp"),
+         "error: exp smooth overflows at logit")])
+    def test_process_saturated_head_without_traceback(self, workspace,
+                                                      tmp_path, args,
+                                                      message):
+        # the fixture with its head scaled by 2000: top logit ~1494
+        model = load_model(workspace[1])
+        for name in ("head.weight", "head.bias"):
+            model.weights[name] = 2000.0 * model.weights[name]
+        saturated = tmp_path / "saturated.icamw"
+        save_model(model, saturated)
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 *args, model=str(saturated))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(message)
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))

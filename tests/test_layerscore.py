@@ -16,7 +16,6 @@ def make_trace(image, input_gradient, activations, gradients, classes=2):
         probabilities=np.full(classes, 1.0 / classes),
         input_gradient=np.asarray(input_gradient, dtype=float),
         class_index=0,
-        scalar_kind="probability",
     )
 
 
@@ -71,8 +70,7 @@ class TestChannelNormMap:
 class TestLayerImportance:
     def test_zero_weights_zero_scores(self, fixture_model):
         img = np.random.default_rng(2).random((3, 32, 32))
-        tr = forward_trace(fixture_model, np.stack([img, img, img]),
-                           scalar_kind="probability")
+        tr = forward_trace(fixture_model, np.stack([img, img, img]))
         scores = layerscore.layer_importance(tr, [0.0, 0.0])
         assert all(v == 0.0 for v in scores.values())
 
@@ -81,7 +79,7 @@ class TestLayerImportance:
         img = np.random.default_rng(3).random((2, 4, 4))
         grad = np.random.default_rng(4).normal(size=(2, 4, 4))
         ref = layerscore.channel_norm_map(img * grad)
-        tr = make_trace(np.stack([img, img]), np.stack([grad, grad]),
+        tr = make_trace(np.stack([img, img]), grad,
                         {"L": np.stack([np.zeros((1, 4, 4)), ref[None]])},
                         {"L": np.stack([np.zeros((1, 4, 4)),
                                         np.ones((1, 4, 4))])})
@@ -91,26 +89,27 @@ class TestLayerImportance:
     def test_matches_naive_pipeline_oracle(self):
         model = build_fixture_model(42)
         img = np.random.default_rng(5).random((3, 32, 32))
-        c = forward_trace(model, img, scalar_kind="probability").class_index
+        c = forward_trace(model, img).class_index
         perturbed = generate_set(img, PerturbationConfig(n=2, alpha=0.4,
                                                          seed=42))
         tr = forward_trace(model, np.concatenate([img[None], perturbed]),
-                           class_index=c, scalar_kind="probability")
+                           class_index=c)
         weights = [metrics.perturbation_weight(img, p, tr.probabilities[0], q)
                    for p, q in zip(perturbed, tr.probabilities[1:])]
         got = layerscore.layer_importance(tr, weights)
 
-        # the oracle runs each image through the engine on its own
-        orig = forward_trace(model, img, scalar_kind="probability")
-        traces = [forward_trace(model, p, class_index=c,
-                                scalar_kind="probability")
+        # the oracle runs the image, and each perturbation after it, through
+        # the engine on its own
+        orig = forward_trace(model, img[None])
+        traces = [forward_trace(model, np.stack([img, p]), class_index=c)
                   for p in perturbed]
         ref_map = naive_channel_norm(img * orig.input_gradient)
         for layer in model.spec.scoring_points:
             expected = 0.0
             for w, t in zip(weights, traces):
                 p = naive_channel_norm(
-                    np.maximum(t.activations[layer] * t.gradients[layer], 0.0))
+                    np.maximum(t.activations[layer][1] * t.gradients[layer][1],
+                               0.0))
                 if p.shape != ref_map.shape:
                     p = naive_bilinear_resize(p, 32, 32)
                 acc = 0.0
@@ -209,8 +208,7 @@ class TestLayerWeights:
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
-    tr = forward_trace(fixture_model, np.stack([img, img]),
-                       scalar_kind="probability")
+    tr = forward_trace(fixture_model, np.stack([img, img]))
     report = layerscore.score_layers(tr, [0.5])
     parsed = json.loads(json.dumps(report.to_json_dict(n=1, alpha=0.4,
                                                        seed=9)))

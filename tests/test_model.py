@@ -29,8 +29,8 @@ class TestFixture:
     def test_probabilities_sum_to_one(self, fixture_model):
         img = np.random.default_rng(0).random((3, 32, 32))
         tr = forward_trace(fixture_model, img)
-        assert tr.probabilities.shape == (5,)
-        assert abs(tr.probabilities.sum() - 1.0) < 1e-12
+        assert tr.probabilities.shape == (1, 5)
+        assert abs(tr.probabilities[0].sum() - 1.0) < 1e-12
 
 
 class TestForwardTrace:
@@ -43,27 +43,31 @@ class TestForwardTrace:
     def test_gap_linear_gradient_is_analytic(self, gap_linear_model):
         # gradient of a logit at the scoring point is head.weight[c,k]/(H*W)
         img = np.random.default_rng(1).random((4, 6, 6)) + 0.1
-        tr = forward_trace(gap_linear_model, img, class_index=2,
-                           scalar_kind="logit")
+        tr = forward_trace(gap_linear_model, img, class_index=2)
         expected = gap_linear_model.weights["head.weight"][2] / 36.0
-        g = tr.gradients["block1"]
+        g = tr.gradients["block1"][0]
         assert np.max(np.abs(g - expected[:, None, None])) < 1e-12
 
     def test_deterministic(self, fixture_model):
-        img = np.random.default_rng(2).random((3, 32, 32))
-        t1 = forward_trace(fixture_model, img, scalar_kind="probability")
-        t2 = forward_trace(fixture_model, img, scalar_kind="probability")
+        rng = np.random.default_rng(2)
+        imgs = rng.random((3, 3, 32, 32))
+        t1 = forward_trace(fixture_model, imgs)
+        t2 = forward_trace(fixture_model, imgs)
         assert np.array_equal(t1.input_gradient, t2.input_gradient)
+        for name in t1.gradients:
+            assert np.array_equal(t1.gradients[name], t2.gradients[name])
         assert t1.class_index == t2.class_index
 
-    def test_argmax_consistent_between_scalar_kinds(self, fixture_model):
+    def test_class_is_row0_argmax(self, fixture_model):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            img = rng.random((3, 32, 32))
-            a = forward_trace(fixture_model, img, scalar_kind="logit")
-            b = forward_trace(fixture_model, img, scalar_kind="probability")
-            assert a.class_index == b.class_index
-            assert int(np.argmax(a.logits)) == int(np.argmax(a.probabilities))
+            imgs = rng.random((3, 3, 32, 32))
+            batch = forward_trace(fixture_model, imgs)
+            lone = forward_trace(fixture_model, imgs[0])
+            assert type(batch.class_index) is int
+            assert batch.class_index == lone.class_index \
+                == int(np.argmax(batch.logits[0])) \
+                == int(np.argmax(batch.probabilities[0]))
 
     def test_class_index_out_of_range(self, fixture_model):
         with pytest.raises(IndexError):
@@ -73,11 +77,11 @@ class TestForwardTrace:
         with pytest.raises(ShapeError):
             forward_trace(fixture_model, np.zeros((3, 16, 16)))
 
-    def test_scalar_kinds_give_different_gradients(self, fixture_model):
+    def test_logit_and_probability_gradients_differ(self, fixture_model):
+        # the same image as row 0 (logit seed) and row 1 (probability seed)
         img = np.random.default_rng(4).random((3, 32, 32))
-        a = forward_trace(fixture_model, img, scalar_kind="logit")
-        b = forward_trace(fixture_model, img, scalar_kind="probability")
-        assert not np.allclose(a.gradients["block3"], b.gradients["block3"])
+        g = forward_trace(fixture_model, np.stack([img, img])).gradients
+        assert not np.allclose(g["block3"][0], g["block3"][1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_rejected(self, fixture_model, bad):
@@ -92,72 +96,85 @@ class TestForwardTrace:
 
     def test_logit_trace_has_no_input_gradient(self, fixture_model):
         img = np.random.default_rng(4).random((3, 32, 32))
-        assert forward_trace(fixture_model, img,
-                             scalar_kind="logit").input_gradient is None
+        assert forward_trace(fixture_model, img).input_gradient is None
+        assert forward_trace(fixture_model, img[None]).input_gradient.shape \
+            == img.shape
 
     def test_forward_matches_trace_logits(self, fixture_model):
         imgs = np.random.default_rng(9).random((3, 3, 32, 32))
         assert np.array_equal(forward(fixture_model, imgs[0]),
-                              forward_trace(fixture_model, imgs[0]).logits)
+                              forward_trace(fixture_model, imgs[0]).logits[0])
         for img, logits in zip(imgs, forward(fixture_model, imgs)):
             assert np.max(np.abs(logits - forward(fixture_model, img))) <= 1e-12
 
 
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestBatchedTrace:
-    @pytest.mark.parametrize("scalar_kind", ["logit", "probability"])
+    """Row r of a trace equals that row in a smaller trace of the same image:
+    row 0 (logit seed) against a lone image, rows 1..n (probability seed)
+    against the two-row trace [image; row r]."""
+
+    @pytest.mark.parametrize("part", ["logit", "probability"])
     @pytest.mark.parametrize("class_index", [None, 2])
-    def test_rows_equal_single_image_calls(self, fixture_model, scalar_kind,
+    def test_rows_equal_single_image_calls(self, fixture_model, part,
                                            class_index):
         rng = np.random.default_rng(8)
         imgs = np.stack([rng.random((3, 32, 32)), np.zeros((3, 32, 32)),
                          3.0 * rng.random((3, 32, 32)) - 1.0,
                          rng.random((3, 32, 32))])
-        batch = forward_trace(fixture_model, imgs, class_index=class_index,
-                              scalar_kind=scalar_kind)
-        assert batch.class_index.shape == (len(imgs),)
-        assert batch.scalar_kind == scalar_kind
-        for r, img in enumerate(imgs):
-            ts = forward_trace(fixture_model, img, class_index=class_index,
-                               scalar_kind=scalar_kind)
-            assert type(ts.class_index) is int
-            assert batch.class_index[r] == ts.class_index
-            pairs = [(batch.image[r], ts.image), (batch.logits[r], ts.logits),
-                     (batch.probabilities[r], ts.probabilities)]
-            pairs += [(batch.activations[n][r], ts.activations[n])
-                      for n in ts.activations]
-            pairs += [(batch.gradients[n][r], ts.gradients[n])
-                      for n in ts.gradients]
-            if scalar_kind == "probability":
-                pairs.append((batch.input_gradient[r], ts.input_gradient))
-            else:
-                assert batch.input_gradient is None
-            for got, want in pairs:
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12
+        batch = forward_trace(fixture_model, imgs, class_index=class_index)
+        assert batch.logits.shape == (len(imgs), 5)
+        if part == "logit":
+            pairs = [(0, forward_trace(fixture_model, imgs[0],
+                                       class_index=class_index), 0)]
+            assert pairs[0][1].input_gradient is None
+        else:
+            pairs = [(r, forward_trace(fixture_model, imgs[[0, r]],
+                                       class_index=class_index), 1)
+                     for r in range(1, len(imgs))]
+            pairs.append((0, forward_trace(fixture_model, imgs[:1],
+                                           class_index=class_index), 0))
+        for r, small, s in pairs:
+            assert small.class_index == batch.class_index
+            _close(batch.image[r], small.image[s])
+            _close(batch.logits[r], small.logits[s])
+            _close(batch.probabilities[r], small.probabilities[s])
+            for n in small.activations:
+                _close(batch.activations[n][r], small.activations[n][s])
+                _close(batch.gradients[n][r], small.gradients[n][s])
+            if part == "probability":
+                _close(batch.input_gradient, small.input_gradient)
 
 
 class TestEngineFiniteDifferences:
-    """forward_trace gradients at every scoring point, and at the input for
-    probability traces, vs central differences through the real network."""
+    """forward_trace gradients vs central differences through the real
+    network: row 0's logit gradients at every scoring point ("logit"), and
+    a perturbation row's probability gradients at every scoring point plus
+    the image's input gradient ("probability")."""
 
-    @pytest.mark.parametrize("scalar_kind", ["logit", "probability"])
-    def test_gradients_match_central_differences(self, fixture_model,
-                                                 scalar_kind):
+    @pytest.mark.parametrize("part", ["logit", "probability"])
+    def test_gradients_match_central_differences(self, fixture_model, part):
         model = fixture_model
-        img = np.random.default_rng(6).random((3, 32, 32))
-        tr = forward_trace(model, img, scalar_kind=scalar_kind)
+        rng = np.random.default_rng(6)
+        img, pert = rng.random((3, 32, 32)), rng.random((3, 32, 32))
+        tr = forward_trace(model, np.stack([img, pert]))
         c = tr.class_index
+        row = 0 if part == "logit" else 1
 
         def scalar(logits):
-            if scalar_kind == "logit":
+            if part == "logit":
                 return float(logits[c])
             e = np.exp(logits - logits.max())
             return float(e[c] / e.sum())
 
-        points = [(tr.activations[n], tr.gradients[n],
+        points = [(tr.activations[n][row], tr.gradients[n][row],
                    lambda a, n=n: scalar(forward_from(model, n, a)))
                   for n in model.spec.scoring_points]
-        if scalar_kind == "probability":
+        if part == "probability":
             points.append((img, tr.input_gradient,
                            lambda v: scalar(forward(model, v))))
         rng = np.random.default_rng(7)
@@ -174,8 +191,9 @@ class TestForwardFrom:
         img = np.random.default_rng(5).random((3, 32, 32))
         tr = forward_trace(fixture_model, img)
         for layer in fixture_model.spec.scoring_points:
-            logits = forward_from(fixture_model, layer, tr.activations[layer])
-            assert np.max(np.abs(logits - tr.logits)) < 1e-12
+            logits = forward_from(fixture_model, layer,
+                                  tr.activations[layer][0])
+            assert np.max(np.abs(logits - tr.logits[0])) < 1e-12
 
     def test_unknown_layer(self, fixture_model):
         with pytest.raises(KeyError):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from icam import cam, metrics, pipeline
+from icam import cam, layerscore, metrics, pipeline
 from icam.model import NonFiniteImageError, build_fixture_model, forward_trace
-from icam.perturb import PerturbationConfig
+from icam.perturb import PerturbationConfig, _draws
 from icam.render import write_ppm
+from icam.tensor import ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ class TestExplain:
     def test_gradcam_single_layer_matches_engine(self, model, image):
         from icam.render import bilinear_resize, normalize_minmax
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"))
-        trace = forward_trace(model, image, scalar_kind="logit")
+        trace = forward_trace(model, image)
         hm = cam.gradcam_map(trace, "block3")
         ref = normalize_minmax(normalize_minmax(
             bilinear_resize(hm.values, 32, 32)))
@@ -93,10 +94,86 @@ class TestExplain:
             pipeline.explain(model, np.full((3, 32, 32), np.nan),
                              cam.CamRequest(method), small_config())
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((32, 32)), ShapeError),
+        (np.zeros((3, 16, 16)), ShapeError),
+        (np.zeros((1, 3, 32, 32)), ShapeError),
+        (np.full((3, 32, 32), np.nan), NonFiniteImageError)],
+        ids=["2d", "3x16x16", "batch", "nan"])
+    def test_image_checked_before_perturbing(self, model, image, bad, error):
+        pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
+        before = _draws.cache_info()
+        with pytest.raises(error):
+            pipeline.explain(model, bad, cam.CamRequest("icam"),
+                             small_config())
+        assert _draws.cache_info() == before
+
     def test_forced_class_index(self, model, image):
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"),
                                   class_index=3)
         assert result.class_index == 3
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts the engine calls made through pipeline.forward_trace."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return forward_trace(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forward_trace", counted)
+    return calls
+
+
+class TestEngineCalls:
+    def test_icam_automatic_is_one_call_over_image_and_perturbations(
+            self, model, image, engine_calls):
+        pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
+        assert engine_calls == [(3, 3, 32, 32)]
+
+    @pytest.mark.parametrize("method", cam.METHODS)
+    def test_single_layer_method_is_one_call(self, model, image, method,
+                                             engine_calls):
+        req = cam.CamRequest(method, layers=("block1", "block3"))
+        pipeline.explain(model, image, req, small_config())
+        assert engine_calls == [(3, 32, 32)]
+
+
+@pytest.fixture(scope="module")
+def saturated_model():
+    """The seed-42 fixture with its head scaled by 2000: on the `image`
+    fixture the top logit is ~1494, so e^(S^c) overflows and the softmax
+    saturates to exactly one-hot."""
+    m = build_fixture_model(42)
+    for name in ("head.weight", "head.bias"):
+        m.weights[name] = 2000.0 * m.weights[name]
+    return m
+
+
+class TestSaturatedHead:
+    @pytest.mark.parametrize("layers", [None, ("block1", "block2", "block3")],
+                             ids=["auto", "explicit"])
+    @pytest.mark.parametrize("smooth", cam.SMOOTHS)
+    @pytest.mark.parametrize("method", cam.METHODS)
+    def test_finite_map_or_named_error(self, saturated_model, image, method,
+                                       smooth, layers):
+        req = cam.CamRequest(method, smooth=smooth, layers=layers)
+        if method == "icam" and layers is None:
+            expected = layerscore.NoInformativeLayersError
+        elif smooth == "exp":
+            expected = cam.SmoothOverflowError
+        else:
+            expected = None
+        if expected is not None:
+            with pytest.raises(expected):
+                pipeline.explain(saturated_model, image, req, small_config())
+            return
+        values = pipeline.explain(saturated_model, image, req,
+                                  small_config()).heatmap.values
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 class TestSidecar:
@@ -238,6 +315,15 @@ class TestEvaluateManifest:
                                              small_config())
         assert summary["correct"] == 0
         assert summary["mean_iou"] == 0.0 and summary["mean_saliency"] == 0.0
+
+    def test_one_engine_call_per_correct_record(self, tmp_path, model,
+                                                engine_calls):
+        records, _ = self._setup(tmp_path, model)
+        summary = pipeline.evaluate_manifest(model, records,
+                                             cam.CamRequest("icam"),
+                                             small_config())
+        assert summary["correct"] == 2 and summary["records"] == 4
+        assert engine_calls == [(3, 3, 32, 32)] * 2
 
     def test_unknown_layer_rejected_without_correct_predictions(
             self, tmp_path, model):

@@ -234,7 +234,7 @@ class TestBackwardFiniteDifferenceProperty:
 
 def test_forward_backward_deterministic(fixture_model):
     from icam.model import forward_trace
-    img = np.random.default_rng(20).random((3, 32, 32))
+    img = np.random.default_rng(20).random((3, 3, 32, 32))
     t1 = forward_trace(fixture_model, img)
     t2 = forward_trace(fixture_model, img)
     assert np.array_equal(t1.logits, t2.logits)
@@ -245,7 +245,7 @@ def test_forward_backward_deterministic(fixture_model):
 
 def test_forward_values_finite(fixture_model):
     from icam.model import forward_trace
-    img = np.random.default_rng(21).random((3, 32, 32))
+    img = np.random.default_rng(21).random((3, 3, 32, 32))
     tr = forward_trace(fixture_model, img)
     for arr in [tr.logits, tr.probabilities, tr.input_gradient,
                 *tr.activations.values(), *tr.gradients.values()]:
