@@ -30,7 +30,7 @@ DEFAULT_BLEND = 0.5
 _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
                pipeline.ManifestError, pipeline.UnknownLayerError, ShapeError,
                NonFiniteImageError, cam.SmoothOverflowError,
-               NoInformativeLayersError)
+               cam.UndefinedAlphaError, NoInformativeLayersError)
 
 
 def _bounded(convert, accept, bounds):

@@ -72,10 +72,11 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
     for layer in trace.activations:
         p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]),
                             out_h, out_w)
+        norms = np.sqrt(((ref - p) ** 2).sum(axis=(-2, -1)))
         s = 0.0
         # accumulate in perturbation-index order for bit-exact determinism
-        for w_i, p_i in zip(weights.tolist(), p):
-            s += w_i * float(np.sqrt(((ref - p_i) ** 2).sum()))
+        for w_i, norm_i in zip(weights.tolist(), norms.tolist()):
+            s += w_i * norm_i
         scores[layer] = s
     return scores
 

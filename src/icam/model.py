@@ -181,9 +181,10 @@ def forward_trace(model: Model, image: np.ndarray,
         raise IndexError(f"class_index {c} out of range "
                          f"[0, {model.spec.num_classes})")
     n = len(images)
-    rows = np.append(np.arange(n), 0) if batch else np.arange(n)
+    # the probability seed's rows: 1..n-1, then a copy of row 0 for a batch
+    prob_rows = np.append(np.arange(1, n), 0) if batch else np.arange(1, n)
     e_c = np.eye(model.spec.num_classes)[c]
-    g = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[rows[1:]])])
+    g = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[prob_rows])])
     g = T.global_avg_pool_grad(T.linear_grad(g, model.weights["head.weight"]),
                                acts[-1].shape[-2:])
     inputs = [images] + acts[:-1]
@@ -193,9 +194,14 @@ def forward_trace(model: Model, image: np.ndarray,
         if i == 0:   # only the appended copy of row 0 goes on to the input
             if not batch:
                 break
-            g, rows = g[n:], rows[n:]
-        g = T.conv2d_input_grad(T.relu_grad(g, acts[i][rows]),
-                                model.weights[f"{blocks[i].name}.weight"],
+            g = g[n:]
+        y = acts[i]
+        if len(g) > n:   # rows 0..n-1 are y's rows; the appended copy is row 0
+            g = np.concatenate([T.relu_grad(g[:n], y),
+                                T.relu_grad(g[n:], y[:1])])
+        else:
+            g = T.relu_grad(g, y[:len(g)])
+        g = T.conv2d_input_grad(g, model.weights[f"{blocks[i].name}.weight"],
                                 inputs[i].shape[-2:], stride=blocks[i].stride,
                                 padding=blocks[i].padding)
 

@@ -29,6 +29,23 @@ def naive_conv2d(x, kernel, bias, stride=1, padding=0):
     return out
 
 
+def naive_generalized_alpha(f2, f3, g, a, eps):
+    """Loop reference for the generalized Grad-CAM++ alpha of one [C,H,W]."""
+    c, h, w = g.shape
+    alpha = np.zeros((c, h, w))
+    for k in range(c):
+        s = 0.0
+        for i in range(h):
+            for j in range(w):
+                s += a[k, i, j] * f3 * g[k, i, j] ** 3
+        for i in range(h):
+            for j in range(w):
+                num = f2 * g[k, i, j] ** 2
+                den = 2 * num + s
+                alpha[k, i, j] = num / den if abs(den) >= eps else 0.0
+    return alpha
+
+
 def central_diff_grad(f, x, indices, h=1e-5):
     """Central finite-difference gradient of scalar f at selected flat indices."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,7 +4,7 @@ import pytest
 from icam import cam
 from icam.model import build_fixture_model, forward_trace
 from icam.render import normalize_minmax
-from oracles import naive_bilinear_resize
+from oracles import naive_bilinear_resize, naive_generalized_alpha
 
 
 @pytest.fixture(scope="module")
@@ -179,17 +179,8 @@ class TestGeneralizedAlpha:
         g = rng.normal(size=(2, 4, 4))
         a = rng.random((2, 4, 4))
         got = cam.generalized_alpha(f2, f3, g, a)
-        for k in range(2):
-            s = 0.0
-            for i in range(4):
-                for j in range(4):
-                    s += a[k, i, j] * f3 * g[k, i, j] ** 3
-            for i in range(4):
-                for j in range(4):
-                    num = f2 * g[k, i, j] ** 2
-                    den = 2 * num + s
-                    ref = num / den if abs(den) >= cam.ALPHA_EPS else 0.0
-                    assert abs(got[k, i, j] - ref) < 1e-12
+        ref = naive_generalized_alpha(f2, f3, g, a, cam.ALPHA_EPS)
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 class TestIcamWeights:
@@ -349,6 +340,21 @@ class TestRequestAndDispatch:
             cam.CamRequest("icam", smooth="log")
         with pytest.raises(ValueError):
             cam.CamRequest("icam", bias="edge")
+
+    @pytest.mark.parametrize("method, layers", [
+        ("gradcampp", None), ("gradcampp", ("block3",)), ("icam", None),
+        ("icam", ("block1", "block3"))])
+    def test_identity_smooth_rejected_where_alpha_is_undefined(self, method,
+                                                               layers):
+        for bias in cam.BIAS_MODES:
+            with pytest.raises(cam.UndefinedAlphaError, match=method):
+                cam.CamRequest(method, smooth="identity", bias=bias,
+                               layers=layers)
+        assert issubclass(cam.UndefinedAlphaError, ValueError)
+
+    @pytest.mark.parametrize("method", ["gradcam", "layercam"])
+    def test_identity_smooth_kept_where_alpha_is_unused(self, method):
+        assert cam.CamRequest(method, smooth="identity").smooth == "identity"
 
     def test_methods_give_distinct_maps(self, logit_trace):
         outs = [cam.single_layer_map(logit_trace, m, "block3").values

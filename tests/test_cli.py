@@ -369,6 +369,21 @@ class TestUserErrors:
                                "(available: block1, block2, block3)\n")
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("args", [
+        ("--method", "gradcampp", "--smooth", "identity"),
+        ("--method", "icam", "--smooth", "identity"),
+        ("--method", "icam", "--layer", "block3", "--smooth", "identity")])
+    def test_process_identity_smooth_without_alpha(self, workspace, tmp_path,
+                                                   args):
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 *args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: method {args[1]} needs a "
+                                      f"smooth with f'' != 0")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("args, message", [
         (("--method", "gradcampp"), "error: exp smooth overflows at logit"),
         (("--method", "icam", "--smooth", "exp"),

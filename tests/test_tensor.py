@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from icam import cam
 from icam import tensor as T
-from oracles import central_diff_grad, naive_conv2d
+from oracles import central_diff_grad, naive_conv2d, naive_generalized_alpha
 
 
 class TestConv2d:
@@ -163,6 +164,90 @@ class TestBackward:
         d2 = T.conv2d_input_grad(g, k, (6, 6), stride=2, padding=1)
         assert d1.shape == (2, 2, 6, 6)
         assert np.array_equal(d1, d2)
+
+
+def _count_gathers(monkeypatch):
+    """Count the calls conv2d_input_grad makes to the shared correlation."""
+    calls = []
+    real = T._correlate
+    monkeypatch.setattr(T, "_correlate",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+class TestConv2dInputGrad:
+    """The adjoint of conv2d in both forms: gather (stride 1, C_in >= C_out,
+    padding < k) and scatter (every other case)."""
+
+    COUT = 4
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("cin", [1, 3, 16])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dot_product_adjoint(self, monkeypatch, stride, padding, k, cin,
+                                 lead):
+        # <conv2d(x, k, 0), g> == <x, conv2d_input_grad(g, k)>
+        rng = np.random.default_rng([stride, padding, k, cin, len(lead)])
+        x = rng.normal(size=(*lead, cin, 7, 6))
+        kernel = rng.normal(size=(self.COUT, cin, k, k))
+        out = T.conv2d(x, kernel, np.zeros(self.COUT), stride, padding)
+        g = rng.normal(size=out.shape)
+        gathers = _count_gathers(monkeypatch)
+        dx = T.conv2d_input_grad(g, kernel, (7, 6), stride, padding)
+        assert len(gathers) == (stride == 1 and cin >= self.COUT
+                                and padding < k)
+        assert dx.shape == x.shape
+        lhs, rhs = float((out * g).sum()), float((x * dx).sum())
+        assert abs(lhs - rhs) <= 1e-12 * float(np.abs(out * g).sum())
+
+    @pytest.mark.parametrize("cin, cout, stride, gathers", [
+        (16, 16, 1, 1), (16, 4, 1, 1), (3, 8, 1, 0), (8, 16, 2, 0),
+        (16, 16, 2, 0)])
+    def test_rows_independent(self, monkeypatch, cin, cout, stride, gathers):
+        rng = np.random.default_rng(cin * cout + stride)
+        kernel = rng.normal(size=(cout, cin, 3, 3))
+        oh = (9 + 2 - 3) // stride + 1
+        g = rng.normal(size=(2, 3, cout, oh, oh))
+        calls = _count_gathers(monkeypatch)
+        batched = T.conv2d_input_grad(g, kernel, (9, 9), stride, 1)
+        assert len(calls) == gathers
+        for idx in np.ndindex(2, 3):
+            alone = T.conv2d_input_grad(g[idx], kernel, (9, 9), stride, 1)
+            assert np.array_equal(batched[idx], alone)
+            assert np.array_equal(batched[idx][None],
+                                  T.conv2d_input_grad(g[idx][None], kernel,
+                                                      (9, 9), stride, 1))
+
+
+class TestGeneralizedAlphaBlockSized:
+    """generalized_alpha against the loop oracle on block1 and block3
+    shapes, with dead gradients and a dead channel to hit the eps guard."""
+
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (16, 16, 16)])
+    @pytest.mark.parametrize("table", ["softmax", "exp"])
+    def test_matches_loop_oracle(self, shape, table):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        g = 0.05 * rng.normal(size=shape)
+        g[rng.random(shape) < 0.3] = 0.0
+        g[1] = 0.0
+        a = np.maximum(rng.normal(size=shape), 0.0)
+        logits = rng.normal(size=5)
+        _, _, f2, f3 = cam.smooth_table(table, logits, 2)
+        got = cam.generalized_alpha(f2, f3, g, a)
+        ref = naive_generalized_alpha(f2, f3, g, a, cam.ALPHA_EPS)
+        # the channel sum's order differs: bound the error by how much the
+        # denominator cancels
+        num = np.abs(f2 * g * g)
+        spread = 2 * num + np.abs(a * f3 * g ** 3).sum(axis=(1, 2),
+                                                      keepdims=True)
+        den = np.abs(2 * f2 * g * g + (a * f3 * g ** 3).sum(
+            axis=(1, 2), keepdims=True))
+        bound = 1e-12 * np.abs(ref) * spread / np.maximum(den, 1e-300)
+        assert np.all(np.abs(got - ref) <= bound)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.all(got[1] == 0.0)
 
 
 class TestBackwardFiniteDifferenceProperty:
