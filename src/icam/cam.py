@@ -1,11 +1,23 @@
 """Class activation maps: Grad-CAM, Grad-CAM++, LayerCAM, and I-CAM.
 
-Every map reads row 0 of a ForwardTrace: the image's activations and
-its logit gradients dS^c/dA. Any smoothing transform f applied on top of
-the logit is handled analytically through its derivative table, never by
-differentiating through f numerically, so higher-order terms need no
-higher-order gradients: d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head
-after the scoring point is linear.
+All four methods form one saliency per layer,
+
+    relu(sum_k w_k * A_k + b),
+
+from row 0 of a ForwardTrace: the image's activations A and its logit
+gradients g = dS^c/dA. Only the weights w differ:
+
+    gradcam    w_k = mean_ij f' g                       (one per channel)
+    layercam   w   = relu(f' g)                         (elementwise)
+    gradcampp  w_k = sum_ij alpha * relu(f' g)          (one per channel)
+    icam       w   = tanh(alpha) * relu(f' g)           (elementwise)
+
+with alpha the Grad-CAM++ alpha generalized to a smooth f. The bias b is
+I-CAM's residual term and is zero for the other methods. Any smoothing
+transform f applied on top of the logit is handled analytically through
+its derivative table, never by differentiating through f numerically, so
+higher-order terms need no higher-order gradients: d^n f(S^c)/dA^n =
+f^(n)(S^c) * g^n when the head after the scoring point is linear.
 """
 
 from __future__ import annotations
@@ -51,6 +63,10 @@ class CamRequest:
             raise ValueError(f"unknown smooth {self.smooth!r}")
         if self.bias not in BIAS_MODES:
             raise ValueError(f"unknown bias mode {self.bias!r}")
+        if self.layers is not None and (isinstance(self.layers, str)
+                                        or len(self.layers) == 0):
+            raise ValueError(f"layers must be None or a non-empty sequence "
+                             f"of layer names, got {self.layers!r}")
         # gradcampp and icam weigh by generalized_alpha, whose f'' and f'''
         # vanish for the identity: every map would be zero or a constant
         if self.method in ("gradcampp", "icam") \
@@ -69,22 +85,8 @@ class CamRequest:
 # smooth functions: (f(S^c), f', f'', f''')
 # ---------------------------------------------------------------------------
 
-def smooth_identity(s: float):
-    return (s, 1.0, 0.0, 0.0)
-
-
 class SmoothOverflowError(OverflowError):
     """The exp smooth's e^(S^c) exceeds the float64 range."""
-
-
-def smooth_exp(s: float):
-    try:
-        e = math.exp(s)
-    except OverflowError:
-        raise SmoothOverflowError(
-            f"exp smooth overflows at logit S^c = {s:.6g}; use the identity "
-            f"or softmax smooth") from None
-    return (e, e, e, e)
 
 
 def smooth_softmax(logits: np.ndarray, c: int):
@@ -110,38 +112,24 @@ def smooth_softmax(logits: np.ndarray, c: int):
 def smooth_table(name: str, logits: np.ndarray, c: int):
     """Derivative table of the named smooth function at S^c."""
     if name == "identity":
-        return smooth_identity(float(logits[c]))
+        return (float(logits[c]), 1.0, 0.0, 0.0)
     if name == "exp":
-        return smooth_exp(float(logits[c]))
+        s = float(logits[c])
+        try:
+            e = math.exp(s)
+        except OverflowError:
+            raise SmoothOverflowError(
+                f"exp smooth overflows at logit S^c = {s:.6g}; use the "
+                f"identity or softmax smooth") from None
+        return (e, e, e, e)
     if name == "softmax":
         return smooth_softmax(logits, c)
     raise ValueError(f"unknown smooth {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# per-layer maps
+# the per-layer map and its named terms
 # ---------------------------------------------------------------------------
-
-def _row0(trace: ForwardTrace, layer: str, smooth: str):
-    """Row 0's activation and logit gradient, and f's table at its S^c."""
-    return (trace.activations[layer][0], trace.gradients[layer][0],
-            smooth_table(smooth, trace.logits[0], trace.class_index))
-
-
-def gradcam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> Heatmap:
-    """relu(sum_k w_k A_k) with w_k the spatial mean of the class gradient."""
-    a, g, (_, f1, _, _) = _row0(trace, layer, smooth)
-    w = (f1 * g).mean(axis=(1, 2))
-    raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
-    return Heatmap(raw)
-
-
-def layercam_map(trace: ForwardTrace, layer: str, smooth: str = "identity") -> Heatmap:
-    """relu(sum_k relu(g) * A) with element-wise gradient weights."""
-    a, g, (_, f1, _, _) = _row0(trace, layer, smooth)
-    raw = np.maximum((np.maximum(f1 * g, 0.0) * a).sum(axis=0), 0.0)
-    return Heatmap(raw)
-
 
 def generalized_alpha(f2: float, f3: float, g: np.ndarray, a: np.ndarray,
                       eps: float = ALPHA_EPS) -> np.ndarray:
@@ -162,15 +150,6 @@ def icam_weights(alpha: np.ndarray, f1: float, g: np.ndarray) -> np.ndarray:
     return np.tanh(alpha) * np.maximum(f1 * g, 0.0)
 
 
-def gradcampp_map(trace: ForwardTrace, layer: str, smooth: str = "exp") -> Heatmap:
-    """Grad-CAM++ via the generalized alpha (raw, no tanh wrapper)."""
-    a, g, (_, f1, f2, f3) = _row0(trace, layer, smooth)
-    alpha = generalized_alpha(f2, f3, g, a)
-    w = (alpha * np.maximum(f1 * g, 0.0)).sum(axis=(1, 2))
-    raw = np.maximum((w[:, None, None] * a).sum(axis=0), 0.0)
-    return Heatmap(raw)
-
-
 def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray):
     """Residual bias per channel (scalar each) or per position (full tensor).
 
@@ -188,18 +167,30 @@ def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray):
     raise ValueError(f"unknown bias mode {mode!r}")
 
 
-def icam_layer_map(trace: ForwardTrace, layer: str, smooth: str = "softmax",
-                   bias_mode: str = "channel") -> Heatmap:
-    """Per-layer I-CAM map: tanh-wrapped alpha weights, optional bias, relu."""
-    a, g, (_, f1, f2, f3) = _row0(trace, layer, smooth)
-    alpha = generalized_alpha(f2, f3, g, a)
-    w = icam_weights(alpha, f1, g)
+def single_layer_map(trace: ForwardTrace, request: CamRequest,
+                     layer: str) -> np.ndarray:
+    """relu(sum_k w_k A_k + b) at one layer, w by request.method.
+
+    Returns the raw [H,W] map at the layer's own resolution.
+    """
+    a, g = trace.activations[layer][0], trace.gradients[layer][0]
+    logits, c = trace.logits[0], trace.class_index
+    _, f1, f2, f3 = smooth_table(request.effective_smooth, logits, c)
+    method = request.method
+    if method == "gradcam":
+        w = (f1 * g).mean(axis=(1, 2), keepdims=True)
+    elif method == "layercam":
+        w = np.maximum(f1 * g, 0.0)
+    elif method == "gradcampp":
+        w = (generalized_alpha(f2, f3, g, a) * np.maximum(f1 * g, 0.0)
+             ).sum(axis=(1, 2), keepdims=True)
+    else:
+        w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
     raw = (w * a).sum(axis=0)
-    if bias_mode != "none":
-        s_c = float(trace.logits[0, trace.class_index])
-        b = bias_term(bias_mode, s_c, w, a)
-        raw = raw + (b.sum() if bias_mode == "channel" else b.sum(axis=0))
-    return Heatmap(np.maximum(raw, 0.0))
+    if method == "icam" and request.bias != "none":
+        b = bias_term(request.bias, float(logits[c]), w, a)
+        raw = raw + (b.sum() if request.bias == "channel" else b.sum(axis=0))
+    return np.maximum(raw, 0.0)
 
 
 def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
@@ -213,22 +204,5 @@ def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
         raise KeyError(f"missing layer maps: {missing}")
     out = np.zeros((out_h, out_w), dtype=np.float64)
     for name, w_l in weights.items():
-        vals = maps[name].values
-        if vals.shape != (out_h, out_w):
-            vals = bilinear_resize(vals, out_h, out_w)
-        out += w_l * normalize_minmax(vals)
+        out += w_l * normalize_minmax(bilinear_resize(maps[name], out_h, out_w))
     return Heatmap(normalize_minmax(out))
-
-
-def single_layer_map(trace: ForwardTrace, method: str, layer: str,
-                     smooth: str = None, bias_mode: str = "channel") -> Heatmap:
-    smooth = smooth if smooth is not None else DEFAULT_SMOOTH.get(method)
-    if method == "gradcam":
-        return gradcam_map(trace, layer, smooth)
-    if method == "gradcampp":
-        return gradcampp_map(trace, layer, smooth)
-    if method == "layercam":
-        return layercam_map(trace, layer, smooth)
-    if method == "icam":
-        return icam_layer_map(trace, layer, smooth, bias_mode)
-    raise ValueError(f"unknown method {method!r}")

@@ -72,7 +72,10 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
     for layer in trace.activations:
         p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]),
                             out_h, out_w)
-        norms = np.sqrt(((ref - p) ** 2).sum(axis=(-2, -1)))
+        # rows on the last axis, in C order: each row's norm sums its pixels
+        # one by one in raster order, whatever layout the resize returned
+        d = np.subtract(ref[..., None], np.moveaxis(p, 0, -1), order="C")
+        norms = np.sqrt((d * d).sum(axis=(0, 1)))
         s = 0.0
         # accumulate in perturbation-index order for bit-exact determinism
         for w_i, norm_i in zip(weights.tolist(), norms.tolist()):

@@ -86,9 +86,7 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
         weights = {name: 1.0 / len(layers) for name in layers}
 
     c = trace.class_index
-    maps = {name: cam.single_layer_map(trace, request.method, name,
-                                       request.effective_smooth, request.bias)
-            for name in layers}
+    maps = {name: cam.single_layer_map(trace, request, name) for name in layers}
     fused = cam.fuse(maps, weights, in_h, in_w)
     return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
                          list(layers))
@@ -119,6 +117,10 @@ class ManifestError(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_manifest(path, input_shape, num_classes) -> list:
     """JSON-lines records {"image": path, "bbox": [x0,y0,x1,y1], "label": int}."""
     _, in_h, in_w = input_shape
@@ -127,20 +129,28 @@ def parse_manifest(path, input_shape, num_classes) -> list:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            bad = f"malformed manifest line {lineno}"
             try:
                 rec = json.loads(line)
                 image, bbox, label = rec["image"], rec["bbox"], rec["label"]
-                x0, y0, x1, y1 = (int(v) for v in bbox)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ManifestError(f"malformed manifest line {lineno}: {exc}") from exc
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ManifestError(f"{bad}: {exc}") from exc
+            if not isinstance(image, str) or not image:
+                raise ManifestError(
+                    f"{bad}: image {image!r} is not a non-empty path string")
+            if not _is_int(label):
+                raise ManifestError(f"{bad}: label {label!r} is not an integer")
+            if not (isinstance(bbox, list) and len(bbox) == 4
+                    and all(_is_int(v) for v in bbox)):
+                raise ManifestError(
+                    f"{bad}: bbox {bbox!r} is not a list of 4 integers")
+            x0, y0, x1, y1 = bbox
             if not (0 <= x0 <= x1 < in_w and 0 <= y0 <= y1 < in_h):
-                raise ManifestError(
-                    f"malformed manifest line {lineno}: bbox {bbox} out of bounds")
-            if not 0 <= int(label) < num_classes:
-                raise ManifestError(
-                    f"malformed manifest line {lineno}: label {label} out of range")
+                raise ManifestError(f"{bad}: bbox {bbox} out of bounds")
+            if not 0 <= label < num_classes:
+                raise ManifestError(f"{bad}: label {label} out of range")
             records.append({"image": image, "bbox": (x0, y0, x1, y1),
-                            "label": int(label)})
+                            "label": label})
     if not records:
         raise ManifestError("empty manifest")
     return records

@@ -112,12 +112,15 @@ def normalize_minmax(h: np.ndarray) -> np.ndarray:
 def bilinear_resize(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-centered bilinear interpolation with edge clamping.
 
-    Resizes the last two axes; any leading axes are a batch.
+    Resizes the last two axes; any leading axes are a batch. A map that
+    already has the output size is returned as it is.
     """
     h = np.asarray(h, dtype=np.float64)
     in_h, in_w = h.shape[-2:]
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be >= 1")
+    if (in_h, in_w) == (out_h, out_w):
+        return h
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     ys = np.clip(ys, 0.0, in_h - 1.0)

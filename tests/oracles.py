@@ -46,6 +46,65 @@ def naive_generalized_alpha(f2, f3, g, a, eps):
     return alpha
 
 
+def _naive_weighted_sum(w, a):
+    """relu(sum_k w_k A_k) with w per channel ([C]) or per element ([C,H,W])."""
+    c, h, wd = a.shape
+    out = np.zeros((h, wd))
+    for i in range(h):
+        for j in range(wd):
+            acc = 0.0
+            for k in range(c):
+                acc += (w[k] if w.ndim == 1 else w[k, i, j]) * a[k, i, j]
+            out[i, j] = acc
+    return out
+
+
+def naive_gradcam_map(a, g, f1):
+    """Loop reference for Grad-CAM: w_k = mean_ij f' g."""
+    w = np.array([f1 * g[k].mean() for k in range(a.shape[0])])
+    return np.maximum(_naive_weighted_sum(w, a), 0.0)
+
+
+def naive_layercam_map(a, g, f1):
+    """Loop reference for LayerCAM: w = relu(f' g) elementwise."""
+    w = np.zeros_like(g)
+    for idx in np.ndindex(g.shape):
+        w[idx] = max(f1 * g[idx], 0.0)
+    return np.maximum(_naive_weighted_sum(w, a), 0.0)
+
+
+def naive_gradcampp_map(a, g, f1, f2, f3, eps):
+    """Loop reference for Grad-CAM++: w_k = sum_ij alpha * relu(f' g)."""
+    alpha = naive_generalized_alpha(f2, f3, g, a, eps)
+    c, h, w = g.shape
+    weights = np.zeros(c)
+    for k in range(c):
+        for i in range(h):
+            for j in range(w):
+                weights[k] += alpha[k, i, j] * max(f1 * g[k, i, j], 0.0)
+    return np.maximum(_naive_weighted_sum(weights, a), 0.0)
+
+
+def naive_icam_map(a, g, f1, f2, f3, s_c, bias, eps):
+    """Loop reference for I-CAM: w = tanh(alpha) relu(f' g) plus its bias.
+
+    channel bias adds sum_k (S^c - sum_ij w_k * sum_ij A_k) everywhere;
+    spatial bias adds sum_k (S^c - w_k_ij * sum_ij A_k) at each position.
+    """
+    alpha = naive_generalized_alpha(f2, f3, g, a, eps)
+    w = np.zeros_like(g)
+    for idx in np.ndindex(g.shape):
+        w[idx] = np.tanh(alpha[idx]) * max(f1 * g[idx], 0.0)
+    raw = _naive_weighted_sum(w, a)
+    c = a.shape[0]
+    if bias == "channel":
+        raw = raw + sum(s_c - w[k].sum() * a[k].sum() for k in range(c))
+    elif bias == "spatial":
+        for k in range(c):
+            raw = raw + (s_c - w[k] * a[k].sum())
+    return np.maximum(raw, 0.0)
+
+
 def central_diff_grad(f, x, indices, h=1e-5):
     """Central finite-difference gradient of scalar f at selected flat indices."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,7 +4,9 @@ import pytest
 from icam import cam
 from icam.model import build_fixture_model, forward_trace
 from icam.render import normalize_minmax
-from oracles import naive_bilinear_resize, naive_generalized_alpha
+from oracles import (naive_bilinear_resize, naive_generalized_alpha,
+                     naive_gradcam_map, naive_gradcampp_map, naive_icam_map,
+                     naive_layercam_map)
 
 
 @pytest.fixture(scope="module")
@@ -14,12 +16,17 @@ def logit_trace():
     return forward_trace(model, img)
 
 
+def layer_map(trace, layer, method, **kw):
+    return cam.single_layer_map(trace, cam.CamRequest(method, **kw), layer)
+
+
 class TestSmoothTables:
     def test_identity(self):
-        assert cam.smooth_identity(3.5) == (3.5, 1.0, 0.0, 0.0)
+        assert cam.smooth_table("identity", np.array([0.0, 3.5]), 1) \
+            == (3.5, 1.0, 0.0, 0.0)
 
     def test_exp(self):
-        y, f1, f2, f3 = cam.smooth_exp(1.25)
+        y, f1, f2, f3 = cam.smooth_table("exp", np.array([1.25, 0.0]), 0)
         e = np.exp(1.25)
         assert y == f1 == f2 == f3 == e
 
@@ -81,7 +88,7 @@ class TestGradCam:
         tr = forward_trace(model, img, class_index=1)
         w = model.weights["head.weight"][1] / 36.0
         expected = np.maximum((w[:, None, None] * img).sum(axis=0), 0.0)
-        got = cam.gradcam_map(tr, "block1").values
+        got = layer_map(tr, "block1", "gradcam")
         assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_zero_gradient_gives_zero_map(self, logit_trace):
@@ -90,13 +97,13 @@ class TestGradCam:
                           {k: np.zeros_like(v) for k, v in tr.gradients.items()},
                           tr.logits, tr.probabilities, tr.input_gradient,
                           tr.class_index)
-        out = cam.gradcam_map(zeroed, "block2").values
+        out = layer_map(zeroed, "block2", "gradcam")
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_matches_loop_oracle(self, logit_trace):
         a = logit_trace.activations["block2"][0]
         g = logit_trace.gradients["block2"][0]
-        got = cam.gradcam_map(logit_trace, "block2").values
+        got = layer_map(logit_trace, "block2", "gradcam")
         k, h, w = a.shape
         ref = np.zeros((h, w))
         for i in range(h):
@@ -109,14 +116,14 @@ class TestGradCam:
 
     def test_unknown_layer(self, logit_trace):
         with pytest.raises(KeyError):
-            cam.gradcam_map(logit_trace, "block9")
+            layer_map(logit_trace, "block9", "gradcam")
 
 
 class TestLayerCam:
     def test_matches_loop_oracle(self, logit_trace):
         a = logit_trace.activations["block3"][0]
         g = logit_trace.gradients["block3"][0]
-        got = cam.layercam_map(logit_trace, "block3").values
+        got = layer_map(logit_trace, "block3", "layercam")
         k, h, w = a.shape
         ref = np.zeros((h, w))
         for i in range(h):
@@ -134,7 +141,7 @@ class TestLayerCam:
         tr = ForwardTrace(np.zeros((1, 1, 3, 3)), {"L": a[None]},
                           {"L": g[None]}, np.zeros((1, 2)),
                           np.full((1, 2), 0.5), None, 0)
-        got = cam.layercam_map(tr, "L").values
+        got = layer_map(tr, "L", "layercam")
         assert np.max(np.abs(got - (g * a).sum(axis=0))) < 1e-14
 
 
@@ -263,8 +270,7 @@ class TestIcamLayerMap:
 
     @pytest.mark.parametrize("bias_mode", ["none", "channel", "spatial"])
     def test_matches_golden_reimplementation(self, logit_trace, bias_mode):
-        got = cam.icam_layer_map(logit_trace, "block2",
-                                 bias_mode=bias_mode).values
+        got = layer_map(logit_trace, "block2", "icam", bias=bias_mode)
         ref = self._golden(logit_trace, "block2", bias_mode)
         assert np.max(np.abs(got - ref)) < 1e-10
 
@@ -277,50 +283,49 @@ class TestIcamLayerMap:
         tr = ForwardTrace(np.zeros((1, 1, 4, 4)), {"L": a[None]},
                           {"L": g[None]}, np.array([[2.0, -1.0]]),
                           np.array([[0.95, 0.05]]), None, 0)
-        none = cam.icam_layer_map(tr, "L", bias_mode="none").values
-        chan = cam.icam_layer_map(tr, "L", bias_mode="channel").values
+        none = layer_map(tr, "L", "icam", bias="none")
+        chan = layer_map(tr, "L", "icam", bias="channel")
         assert not np.array_equal(none, chan)
 
     def test_nonnegative_output(self, logit_trace):
         for layer in ("block1", "block2", "block3"):
-            assert cam.icam_layer_map(logit_trace, layer).values.min() >= 0.0
+            assert layer_map(logit_trace, layer, "icam").min() >= 0.0
 
 
 class TestFuse:
     def test_single_layer_is_normalized_upsample(self, logit_trace):
-        hm = cam.gradcam_map(logit_trace, "block2")
+        hm = layer_map(logit_trace, "block2", "gradcam")
         fused = cam.fuse({"block2": hm}, {"block2": 1.0}, 32, 32)
         ref = normalize_minmax(normalize_minmax(
-            naive_bilinear_resize(hm.values, 32, 32)))
+            naive_bilinear_resize(hm, 32, 32)))
         assert np.max(np.abs(fused.values - ref)) < 1e-10
 
     def test_identical_maps_any_weights(self):
-        vals = np.random.default_rng(14).random((8, 8))
-        h = cam.Heatmap(vals)
+        h = np.random.default_rng(14).random((8, 8))
         f1 = cam.fuse({"a": h, "b": h}, {"a": 0.9, "b": 0.1}, 8, 8)
         f2 = cam.fuse({"a": h, "b": h}, {"a": 0.5, "b": 0.5}, 8, 8)
         assert np.max(np.abs(f1.values - f2.values)) < 1e-12
 
     def test_three_layer_loop_oracle(self, logit_trace):
-        maps = {l: cam.icam_layer_map(logit_trace, l)
+        maps = {l: layer_map(logit_trace, l, "icam")
                 for l in ("block1", "block2", "block3")}
         weights = {"block1": 0.5, "block2": 0.3, "block3": 0.2}
         got = cam.fuse(maps, weights, 32, 32).values
         acc = np.zeros((32, 32))
         for name, w_l in weights.items():
-            up = naive_bilinear_resize(maps[name].values, 32, 32)
+            up = naive_bilinear_resize(maps[name], 32, 32)
             acc += w_l * normalize_minmax(up)
         ref = normalize_minmax(acc)
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_output_in_unit_range(self, logit_trace):
-        maps = {l: cam.gradcam_map(logit_trace, l)
+        maps = {l: layer_map(logit_trace, l, "gradcam")
                 for l in ("block1", "block3")}
         out = cam.fuse(maps, {"block1": 0.6, "block3": 0.4}, 32, 32).values
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_missing_map_rejected(self):
-        h = cam.Heatmap(np.ones((2, 2)))
+        h = np.ones((2, 2))
         with pytest.raises(KeyError):
             cam.fuse({"a": h}, {"a": 0.5, "b": 0.5}, 4, 4)
 
@@ -357,12 +362,46 @@ class TestRequestAndDispatch:
         assert cam.CamRequest(method, smooth="identity").smooth == "identity"
 
     def test_methods_give_distinct_maps(self, logit_trace):
-        outs = [cam.single_layer_map(logit_trace, m, "block3").values
-                for m in cam.METHODS]
+        outs = [layer_map(logit_trace, "block3", m) for m in cam.METHODS]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
                 assert not np.allclose(outs[i], outs[j])
 
-    def test_unknown_method_in_dispatch(self, logit_trace):
-        with pytest.raises(ValueError):
-            cam.single_layer_map(logit_trace, "nope", "block1")
+    @pytest.mark.parametrize("layers", [(), [], "block3"])
+    def test_layers_must_be_a_nonempty_sequence(self, layers):
+        with pytest.raises(ValueError, match="layers"):
+            cam.CamRequest("gradcam", layers=layers)
+
+
+class TestSingleLayerMap:
+    """One formula, relu(sum_k w_k A_k + b), against per-method loops."""
+
+    @pytest.mark.parametrize("layer", ["block1", "block2", "block3"])
+    @pytest.mark.parametrize("method, bias", [
+        ("gradcam", "channel"), ("layercam", "channel"),
+        ("gradcampp", "channel"), ("icam", "none"), ("icam", "channel"),
+        ("icam", "spatial")])
+    def test_matches_loop_oracle(self, logit_trace, method, bias, layer):
+        tr = logit_trace
+        req = cam.CamRequest(method, bias=bias)
+        a, g = tr.activations[layer][0], tr.gradients[layer][0]
+        s_c = float(tr.logits[0, tr.class_index])
+        _, f1, f2, f3 = cam.smooth_table(req.effective_smooth, tr.logits[0],
+                                         tr.class_index)
+        ref = {
+            "gradcam": lambda: naive_gradcam_map(a, g, f1),
+            "layercam": lambda: naive_layercam_map(a, g, f1),
+            "gradcampp": lambda: naive_gradcampp_map(a, g, f1, f2, f3,
+                                                     cam.ALPHA_EPS),
+            "icam": lambda: naive_icam_map(a, g, f1, f2, f3, s_c, bias,
+                                           cam.ALPHA_EPS),
+        }[method]()
+        got = cam.single_layer_map(tr, req, layer)
+        assert got.shape == a.shape[1:]
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    def test_bias_applies_to_icam_only(self, logit_trace):
+        for method in ("gradcam", "gradcampp", "layercam"):
+            maps = [layer_map(logit_trace, "block2", method, bias=b)
+                    for b in cam.BIAS_MODES]
+            assert all(np.array_equal(maps[0], m) for m in maps[1:])

@@ -71,9 +71,9 @@ class TestExplain:
         from icam.render import bilinear_resize, normalize_minmax
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"))
         trace = forward_trace(model, image)
-        hm = cam.gradcam_map(trace, "block3")
+        hm = cam.single_layer_map(trace, cam.CamRequest("gradcam"), "block3")
         ref = normalize_minmax(normalize_minmax(
-            bilinear_resize(hm.values, 32, 32)))
+            bilinear_resize(hm, 32, 32)))
         assert np.max(np.abs(result.heatmap.values - ref)) < 1e-12
 
     def test_unknown_layer(self, model, image):
@@ -241,6 +241,28 @@ class TestManifest:
             json.dumps({"image": "a.ppm", "bbox": [0, 0, 1, 1], "label": 5}),
         ])
         with pytest.raises(pipeline.ManifestError, match="label"):
+            pipeline.parse_manifest(p, (3, 32, 32), 5)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("label", 2.7, "label"), ("label", True, "label"),
+        ("label", "2", "label"), ("label", None, "label"),
+        ("bbox", "0123", "bbox"), ("bbox", [0, 0, 3.9, 3], "bbox"),
+        ("bbox", [0, 0, True, 3], "bbox"), ("bbox", [0, 0, 3], "bbox"),
+        ("bbox", {"x0": 0}, "bbox"), ("image", 0, "image"),
+        ("image", "", "image"), ("image", ["a.ppm"], "image")])
+    def test_field_types_rejected(self, tmp_path, field, value, match):
+        rec = {"image": "a.ppm", "bbox": [0, 0, 3, 3], "label": 2}
+        rec[field] = value
+        p = self._write(tmp_path, [
+            json.dumps({"image": "a.ppm", "bbox": [0, 0, 1, 1], "label": 0}),
+            json.dumps(rec)])
+        with pytest.raises(pipeline.ManifestError,
+                           match=f"line 2: {match}"):
+            pipeline.parse_manifest(p, (3, 32, 32), 5)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        p = self._write(tmp_path, ["[1, 2, 3]"])
+        with pytest.raises(pipeline.ManifestError, match="line 1"):
             pipeline.parse_manifest(p, (3, 32, 32), 5)
 
     def test_bbox_mask_inclusive(self):
