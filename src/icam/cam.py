@@ -131,18 +131,19 @@ def smooth_table(name: str, logits: np.ndarray, c: int):
 # the per-layer map and its named terms
 # ---------------------------------------------------------------------------
 
-def generalized_alpha(f2: float, f3: float, g: np.ndarray, a: np.ndarray,
-                      eps: float = ALPHA_EPS) -> np.ndarray:
+def generalized_alpha(f2: float, f3: float, g: np.ndarray,
+                      a: np.ndarray) -> np.ndarray:
     """Grad-CAM++ alpha generalized to any smooth f via powers of g.
 
     alpha = f'' g^2 / (2 f'' g^2 + sum_{ij in channel} A * f''' g^3), with
-    alpha = 0 wherever |denominator| < eps.
+    alpha = 0 wherever |denominator| < ALPHA_EPS.
     """
     num = f2 * g * g
     # g * g * g, not g ** 3: numpy sends ** 3 to libm pow, ~60x slower
     chan_sum = (a * f3 * (g * g * g)).sum(axis=(1, 2), keepdims=True)
     den = 2.0 * num + chan_sum
-    return np.divide(num, den, out=np.zeros_like(g), where=np.abs(den) >= eps)
+    return np.divide(num, den, out=np.zeros_like(g),
+                     where=np.abs(den) >= ALPHA_EPS)
 
 
 def icam_weights(alpha: np.ndarray, f1: float, g: np.ndarray) -> np.ndarray:

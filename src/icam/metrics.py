@@ -16,8 +16,7 @@ DEFAULT_THRESHOLD_FRAC = 0.2
 PROB_FLOOR = 1e-12
 
 
-def ssim(x: np.ndarray, y: np.ndarray, c1: float = DEFAULT_C1,
-         c2: float = DEFAULT_C2):
+def ssim(x: np.ndarray, y: np.ndarray):
     """Global (whole-image) SSIM with population statistics.
 
     Images are [H,W] or [...,C,H,W]; for multi-channel images the
@@ -38,20 +37,20 @@ def ssim(x: np.ndarray, y: np.ndarray, c1: float = DEFAULT_C1,
     vy = ((y - my) ** 2).mean(axis=(-2, -1))
     cov = ((x - mx) * (y - my)).mean(axis=(-2, -1))
     mx, my = mx[..., 0, 0], my[..., 0, 0]
+    c1, c2 = DEFAULT_C1, DEFAULT_C2
     return (((2 * mx * my + c1) * (2 * cov + c2))
             / ((mx * mx + my * my + c1) * (vx + vy + c2))).mean(axis=-1)
 
 
-def svim_of_ssim(s, sigma: float = DEFAULT_SVIM_SIGMA):
-    """Gaussian transform exp(-(s - 0.5)^2 / (2 sigma^2)), peaking at s = 0.5."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+def svim_of_ssim(s):
+    """exp(-(s - 0.5)^2 / (2 DEFAULT_SVIM_SIGMA^2)), peaking at s = 0.5."""
+    sigma = DEFAULT_SVIM_SIGMA
     return np.exp(-((s - 0.5) ** 2) / (2.0 * sigma * sigma))
 
 
-def svim(x: np.ndarray, y: np.ndarray, sigma: float = DEFAULT_SVIM_SIGMA):
+def svim(x: np.ndarray, y: np.ndarray):
     """Gaussian transform of SSIM peaking at SSIM = 0.5."""
-    return svim_of_ssim(ssim(x, y), sigma)
+    return svim_of_ssim(ssim(x, y))
 
 
 def mdd(x: np.ndarray, y: np.ndarray):
@@ -76,14 +75,13 @@ def mds(x: np.ndarray, y: np.ndarray):
 
 
 def perturbation_weight(image: np.ndarray, perturbed: np.ndarray,
-                        probs: np.ndarray, probs_perturbed: np.ndarray,
-                        sigma: float = DEFAULT_SVIM_SIGMA):
+                        probs: np.ndarray, probs_perturbed: np.ndarray):
     """Geometric mean of SVIM(image, perturbed) and MDS(probs, probs').
 
     Leading axes broadcast: one image and its [n,C,H,W] perturbations with
     their [n,K] probabilities give the [n] weights.
     """
-    return np.sqrt(svim(image, perturbed, sigma) * mds(probs, probs_perturbed))
+    return np.sqrt(svim(image, perturbed) * mds(probs, probs_perturbed))
 
 
 def threshold_heatmap(h: np.ndarray, frac: float = DEFAULT_THRESHOLD_FRAC) -> np.ndarray:

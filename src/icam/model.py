@@ -78,7 +78,7 @@ class Model:
 
 @dataclass
 class ForwardTrace:
-    """One forward and one reverse walk over the rows [image; perturbations].
+    """One forward and its reverse walks over the rows [image; perturbations].
 
     Every array keeps the leading row axis N (N = 1 for a lone image).
     Row 0 of `gradients` is the logit gradient dS^c/dA of the image; rows
@@ -156,54 +156,61 @@ def forward(model: Model, image: np.ndarray) -> np.ndarray:
     return _run(model, check_images(model, image), model.spec.blocks)[1]
 
 
+def _backward(model: Model, images: np.ndarray, acts: list, seeds: np.ndarray,
+              to_input: bool):
+    """Walk [R,K] seeds dScalar/dLogits on rows 0..R-1 from the head back.
+
+    Returns each block output's [R,...] gradient and, when `to_input`, the
+    input's [R,C,H,W] gradient (else None). Each block's relu is masked by
+    the first R rows of its activations.
+    """
+    blocks = model.spec.blocks
+    g = T.linear_grad(seeds, model.weights["head.weight"])
+    g = T.global_avg_pool_grad(g, acts[-1].shape[-2:])
+    grads = [None] * len(blocks)
+    for i in reversed(range(len(blocks))):
+        grads[i] = g
+        if i == 0 and not to_input:
+            return grads, None
+        g = T.relu_grad(g, acts[i][:len(g)])
+        x = images if i == 0 else acts[i - 1]
+        g = T.conv2d_input_grad(g, model.weights[f"{blocks[i].name}.weight"],
+                                x.shape[-2:], stride=blocks[i].stride,
+                                padding=blocks[i].padding)
+    return grads, g
+
+
 def forward_trace(model: Model, image: np.ndarray,
                   class_index=None) -> ForwardTrace:
-    """Run the rows forward once and walk the blocks back once.
+    """Run the rows forward once and walk them back to the blocks.
 
     `image` is one [C,H,W] image, or an [1+n,C,H,W] batch: the image, then
     its n perturbations. class_index defaults to row 0's argmax logit (ties
-    break to the lowest index) and holds for every row. The reverse walk
-    starts from seeds dScalar/dLogits stacked per row: e_c on row 0,
-    y * (e_c - y_c) on rows 1..n and, for a batch, on a copy of row 0
-    appended last, the only row that goes on past the first block to the
+    break to the lowest index) and holds for every row. One reverse walk
+    starts from seeds dScalar/dLogits stacked per row, e_c on row 0 and
+    y * (e_c - y_c) on rows 1..n, and stops at the first block's output.
+    For a batch, a second walk takes row 0's probability seed on to the
     input. Every matmul is per row, so a row's values do not depend on the
     other rows.
     """
     images = check_images(model, image)
     batch = images.ndim == 4
     images = images if batch else images[None]
-    blocks = model.spec.blocks
-    acts, logits = _run(model, images, blocks)
+    acts, logits = _run(model, images, model.spec.blocks)
     probs = T.softmax(logits)
 
     c = int(np.argmax(logits[0]) if class_index is None else class_index)
     if not 0 <= c < model.spec.num_classes:
         raise IndexError(f"class_index {c} out of range "
                          f"[0, {model.spec.num_classes})")
-    n = len(images)
-    # the probability seed's rows: 1..n-1, then a copy of row 0 for a batch
-    prob_rows = np.append(np.arange(1, n), 0) if batch else np.arange(1, n)
     e_c = np.eye(model.spec.num_classes)[c]
-    g = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[prob_rows])])
-    g = T.global_avg_pool_grad(T.linear_grad(g, model.weights["head.weight"]),
-                               acts[-1].shape[-2:])
-    inputs = [images] + acts[:-1]
-    grads = [None] * len(blocks)
-    for i in reversed(range(len(blocks))):
-        grads[i] = g[:n]
-        if i == 0:   # only the appended copy of row 0 goes on to the input
-            if not batch:
-                break
-            g = g[n:]
-        y = acts[i]
-        if len(g) > n:   # rows 0..n-1 are y's rows; the appended copy is row 0
-            g = np.concatenate([T.relu_grad(g[:n], y),
-                                T.relu_grad(g[n:], y[:1])])
-        else:
-            g = T.relu_grad(g, y[:len(g)])
-        g = T.conv2d_input_grad(g, model.weights[f"{blocks[i].name}.weight"],
-                                inputs[i].shape[-2:], stride=blocks[i].stride,
-                                padding=blocks[i].padding)
+    seeds = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[1:])])
+    grads, _ = _backward(model, images, acts, seeds, to_input=False)
+    input_gradient = None
+    if batch:
+        _, g = _backward(model, images, acts, T.softmax_grad(e_c, probs[:1]),
+                         to_input=True)
+        input_gradient = g[0]
 
     names = model.spec.scoring_points
     return ForwardTrace(
@@ -212,21 +219,9 @@ def forward_trace(model: Model, image: np.ndarray,
         gradients=dict(zip(names, grads)),
         logits=logits,
         probabilities=probs,
-        input_gradient=g[0] if batch else None,
+        input_gradient=input_gradient,
         class_index=c,
     )
-
-
-def forward_from(model: Model, layer: str, activation: np.ndarray) -> np.ndarray:
-    """Plain-numpy forward from a scoring point's activation to the logits.
-
-    Used by finite-difference oracles that nudge single activation entries.
-    """
-    names = model.spec.scoring_points
-    if layer not in names:
-        raise KeyError(f"unknown scoring point {layer!r}")
-    x = np.asarray(activation, dtype=np.float64)
-    return _run(model, x, model.spec.blocks[names.index(layer) + 1:])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +338,10 @@ def load_model(path) -> Model:
     missing = [n for n in expected if n not in weights]
     if missing:
         raise ModelFormatError(f"bad header: missing tensors {missing}")
+    unexpected = [n for n in weights if n not in expected]
+    if unexpected:
+        raise ModelFormatError(f"bad header: tensors {unexpected} are not "
+                               f"named by __meta__")
     for name, shape in expected.items():
         if weights[name].shape != shape:
             raise ModelFormatError(

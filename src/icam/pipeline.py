@@ -49,7 +49,8 @@ def _resolve_layers(model: Model, layers):
         if name not in points:
             raise UnknownLayerError(f"unknown scoring point {name!r} "
                                     f"(available: {', '.join(points)})")
-        resolved.append(name)
+        if name not in resolved:   # a repeat, e.g. "final", counts once
+            resolved.append(name)
     return resolved
 
 

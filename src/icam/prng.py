@@ -8,13 +8,13 @@ SplitMix64 is counter-based: draw k (k = 1, 2, ...) of a stream seeded
 with s is mix(s + k * GAMMA mod 2**64). The block methods
 `uniform_array` and `gaussian_array` use that identity to compute many
 draws with a few numpy uint64 operations, and return exactly the values
-(bit for bit) that the same number of scalar `uniform()` / `gaussian()`
-calls would, leaving the stream in the same state. The logarithm in
-Box-Muller stays scalar (`math.log` per value): numpy's vectorized log
-may differ from the C library's by one ulp, while numpy's float64
-sqrt, cos, sin, subtraction and multiplication match the scalar path.
-The scalar methods are kept as the reference the block methods are
-tested against.
+(bit for bit) that the recipe below gives when drawn one at a time,
+leaving the stream in the same state. The logarithm in Box-Muller stays
+scalar (`math.log` per value): numpy's vectorized log may differ from the
+C library's by one ulp, while numpy's float64 sqrt, cos, sin, subtraction
+and multiplication match the scalar path. The one-at-a-time reference the
+block methods are tested against is `ScalarSplitMix64` in
+`tests/oracles.py`.
 """
 
 import math
@@ -39,10 +39,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class SplitMix64:
     """SplitMix64 stream with uniform and Gaussian draws.
 
-    uniform(): (next_u64() >> 11) * 2**-53, in [0, 1).
-    gaussian(): Box-Muller on pairs u1 in (0, 1], u2 in [0, 1); the pair
+    uniform: (next_u64() >> 11) * 2**-53, in [0, 1).
+    Gaussian: Box-Muller on pairs u1 in (0, 1], u2 in [0, 1); the pair
     yields z0 = sqrt(-2 ln u1) cos(2 pi u2) then z1 = the sin twin,
-    consumed in that order (z1 is cached for the next call).
+    consumed in that order (z1 is cached for the next draw).
     """
 
     def __init__(self, seed: int):
@@ -56,36 +56,15 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def gaussian(self) -> float:
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        # 1 - uniform() maps [0,1) onto (0,1] so the log is always finite.
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        z0 = r * math.cos(theta)
-        self._spare = r * math.sin(theta)
-        return z0
-
-    def bernoulli(self, p: float) -> int:
-        """One draw in {0, 1} with P(1) = p."""
-        return 1 if self.uniform() < p else 0
-
     def uniform_array(self, k: int) -> np.ndarray:
-        """The next k uniform() values as a float64 array."""
+        """The next k uniform draws as a float64 array."""
         steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         z = _mix(steps + np.uint64(self._state))
         self._state = (self._state + k * _GAMMA) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
     def gaussian_array(self, k: int) -> np.ndarray:
-        """The next k gaussian() values as a float64 array.
+        """The next k Gaussian draws as a float64 array.
 
         A cached sin twin is returned first; when an odd number of values
         remains after it, the last pair's sin twin is cached in turn.

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from . import cam, metrics
-from .model import Model, build_fixture_model, forward_from, forward_trace
+from .model import Model, _run, build_fixture_model, forward_trace
 from .prng import SplitMix64
 
 
@@ -105,7 +105,8 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
             def y_of_t(t):
                 ap = a.copy()
                 ap[pos] += t
-                return f(float(forward_from(model, layer, ap)[c]))
+                # layer is the last block, so only the head follows it
+                return f(float(_run(model, ap, ())[1][c]))
 
             for order, f_n, s_step in ((2, f2, 1e-3), (3, f3, 1e-3)):
                 h = s_step / abs(g)

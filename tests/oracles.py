@@ -1,10 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, no shared code with
-the library paths under test).
+the library paths under test). The one exception, `ScalarSplitMix64`,
+reuses the library's `next_u64`, which `test_prng` checks by hand against
+the mixing constants.
 """
 
+import math
+
 import numpy as np
+
+from icam.prng import SplitMix64
 
 
 def naive_conv2d(x, kernel, bias, stride=1, padding=0):
@@ -186,3 +192,33 @@ def naive_ssim(x, y, c1, c2):
         vals.append(((2 * mx * my + c1) * (2 * cov + c2))
                     / ((mx * mx + my * my + c1) * (vx + vy + c2)))
     return float(np.mean(vals))
+
+
+class ScalarSplitMix64(SplitMix64):
+    """One draw per call: the reference recipe the block methods replay.
+
+    It shares the stream (`next_u64`, `_state` and the cached Box-Muller
+    sin twin `_spare`) with the block methods, so block and scalar draws
+    can be interleaved on one stream.
+    """
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def gaussian(self) -> float:
+        if self._spare is not None:
+            z = self._spare
+            self._spare = None
+            return z
+        # 1 - uniform() maps [0,1) onto (0,1] so the log is always finite.
+        u1 = 1.0 - self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        z0 = r * math.cos(theta)
+        self._spare = r * math.sin(theta)
+        return z0
+
+    def bernoulli(self, p: float) -> int:
+        """One draw in {0, 1} with P(1) = p."""
+        return 1 if self.uniform() < p else 0

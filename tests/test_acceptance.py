@@ -13,7 +13,7 @@ import pytest
 
 from icam import cam, metrics, pipeline, verify
 from icam.cli import main
-from icam.model import build_fixture_model, forward_from, forward_trace
+from icam.model import _run, build_fixture_model, forward_trace
 from icam.perturb import PerturbationConfig, generate_set
 from icam.render import read_pgm, read_ppm, write_pgm, write_ppm
 from conftest import make_gap_linear_model
@@ -99,7 +99,8 @@ def test_06_gradcampp_alpha_vs_finite_differences():
     analytic = cam.generalized_alpha(e, e, g, a)
 
     def y_of(act):
-        return float(np.exp(forward_from(model, layer, act)[c]))
+        # layer is the last block, so only the head follows it
+        return float(np.exp(_run(model, act, ())[1][c]))
 
     def fd(pos, order):
         gp = abs(g[pos])

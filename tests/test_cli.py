@@ -28,6 +28,17 @@ def workspace(tmp_path_factory):
     return d, model_path, image_path
 
 
+def test_console_script_is_cli_main():
+    # `pip install .` puts an `icam` command on PATH that calls this target
+    import importlib
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["icam"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 class TestMakeFixture:
     def test_deterministic_and_frozen_bytes(self, workspace, tmp_path):
         _, model_path, _ = workspace

