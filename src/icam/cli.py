@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import cam, metrics, pipeline, render, verify
+from . import cam, metrics, pipeline, render
 from .layerscore import DEFAULT_THRESHOLD, NoInformativeLayersError
 from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
                     load_model, save_model)
@@ -160,6 +160,13 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
+    try:
+        from . import verify   # here, so that no other command loads mpmath
+    except ModuleNotFoundError as exc:
+        if exc.name != "mpmath":
+            raise
+        raise SystemExit("error: icam verify needs mpmath "
+                         "(pip install mpmath)") from None
     model = load_model(args.model) if args.model else build_fixture_model(args.seed)
     checks = verify.run_all(model)
     failed = 0

@@ -130,11 +130,10 @@ def bilinear_resize(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    y0, y1 = y0[:, None], y1[:, None]   # rows x columns index grids
-    top = h[..., y0, x0] * (1 - wx) + h[..., y0, x1] * wx
-    bot = h[..., y1, x0] * (1 - wx) + h[..., y1, x1] * wx
-    return top * (1 - wy) + bot * wy
+    wx = xs - x0
+    # along x on every input row, then along y between two of those rows
+    rows = h[..., x0] * (1 - wx) + h[..., x1] * wx
+    return rows[..., y0, :] * (1 - wy) + rows[..., y1, :] * wy
 
 
 def colormap(h: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, no shared code with
-the library paths under test). The one exception, `ScalarSplitMix64`,
+the library paths under test). There are two exceptions. `ScalarSplitMix64`
 reuses the library's `next_u64`, which `test_prng` checks by hand against
-the mixing constants.
+the mixing constants. `four_corner_bilinear` is vectorized, because it pins
+the library's resize bit for bit, not to a tolerance.
 """
 
 import math
@@ -140,6 +141,30 @@ def naive_bilinear_resize(src, out_h, out_w):
                          + src[y1, x0] * fy * (1 - fx)
                          + src[y1, x1] * fy * fx)
     return out
+
+
+def four_corner_bilinear(h, out_h, out_w):
+    """The vectorized four-corner form of bilinear_resize, kept as a pin.
+
+    Each output pixel gathers its four input corners and interpolates
+    along x on the top and bottom rows, then along y between them. The
+    library's two-gather form does the same arithmetic in the same order,
+    so the two must agree bit for bit.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    in_h, in_w = h.shape[-2:]
+    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0.0, in_h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0.0, in_w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    y0, y1 = y0[:, None], y1[:, None]
+    top = h[..., y0, x0] * (1 - wx) + h[..., y0, x1] * wx
+    bot = h[..., y1, x0] * (1 - wx) + h[..., y1, x1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 def naive_channel_norm(t):

@@ -212,6 +212,92 @@ class TestVerify:
             assert suite in out
 
 
+class _BlockMpmath:
+    """A sys.meta_path finder for which mpmath is not installed."""
+
+    def __init__(self, error_name="mpmath"):
+        self.error_name = error_name
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ModuleNotFoundError(f"No module named {self.error_name!r}",
+                                      name=self.error_name)
+        return None
+
+
+def _run_python(code):
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(pipeline.__file__)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+class TestImportGraph:
+    """Only `icam verify` imports icam.verify, and with it mpmath."""
+
+    def test_importing_cli_loads_neither_verify_nor_mpmath(self):
+        proc = _run_python(
+            "import sys\n"
+            "import icam.cli\n"
+            "print(sorted(m for m in ('mpmath', 'icam.verify')"
+            " if m in sys.modules))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_every_other_command_runs_without_mpmath(self, tmp_path):
+        import inspect
+        model, image = tmp_path / "m.icamw", tmp_path / "img.ppm"
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(
+            {"image": str(image), "bbox": [2, 2, 20, 20], "label": 0}) + "\n")
+        write_ppm(np.random.default_rng(0).integers(
+            0, 256, size=(32, 32, 3), dtype=np.uint8), image)
+        commands = [
+            ["make-fixture", "--out", str(model)],
+            ["explain", "--model", str(model), "--image", str(image),
+             "--out-prefix", str(tmp_path / "ex")],
+            ["score-layers", "--model", str(model), "--image", str(image),
+             "--out", str(tmp_path / "scores.json")],
+            ["compare", "--model", str(model), "--image", str(image),
+             "--out-prefix", str(tmp_path / "cmp")],
+            ["eval", "--model", str(model), "--manifest", str(manifest),
+             "--out", str(tmp_path / "eval.json")],
+        ]
+        proc = _run_python(
+            "import sys\n"
+            + inspect.getsource(_BlockMpmath)
+            + "sys.meta_path.insert(0, _BlockMpmath())\n"
+            "from icam.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "sys.exit(main(['verify']))\n")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: icam verify needs mpmath "
+                               "(pip install mpmath)\n")
+        for name in ("ex.pgm", "ex.json", "scores.json", "cmp_strip.ppm",
+                     "eval.json"):
+            assert (tmp_path / name).is_file()
+
+    def test_verify_reraises_another_missing_module(self, monkeypatch):
+        # mpmath is there but cannot import one of its own dependencies
+        import sys
+
+        import icam
+        monkeypatch.delattr(icam, "verify", raising=False)
+        for name in [m for m in sys.modules
+                     if m == "icam.verify" or m.partition(".")[0] == "mpmath"]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(sys, "meta_path",
+                            [_BlockMpmath("gmpy9"), *sys.meta_path])
+        with pytest.raises(ModuleNotFoundError) as exc:
+            main(["verify"])
+        assert exc.value.name == "gmpy9"
+
+
 class TestArgumentErrors:
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(SystemExit):

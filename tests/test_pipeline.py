@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from icam import cam, layerscore, metrics, pipeline
-from icam.model import NonFiniteImageError, build_fixture_model, forward_trace
+from icam.model import (NonFiniteImageError, build_fixture_model, forward,
+                        forward_trace)
 from icam.perturb import PerturbationConfig, _draws
-from icam.render import write_ppm
+from icam.render import read_ppm, write_ppm
 from icam.tensor import ShapeError
 
 
@@ -359,6 +360,50 @@ class TestEvaluateManifest:
                                              small_config())
         assert summary["correct"] == 2 and summary["records"] == 4
         assert engine_calls == [(3, 3, 32, 32)] * 2
+
+    @staticmethod
+    def _per_record_summary(model, records, request, config, frac):
+        """The summary from a loop that predicts each record on its own."""
+        ious, sals = [], []
+        for rec in records:
+            img = pipeline.image_from_rgb(read_ppm(rec["image"]))
+            pred = int(np.argmax(forward(model, img)))
+            if pred != rec["label"]:
+                continue
+            heat = pipeline.explain(model, img, request, config,
+                                    class_index=pred).heatmap.values
+            truth = pipeline.bbox_mask(rec["bbox"], 32, 32)
+            ious.append(metrics.iou(metrics.threshold_heatmap(heat, frac),
+                                    truth))
+            sals.append(metrics.saliency_score(heat, truth))
+        n = len(ious)
+        return {"records": len(records), "correct": n,
+                "accuracy": n / len(records),
+                "mean_iou": sum(ious) / n if n else 0.0,
+                "mean_saliency": sum(sals) / n if n else 0.0,
+                "iou_threshold_frac": frac}
+
+    @pytest.mark.parametrize("predict_rows", [pipeline.PREDICT_ROWS, 3, 1])
+    @pytest.mark.parametrize("method", ["icam", "gradcam"])
+    def test_batched_prediction_matches_per_record_loop(
+            self, tmp_path, model, monkeypatch, predict_rows, method):
+        records, _ = self._setup(tmp_path, model, n_images=7)
+        forwards = []
+
+        def counted(m, images):
+            forwards.append(images.shape)
+            return forward(m, images)
+
+        monkeypatch.setattr(pipeline, "PREDICT_ROWS", predict_rows)
+        monkeypatch.setattr(pipeline, "forward", counted)
+        req, cfg = cam.CamRequest(method), small_config()
+        summary = pipeline.evaluate_manifest(model, records, req, cfg,
+                                             iou_threshold_frac=0.3)
+        rows = [min(predict_rows, 7 - i) for i in range(0, 7, predict_rows)]
+        assert forwards == [(r, 3, 32, 32) for r in rows]
+        expected = self._per_record_summary(model, records, req, cfg, 0.3)
+        assert summary["correct"] == 4
+        assert summary == expected   # exact float equality
 
     def test_unknown_layer_rejected_without_correct_predictions(
             self, tmp_path, model):

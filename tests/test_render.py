@@ -5,7 +5,7 @@ from icam import render
 from icam.render import (ImageFormatError, bilinear_resize, colormap,
                          normalize_minmax, overlay, read_pgm, read_ppm,
                          write_pgm, write_ppm)
-from oracles import naive_bilinear_resize
+from oracles import four_corner_bilinear, naive_bilinear_resize
 
 
 class TestNetpbmIo:
@@ -155,6 +155,25 @@ class TestBilinearResize:
             ref = naive_bilinear_resize(src[idx], 9, 7)
             assert np.max(np.abs(got[idx] - ref)) < 1e-12
             assert np.array_equal(got[idx], bilinear_resize(src[idx], 9, 7))
+
+    @pytest.mark.parametrize("in_shape, out_hw", [
+        ((16, 16), (32, 32)),          # integer upscale
+        ((8, 16, 16), (32, 32)),       # a leading batch axis
+        ((32, 32), (8, 8)),            # integer downscale
+        ((7, 5), (3, 11)),             # non-integer ratios, both ways
+        ((5, 9), (13, 4)),
+        ((1, 9), (4, 6)),              # 1xN
+        ((9, 1), (5, 13)),             # Nx1
+        ((1, 1), (3, 2)),
+        ((2, 3, 6, 7), (13, 5)),       # two leading axes
+        ((5, 5), (5, 9)),              # one axis already at size
+    ])
+    def test_bitwise_equal_to_four_corner_form(self, in_shape, out_hw):
+        src = np.random.default_rng(11).normal(size=in_shape) * 1e3
+        got = bilinear_resize(src, *out_hw)
+        ref = four_corner_bilinear(src, *out_hw)
+        assert got.shape == ref.shape == (*in_shape[:-2], *out_hw)
+        assert got.tobytes() == ref.tobytes()
 
     def test_range_preserved(self):
         src = np.random.default_rng(7).random((4, 4))
