@@ -160,13 +160,7 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
-    try:
-        from . import verify   # here, so that no other command loads mpmath
-    except ModuleNotFoundError as exc:
-        if exc.name != "mpmath":
-            raise
-        raise SystemExit("error: icam verify needs mpmath "
-                         "(pip install mpmath)") from None
+    from . import verify   # here, so that no other command loads decimal
     model = load_model(args.model) if args.model else build_fixture_model(args.seed)
     checks = verify.run_all(model)
     failed = 0

@@ -100,7 +100,8 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
         "probability": result.probability,
         "method": request.method,
         "smooth": request.effective_smooth,
-        "bias": request.bias,
+        # only icam adds a bias term (README step 4)
+        "bias": request.bias if request.method == "icam" else "none",
         "layers": result.layers,
     }
     if result.report is not None:

@@ -3,8 +3,8 @@
 Three independent suites:
   1. derivative identity: analytic f^(n)(S^c) g^n vs nested central finite
      differences through the real network tail, for n = 2, 3;
-  2. softmax derivative polynomials vs high-precision finite differences
-     of the scalar softmax map (other logits frozen);
+  2. softmax derivative polynomials vs 60-digit finite differences of the
+     scalar softmax map (other logits frozen), computed in stdlib decimal;
   3. MDD vs the symmetric KL divergence computed independently.
 
 Each check reports its worst error so a failure is diagnosable from the
@@ -14,8 +14,8 @@ printed report alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from . import cam, metrics
@@ -129,27 +129,29 @@ def softmax_polynomial_suite(trials: int = 100, seed: int = 99,
                              table_fn=cam.smooth_table) -> list:
     """f', f'', f''' polynomials vs high-precision finite differences.
 
-    The oracle differentiates the frozen-logit scalar softmax with mpmath
-    at 60 significant digits, so the comparison is limited only by the
-    float64 analytic evaluation. Includes the Y = 0.5 spot values
-    (0.25, 0, -0.125).
+    The oracle differentiates the frozen-logit scalar softmax in decimal
+    at 60 significant digits (Decimal.exp is correctly rounded), so the
+    comparison is limited only by the float64 analytic evaluation. The
+    caller's decimal context is left as it was. Includes the Y = 0.5 spot
+    values (0.25, 0, -0.125).
     """
     rng = SplitMix64(seed)
     worst = [0.0, 0.0, 0.0]
-    with mpmath.workdps(60):
-        h = mpmath.mpf("1e-10")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal("1e-10")
         for _ in range(trials):
             logits = 2.0 * rng.gaussian_array(classes)
             c = rng.next_u64() % classes
             _, f1, f2, f3 = table_fn("softmax", logits, c)
-            k = sum(mpmath.exp(mpmath.mpf(float(v)))
+            k = sum(Decimal(float(v)).exp()
                     for i, v in enumerate(logits) if i != c)
 
             def f(s):
-                e = mpmath.exp(s)
+                e = s.exp()
                 return e / (e + k)
 
-            s0 = mpmath.mpf(float(logits[c]))
+            s0 = Decimal(float(logits[c]))
             for order, analytic in ((1, f1), (2, f2), (3, f3)):
                 fd = float(_central_diff(f, s0, order, h))
                 rel = abs(fd - analytic) / max(abs(analytic), 1e-300)

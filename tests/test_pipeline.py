@@ -198,16 +198,19 @@ class TestSidecar:
         d = pipeline.sidecar_dict(result, req, cfg)
         assert d["method"] == "icam"
         assert d["smooth"] == "softmax"
+        assert d["bias"] == "channel"
         blob = d["layer_scores"]
         assert set(blob) == {"scores", "selected", "weights", "threshold",
                              "n", "alpha", "seed"}
         assert blob["n"] == 2 and blob["seed"] == 42
 
     def test_gradcam_has_no_layer_scores(self, model, image):
-        req = cam.CamRequest("gradcam")
+        # gradcam adds no bias term, whatever bias mode the request carries
+        req = cam.CamRequest("gradcam", bias="spatial")
         result = pipeline.explain(model, image, req)
         d = pipeline.sidecar_dict(result, req, small_config())
         assert "layer_scores" not in d
+        assert d["bias"] == "none"
         assert json.dumps(d)  # serializable
 
 

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,32 @@ class TestNegativeControl:
         by_name = {c.name: c for c in checks}
         assert not by_name["f^(2) finite differences"].passed
         assert by_name["f^(1) finite differences"].passed
+
+
+class TestDecimalContext:
+    """The 60-digit oracle must not leak its precision to the caller."""
+
+    # run under a distinctive precision, so an earlier suite in this
+    # process that leaked prec = 60 cannot make the check pass by accident
+    CALLER_PREC = 17
+
+    def test_prec_unchanged_after_the_suite(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = self.CALLER_PREC
+            verify.softmax_polynomial_suite(trials=2)
+            assert decimal.getcontext().prec == self.CALLER_PREC
+
+    def test_prec_unchanged_after_the_suite_raises(self):
+        def failing_table(name, logits, c):
+            assert decimal.getcontext().prec == 60  # raised mid-oracle
+            raise RuntimeError("table failed")
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = self.CALLER_PREC
+            with pytest.raises(RuntimeError, match="table failed"):
+                verify.softmax_polynomial_suite(trials=2,
+                                                table_fn=failing_table)
+            assert decimal.getcontext().prec == self.CALLER_PREC
 
 
 class TestFrozenSoftmaxScalar:
