@@ -176,8 +176,13 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
     """
     a, g = trace.activations[layer][0], trace.gradients[layer][0]
     logits, c = trace.logits[0], trace.class_index
-    _, f1, f2, f3 = smooth_table(request.effective_smooth, logits, c)
     method = request.method
+    # the other methods read the table at S^c = 0. That scales exp's f', f''
+    # and f''' by e^(-S^c) to all ones (Grad-CAM++'s closed form, which
+    # cannot overflow), a positive scale that their relu'd, min-max
+    # normalized maps cancel; identity and softmax ignore the shift
+    shift = 0.0 if method == "icam" else logits[c]
+    _, f1, f2, f3 = smooth_table(request.effective_smooth, logits - shift, c)
     if method == "gradcam":
         w = (f1 * g).mean(axis=(1, 2), keepdims=True)
     elif method == "layercam":

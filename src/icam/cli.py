@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -179,6 +180,7 @@ def cmd_make_fixture(args):
     return 0
 
 
+@functools.cache   # parsing leaves the parser as it was; build it once
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="icam",

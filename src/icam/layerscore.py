@@ -67,20 +67,10 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
                          f"got {len(trace.image) - 1} rows, {len(weights)} weights")
 
     ref = channel_norm_map(trace.image[0] * trace.input_gradient)
-    out_h, out_w = ref.shape
     scores = {}
     for layer in trace.activations:
-        p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]),
-                            out_h, out_w)
-        # rows on the last axis, in C order: each row's norm sums its pixels
-        # one by one in raster order, whatever layout the resize returned
-        d = np.subtract(ref[..., None], np.moveaxis(p, 0, -1), order="C")
-        norms = np.sqrt((d * d).sum(axis=(0, 1)))
-        s = 0.0
-        # accumulate in perturbation-index order for bit-exact determinism
-        for w_i, norm_i in zip(weights.tolist(), norms.tolist()):
-            s += w_i * norm_i
-        scores[layer] = s
+        p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]), *ref.shape)
+        scores[layer] = float(weights @ np.sqrt(((ref - p) ** 2).sum(axis=(1, 2))))
     return scores
 
 

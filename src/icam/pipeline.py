@@ -24,6 +24,7 @@ class ExplainResult:
     probability: float
     report: layerscore.LayerScoreReport  # None unless automatic icam
     layers: list                   # scoring points that fed the map
+    zero_maps: list                # layers whose map is all zero after relu
 
 
 def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -89,8 +90,9 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
     c = trace.class_index
     maps = {name: cam.single_layer_map(trace, request, name) for name in layers}
     fused = cam.fuse(maps, weights, in_h, in_w)
+    zero_maps = [name for name, m in maps.items() if not m.any()]
     return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
-                         list(layers))
+                         list(layers), zero_maps)
 
 
 def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
@@ -103,6 +105,7 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
         # only icam adds a bias term (README step 4)
         "bias": request.bias if request.method == "icam" else "none",
         "layers": result.layers,
+        "zero_maps": result.zero_maps,
     }
     if result.report is not None:
         out["layer_scores"] = result.report.to_json_dict(
@@ -178,11 +181,13 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     """Mean IoU and saliency over correct predictions, plus accuracy.
 
     IoU and saliency are computed only where argmax == label, matching the
-    weak-localization protocol.
+    weak-localization protocol; zero_heatmaps counts those records whose
+    heatmap is all zero.
     """
     _, in_h, in_w = model.spec.input_shape
     _resolve_layers(model, request.layers)   # fail before any record is read
     ious, saliencies = [], []   # one entry per correct prediction
+    zero_heatmaps = 0
     for start in range(0, len(records), PREDICT_ROWS):
         chunk = records[start:start + PREDICT_ROWS]
         images = np.stack([image_from_rgb(read_ppm(rec["image"]))
@@ -195,6 +200,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
                 continue
             heat = explain(model, image, request, perturb_config, threshold,
                            class_index=pred).heatmap.values
+            zero_heatmaps += not heat.any()
             truth = bbox_mask(rec["bbox"], in_h, in_w)
             ious.append(metrics.iou(
                 metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
@@ -208,4 +214,5 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
         "mean_iou": sum(ious) / n_correct if n_correct else 0.0,
         "mean_saliency": sum(saliencies) / n_correct if n_correct else 0.0,
         "iou_threshold_frac": iou_threshold_frac,
+        "zero_heatmaps": zero_heatmaps,
     }

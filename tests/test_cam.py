@@ -386,7 +386,9 @@ class TestSingleLayerMap:
         req = cam.CamRequest(method, bias=bias)
         a, g = tr.activations[layer][0], tr.gradients[layer][0]
         s_c = float(tr.logits[0, tr.class_index])
-        _, f1, f2, f3 = cam.smooth_table(req.effective_smooth, tr.logits[0],
+        # only icam reads the table at the logit; the others at S^c = 0
+        logits = tr.logits[0] if method == "icam" else tr.logits[0] - s_c
+        _, f1, f2, f3 = cam.smooth_table(req.effective_smooth, logits,
                                          tr.class_index)
         ref = {
             "gradcam": lambda: naive_gradcam_map(a, g, f1),

@@ -152,15 +152,19 @@ class TestEngineCalls:
         assert engine_calls == [(3, 32, 32)]
 
 
+def _head_scaled_model(scale):
+    m = build_fixture_model(42)
+    for name in ("head.weight", "head.bias"):
+        m.weights[name] = scale * m.weights[name]
+    return m
+
+
 @pytest.fixture(scope="module")
 def saturated_model():
     """The seed-42 fixture with its head scaled by 2000: on the `image`
     fixture the top logit is ~1494, so e^(S^c) overflows and the softmax
     saturates to exactly one-hot."""
-    m = build_fixture_model(42)
-    for name in ("head.weight", "head.bias"):
-        m.weights[name] = 2000.0 * m.weights[name]
-    return m
+    return _head_scaled_model(2000.0)
 
 
 class TestSaturatedHead:
@@ -174,8 +178,8 @@ class TestSaturatedHead:
             expected = cam.UndefinedAlphaError   # raised by the request
         elif method == "icam" and layers is None:
             expected = layerscore.NoInformativeLayersError
-        elif smooth == "exp":
-            expected = cam.SmoothOverflowError
+        elif method == "icam" and smooth == "exp":
+            expected = cam.SmoothOverflowError   # the others are scale-free
         else:
             expected = None
         if expected is not None:
@@ -188,6 +192,73 @@ class TestSaturatedHead:
                                   small_config()).heatmap.values
         assert np.isfinite(values).all()
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+
+class TestHeadScale:
+    """Every head scale 10^-3..10^4 gives a finite heatmap in [0,1] or a
+    named error, and only icam can overflow the exp smooth."""
+
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-3, 5)],
+                             ids=[f"1e{k}" for k in range(-3, 5)])
+    @pytest.mark.parametrize("smooth", cam.SMOOTHS)
+    @pytest.mark.parametrize("method, bias", [
+        ("gradcam", "channel"), ("gradcampp", "channel"),
+        ("layercam", "channel"), ("icam", "none"), ("icam", "channel"),
+        ("icam", "spatial")])
+    def test_finite_map_or_named_error(self, image, method, bias, smooth,
+                                       scale):
+        model = _head_scaled_model(scale)
+        try:
+            req = cam.CamRequest(method, smooth=smooth, bias=bias)
+            values = pipeline.explain(model, image, req,
+                                      small_config()).heatmap.values
+        except (cam.UndefinedAlphaError, cam.SmoothOverflowError,
+                layerscore.NoInformativeLayersError) as exc:
+            # the Grad-CAM family is scale-free: its one named error is the
+            # identity smooth's undefined alpha, whatever the scale
+            assert method == "icam" or (
+                isinstance(exc, cam.UndefinedAlphaError)
+                and (method, smooth) == ("gradcampp", "identity"))
+            return
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0 and values.max() <= 1.0
+
+
+class TestZeroMaps:
+    """The layers whose map is all zero after the relu; on fixture seed 7
+    the channel bias clears every default I-CAM map."""
+
+    def test_default_icam_reports_every_layer(self, model, image):
+        cfg = small_config()
+        req = cam.CamRequest("icam")
+        result = pipeline.explain(model, image, req, cfg)
+        assert result.zero_maps == result.layers
+        assert not result.heatmap.values.any()
+        assert pipeline.sidecar_dict(result, req, cfg)["zero_maps"] \
+            == result.layers
+
+    def test_bias_none_reports_none(self, model, image):
+        cfg = small_config()
+        req = cam.CamRequest("icam", bias="none")
+        result = pipeline.explain(model, image, req, cfg)
+        assert result.zero_maps == []
+        assert result.heatmap.values.any()
+        assert pipeline.sidecar_dict(result, req, cfg)["zero_maps"] == []
+
+    def test_lists_only_the_zero_layers(self, image):
+        # on fixture seed 0 the channel bias clears block1's map alone
+        req = cam.CamRequest("icam", layers=("block3", "block1", "block2"))
+        result = pipeline.explain(build_fixture_model(0), image, req)
+        assert result.zero_maps == ["block1"]
+        assert result.heatmap.values.any()
+
+    @pytest.mark.parametrize("bias, zeros", [("channel", 2), ("none", 0)])
+    def test_eval_counts_zero_heatmaps(self, tmp_path, model, bias, zeros):
+        records, _ = TestEvaluateManifest._setup(tmp_path, model)
+        summary = pipeline.evaluate_manifest(
+            model, records, cam.CamRequest("icam", bias=bias), small_config())
+        assert summary["correct"] == 2
+        assert summary["zero_heatmaps"] == zeros
 
 
 class TestSidecar:
@@ -287,7 +358,8 @@ class TestManifest:
 
 
 class TestEvaluateManifest:
-    def _setup(self, tmp_path, model, n_images=4):
+    @staticmethod
+    def _setup(tmp_path, model, n_images=4):
         rng = np.random.default_rng(1)
         records = []
         images = {}
@@ -367,7 +439,7 @@ class TestEvaluateManifest:
     @staticmethod
     def _per_record_summary(model, records, request, config, frac):
         """The summary from a loop that predicts each record on its own."""
-        ious, sals = [], []
+        ious, sals, zeros = [], [], 0
         for rec in records:
             img = pipeline.image_from_rgb(read_ppm(rec["image"]))
             pred = int(np.argmax(forward(model, img)))
@@ -375,6 +447,7 @@ class TestEvaluateManifest:
                 continue
             heat = pipeline.explain(model, img, request, config,
                                     class_index=pred).heatmap.values
+            zeros += not heat.any()
             truth = pipeline.bbox_mask(rec["bbox"], 32, 32)
             ious.append(metrics.iou(metrics.threshold_heatmap(heat, frac),
                                     truth))
@@ -384,7 +457,7 @@ class TestEvaluateManifest:
                 "accuracy": n / len(records),
                 "mean_iou": sum(ious) / n if n else 0.0,
                 "mean_saliency": sum(sals) / n if n else 0.0,
-                "iou_threshold_frac": frac}
+                "iou_threshold_frac": frac, "zero_heatmaps": zeros}
 
     @pytest.mark.parametrize("predict_rows", [pipeline.PREDICT_ROWS, 3, 1])
     @pytest.mark.parametrize("method", ["icam", "gradcam"])
