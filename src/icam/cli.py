@@ -69,8 +69,13 @@ def _add_common(p, with_method=True):
                    help="cumulative layer-score threshold T")
 
 
-def _heatmap_to_pgm(values):
-    return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
+def _write_heatmap(rgb, heatmap, prefix, blend):
+    """Write `prefix`.pgm and `prefix`_overlay.ppm; return the overlay."""
+    render.write_pgm(np.clip(np.rint(heatmap.values * 255.0), 0, 255)
+                     .astype(np.uint8), f"{prefix}.pgm")
+    ov = render.overlay(rgb, heatmap.values, blend)
+    render.write_ppm(ov, f"{prefix}_overlay.ppm")
+    return ov
 
 
 def _write_json(obj, path):
@@ -97,10 +102,7 @@ def cmd_explain(args):
     config = _perturb_config(args)
     result = pipeline.explain(model, image, request, config, args.threshold)
 
-    render.write_pgm(_heatmap_to_pgm(result.heatmap.values),
-                     f"{args.out_prefix}.pgm")
-    render.write_ppm(render.overlay(rgb, result.heatmap.values, args.blend),
-                     f"{args.out_prefix}_overlay.ppm")
+    _write_heatmap(rgb, result.heatmap, args.out_prefix, args.blend)
     _write_json(pipeline.sidecar_dict(result, request, config),
                 f"{args.out_prefix}.json")
     print(f"class {result.class_index}  probability {result.probability:.6f}  "
@@ -144,16 +146,14 @@ def cmd_compare(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    config = _perturb_config(args)
-    overlays = []
-    for method in cam.METHODS:
-        request = cam.CamRequest(method=method, bias=args.bias)
-        result = pipeline.explain(model, image, request, config, args.threshold)
-        render.write_pgm(_heatmap_to_pgm(result.heatmap.values),
-                         f"{args.out_prefix}_{method}.pgm")
-        ov = render.overlay(rgb, result.heatmap.values, args.blend)
-        render.write_ppm(ov, f"{args.out_prefix}_{method}_overlay.ppm")
-        overlays.append(ov)
+    icam = pipeline.explain(model, image, cam.CamRequest("icam", bias=args.bias),
+                            _perturb_config(args), args.threshold)
+    # the other methods read row 0 of icam's trace: the image's own trace
+    final = {model.spec.scoring_points[-1]: 1.0}
+    heatmaps = [icam.heatmap if m == "icam" else pipeline.explain_trace(
+        icam.trace, cam.CamRequest(m), final).heatmap for m in cam.METHODS]
+    overlays = [_write_heatmap(rgb, h, f"{args.out_prefix}_{m}", args.blend)
+                for m, h in zip(cam.METHODS, heatmaps)]
     strip = np.concatenate(overlays, axis=1)
     render.write_ppm(strip, f"{args.out_prefix}_strip.ppm")
     print(f"wrote {len(overlays)} methods + strip to {args.out_prefix}_*")

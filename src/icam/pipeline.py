@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cam, layerscore, metrics
-from .model import Model, check_images, forward, forward_trace
+from .model import ForwardTrace, Model, check_images, forward, forward_trace
 from .perturb import PerturbationConfig, generate_set
 from .render import read_ppm
+from .tensor import ShapeError
 
 
 @dataclass
@@ -25,6 +26,7 @@ class ExplainResult:
     report: layerscore.LayerScoreReport  # None unless automatic icam
     layers: list                   # scoring points that fed the map
     zero_maps: list                # layers whose map is all zero after relu
+    trace: ForwardTrace            # the engine pass the maps were read from
 
 
 def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -68,7 +70,6 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
     """
     layers = _resolve_layers(model, request.layers)
     image = check_images(model, image, ndims=(3,))
-    _, in_h, in_w = model.spec.input_shape
     report = None
     if request.method == "icam" and layers is None:
         if perturb_config is None:
@@ -80,19 +81,28 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
         y = trace.probabilities
         weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
         report = layerscore.score_layers(trace, weights, threshold)
-        layers, weights = report.selected, report.layer_weights
+        weights = report.layer_weights
     else:
         trace = forward_trace(model, image, class_index=class_index)
         if layers is None:
             layers = [model.spec.scoring_points[-1]]
         weights = {name: 1.0 / len(layers) for name in layers}
+    return explain_trace(trace, request, weights, report)
 
+
+def explain_trace(trace: ForwardTrace, request: cam.CamRequest, weights: dict,
+                  report: layerscore.LayerScoreReport = None) -> ExplainResult:
+    """Map each layer of `weights`, in key order, from row 0 and fuse them.
+
+    Row 0 of an [image; perturbations] trace is the lone image's trace bit
+    for bit (every matmul runs per row), so it serves every method.
+    """
     c = trace.class_index
-    maps = {name: cam.single_layer_map(trace, request, name) for name in layers}
-    fused = cam.fuse(maps, weights, in_h, in_w)
+    maps = {name: cam.single_layer_map(trace, request, name) for name in weights}
+    fused = cam.fuse(maps, weights, *trace.image.shape[-2:])
     zero_maps = [name for name, m in maps.items() if not m.any()]
     return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
-                         list(layers), zero_maps)
+                         list(weights), zero_maps, trace)
 
 
 def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
@@ -168,6 +178,14 @@ def bbox_mask(bbox, h, w) -> np.ndarray:
     return mask
 
 
+def _record_image(model: Model, path) -> np.ndarray:
+    """A manifest record's PPM as a [C,H,W] image, checked as it is read."""
+    try:
+        return check_images(model, image_from_rgb(read_ppm(path)), ndims=(3,))
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+
+
 # records predicted by one forward in evaluate_manifest: the forward's heap
 # grows by ~0.43 MB a row, so 16 rows (~7 MB) stay near an icam explain's
 PREDICT_ROWS = 16
@@ -190,8 +208,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     zero_heatmaps = 0
     for start in range(0, len(records), PREDICT_ROWS):
         chunk = records[start:start + PREDICT_ROWS]
-        images = np.stack([image_from_rgb(read_ppm(rec["image"]))
-                           for rec in chunk])
+        images = np.stack([_record_image(model, rec["image"]) for rec in chunk])
         # one forward over [R,C,H,W]; each row's logits are those of its
         # own one-image forward, since every matmul runs per row
         preds = np.argmax(forward(model, images), axis=-1).tolist()

@@ -33,8 +33,7 @@ def _read_netpbm(path, magic, channels):
 
 
 def _parse_netpbm(blob, magic, channels):
-    if not blob.startswith(magic + b" ") and not blob.startswith(magic + b"\n") \
-            and not blob.startswith(magic + b"\t"):
+    if not (blob.startswith(magic) and blob[len(magic):len(magic) + 1].isspace()):
         raise ImageFormatError(
             f"wrong magic: expected {magic.decode()}, got {blob[:2]!r}")
     # header: magic, width, height, maxval, each separated by whitespace,

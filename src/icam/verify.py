@@ -45,16 +45,6 @@ def _frozen_softmax_scalar(logits, c):
     return f
 
 
-def _smooth_scalar(name, logits, c):
-    if name == "exp":
-        return np.exp
-    if name == "identity":
-        return lambda s: s
-    if name == "softmax":
-        return _frozen_softmax_scalar(logits, c)
-    raise ValueError(name)
-
-
 def _central_diff(f, x, order, h):
     if order == 1:
         return (f(x + h) - f(x - h)) / (2 * h)
@@ -100,7 +90,7 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
 
         for smooth in ("exp", "softmax"):
             _, _, f2, f3 = table_fn(smooth, logits, c)
-            f = _smooth_scalar(smooth, logits, c)
+            f = np.exp if smooth == "exp" else _frozen_softmax_scalar(logits, c)
 
             def y_of_t(t):
                 ap = a.copy()

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icam import cam, pipeline
+from icam import cam, cli, pipeline
 from icam.cli import main
-from icam.model import forward_trace, load_model, save_model
+from icam.model import build_fixture_model, forward_trace, load_model, save_model
 from icam.perturb import PerturbationConfig
 from icam.render import read_pgm, read_ppm, write_ppm
 
@@ -180,6 +180,38 @@ class TestCompare:
         assert len(digests) == 4  # the four methods genuinely differ
         strip = read_ppm(f"{prefix}_strip.ppm")
         assert strip.shape == (32, 4 * 32, 3)
+
+    @pytest.mark.parametrize("bias", cam.BIAS_MODES)
+    @pytest.mark.parametrize("seed", [42, 7, 3])
+    def test_each_map_equals_its_own_explain(self, tmp_path, monkeypatch,
+                                             seed, bias):
+        # compare maps gradcam, gradcampp and layercam from row 0 of icam's
+        # trace; a separate explain per method, with its own one-image
+        # trace, is the oracle, and the float heatmaps must match bit for bit
+        model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
+        save_model(build_fixture_model(seed), model_path)
+        model = load_model(model_path)   # the weights as the file rounds them
+        rgb = np.random.default_rng(seed).integers(0, 256, size=(32, 32, 3),
+                                                   dtype=np.uint8)
+        write_ppm(rgb, image_path)
+        written = {}
+        write_heatmap = cli._write_heatmap
+
+        def recording(rgb, heatmap, prefix, blend):
+            written[prefix.rsplit("_", 1)[1]] = heatmap.values
+            return write_heatmap(rgb, heatmap, prefix, blend)
+
+        monkeypatch.setattr(cli, "_write_heatmap", recording)
+        assert main(["compare", "--model", model_path, "--image", image_path,
+                     "--n-perturb", "3", "--bias", bias,
+                     "--out-prefix", str(tmp_path / "cmp")]) == 0
+        image = pipeline.image_from_rgb(rgb)
+        config = PerturbationConfig(n=3, seed=42)
+        for method in cam.METHODS:
+            request = cam.CamRequest(method, bias=bias)
+            oracle = pipeline.explain(model, image, request, config)
+            assert written[method].tobytes() == oracle.heatmap.values.tobytes()
+        assert list(written) == list(cam.METHODS)
 
 
 class TestEval:
@@ -434,6 +466,19 @@ class TestUserErrors:
             main(["eval", "--model", workspace[1], "--manifest", str(manifest)])
         assert exc.value.code.startswith("error: malformed manifest line 1")
 
+    def test_compare_icam_failure_writes_no_file(self, workspace, tmp_path):
+        # head scaled by 10^3: every perturbation weight underflows to zero
+        model = load_model(workspace[1])
+        for name in ("head.weight", "head.bias"):
+            model.weights[name] = 1e3 * model.weights[name]
+        scaled = str(tmp_path / "scaled.icamw")
+        save_model(model, scaled)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--model", scaled, "--image", workspace[2],
+                  "--out-prefix", str(tmp_path / "cmp")])
+        assert exc.value.code.startswith("error: no informative layers")
+        assert not list(tmp_path.glob("cmp*"))
+
     def test_eval_record_image_missing(self, workspace, tmp_path):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(json.dumps({"image": str(tmp_path / "gone.ppm"),
@@ -444,16 +489,40 @@ class TestUserErrors:
             and "gone.ppm" in exc.value.code
 
     @staticmethod
-    def _run_explain(workspace, tmp_path, *args, model=None):
+    def _run_process(*args):
         import os
         import subprocess
         import sys
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(pipeline.__file__)))
-        return subprocess.run(
-            [sys.executable, "-m", "icam.cli", "explain", "--model",
-             model or workspace[1], "--out-prefix", str(tmp_path / "out"),
-             *args], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "icam.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    @classmethod
+    def _run_explain(cls, workspace, tmp_path, *args, model=None):
+        return cls._run_process("explain", "--model", model or workspace[1],
+                                "--out-prefix", str(tmp_path / "out"), *args)
+
+    @pytest.mark.parametrize("sizes", [(32, 16), (16,)],
+                             ids=["mixed", "small"])
+    def test_process_eval_image_size_names_file(self, workspace, tmp_path,
+                                                sizes):
+        lines = []
+        for i, size in enumerate(sizes):
+            path = str(tmp_path / f"r{i}_{size}.ppm")
+            write_ppm(np.zeros((size, size, 3), dtype=np.uint8), path)
+            lines.append(json.dumps({"image": path, "bbox": [0, 0, 3, 3],
+                                     "label": 0}))
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval.json"
+        proc = self._run_process("eval", "--model", workspace[1], "--manifest",
+                                 str(manifest), "--out", str(out))
+        small = tmp_path / f"r{len(sizes) - 1}_16.ppm"
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {small}: image shape (3, 16, 16) != "
+                               f"model input (3, 32, 32)\n")
+        assert not out.exists()
 
     def test_process_prints_message_without_traceback(self, workspace,
                                                       tmp_path):

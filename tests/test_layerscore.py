@@ -174,6 +174,11 @@ class TestFilterLayers:
         scores = {"first": 0.5, "second": 0.5}
         assert layerscore.filter_layers(scores, 0.4) == ["first"]
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0 + 1e-12, 2.0])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0,1\]"):
+            layerscore.filter_layers({"a": 0.5, "b": 0.3}, threshold)
+
 
 class TestLayerWeights:
     def test_worked_example(self):

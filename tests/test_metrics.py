@@ -235,6 +235,11 @@ class TestThresholdHeatmap:
                 for j in range(8):
                     assert got[i, j] == (1 if h[i, j] >= cut else 0)
 
+    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5])
+    def test_frac_outside_open_unit_interval(self, frac):
+        with pytest.raises(ValueError, match=r"frac must be in \(0,1\)"):
+            metrics.threshold_heatmap(np.ones((2, 2)), frac)
+
 
 class TestIou:
     def test_identical(self):
@@ -264,6 +269,10 @@ class TestIou:
         a = rng.integers(0, 2, size=(5, 7))
         b = rng.integers(0, 2, size=(5, 7))
         assert metrics.iou(a, b) == metrics.iou(a.T, b.T)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metrics.iou(np.ones((3, 3)), np.ones((3, 4)))
 
 
 class TestSaliencyScore:
@@ -296,3 +305,7 @@ class TestSaliencyScore:
         mask = rng.integers(0, 2, size=(5, 7))
         assert metrics.saliency_score(h, mask) == \
             metrics.saliency_score(h.T, mask.T)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metrics.saliency_score(np.ones((3, 3)), np.ones((4, 3)))

@@ -251,6 +251,13 @@ class TestWeightFile:
         with pytest.raises(ModelFormatError, match="truncated payload"):
             load_model(p)
 
+    def test_missing_header_length(self, tmp_path):
+        p = tmp_path / "m.icamw"
+        p.write_bytes(b"ICAMW001" + b"\x00" * 7)
+        with pytest.raises(ModelFormatError,
+                           match="truncated payload: missing header length"):
+            load_model(p)
+
     def test_header_past_end(self, tmp_path, fixture_model):
         p = tmp_path / "m.icamw"
         save_model(fixture_model, p)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from icam import cam, layerscore, metrics, pipeline
+from icam.cli import main
 from icam.model import (NonFiniteImageError, build_fixture_model, forward,
-                        forward_trace)
+                        forward_trace, save_model)
 from icam.perturb import PerturbationConfig, _draws
 from icam.render import read_ppm, write_ppm
 from icam.tensor import ShapeError
@@ -150,6 +151,17 @@ class TestEngineCalls:
         req = cam.CamRequest(method, layers=("block1", "block3"))
         pipeline.explain(model, image, req, small_config())
         assert engine_calls == [(3, 32, 32)]
+
+    def test_compare_is_one_call_over_image_and_perturbations(
+            self, model, tmp_path, engine_calls):
+        model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
+        save_model(model, model_path)
+        write_ppm(np.random.default_rng(0).integers(0, 256, size=(32, 32, 3),
+                                                    dtype=np.uint8), image_path)
+        assert main(["compare", "--model", model_path, "--image", image_path,
+                     "--n-perturb", "5", "--out-prefix",
+                     str(tmp_path / "cmp")]) == 0
+        assert engine_calls == [(6, 3, 32, 32)]
 
 
 def _head_scaled_model(scale):

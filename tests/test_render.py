@@ -49,6 +49,13 @@ class TestNetpbmIo:
         with pytest.raises(ImageFormatError, match="wrong magic"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("sep", [b"\r", b"\x0b", b"\x0c"])
+    def test_magic_followed_by_any_whitespace(self, tmp_path, sep):
+        # any whitespace may follow the magic, as between the other fields
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6" + sep + b"2 1\n255\n" + bytes(range(6)))
+        assert read_ppm(p).tolist() == [[[0, 1, 2], [3, 4, 5]]]
+
     def test_pgm_magic_rejected_as_ppm(self, tmp_path):
         p = tmp_path / "x.pgm"
         write_pgm(np.zeros((2, 2), dtype=np.uint8), p)
