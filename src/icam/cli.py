@@ -114,9 +114,7 @@ def cmd_score_layers(args):
     model = load_model(args.model)
     image = pipeline.image_from_rgb(render.read_ppm(args.image))
     config = _perturb_config(args)
-    result = pipeline.explain(model, image, cam.CamRequest(method="icam"),
-                              config, args.threshold)
-    report = result.report
+    _, report = pipeline.score(model, image, config, args.threshold)
     _write_json(report.to_json_dict(n=config.n, alpha=config.alpha,
                                     seed=config.seed), args.out)
 
@@ -146,12 +144,14 @@ def cmd_compare(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    icam = pipeline.explain(model, image, cam.CamRequest("icam", bias=args.bias),
-                            _perturb_config(args), args.threshold)
-    # the other methods read row 0 of icam's trace: the image's own trace
+    trace, report = pipeline.score(model, image, _perturb_config(args),
+                                   args.threshold)
+    # icam maps its selection, the others the final point (bias is icam's)
     final = {model.spec.scoring_points[-1]: 1.0}
-    heatmaps = [icam.heatmap if m == "icam" else pipeline.explain_trace(
-        icam.trace, cam.CamRequest(m), final).heatmap for m in cam.METHODS]
+    heatmaps = [pipeline.explain_trace(
+        trace, cam.CamRequest(m, bias=args.bias),
+        report.layer_weights if m == "icam" else final).heatmap
+        for m in cam.METHODS]
     overlays = [_write_heatmap(rgb, h, f"{args.out_prefix}_{m}", args.blend)
                 for m, h in zip(cam.METHODS, heatmaps)]
     strip = np.concatenate(overlays, axis=1)

@@ -20,7 +20,8 @@ DEFAULT_THRESHOLD = 0.95
 
 
 class NoInformativeLayersError(ValueError):
-    """Every layer scored zero (a saturated softmax has zero gradients)."""
+    """Every layer scored zero: a saturated softmax has zero gradients, and
+    all-zero perturbation weights (MDS clamped to 0) zero every score."""
 
 
 @dataclass
@@ -111,6 +112,11 @@ def score_layers(trace: ForwardTrace, weights,
                  threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
     """Score, filter and weight the layers of an image's perturbation trace."""
     scores = layer_importance(trace, weights)
+    if not np.any(weights):
+        raise NoInformativeLayersError(
+            "no informative layers: every perturbation weight is zero (MDS "
+            "clamps to 0 once a perturbation moves the prediction by >= 1 "
+            "nat); name the layers to map")
     selected = filter_layers(scores, threshold)
     return LayerScoreReport(
         scores=scores,

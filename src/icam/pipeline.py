@@ -26,7 +26,6 @@ class ExplainResult:
     report: layerscore.LayerScoreReport  # None unless automatic icam
     layers: list                   # scoring points that fed the map
     zero_maps: list                # layers whose map is all zero after relu
-    trace: ForwardTrace            # the engine pass the maps were read from
 
 
 def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -57,37 +56,42 @@ def _resolve_layers(model: Model, layers):
     return resolved
 
 
+def score(model: Model, image: np.ndarray,
+          perturb_config: PerturbationConfig = None,
+          threshold: float = layerscore.DEFAULT_THRESHOLD, class_index=None):
+    """I-CAM's first stage in one engine run: perturb, weigh, score layers.
+    Returns the [image; perturbations] trace and the layer-score report."""
+    image = check_images(model, image, ndims=(3,))
+    perturbed = generate_set(image, perturb_config or PerturbationConfig())
+    # row 0 is the image, rows 1..n its perturbations
+    trace = forward_trace(model, np.concatenate([image[None], perturbed]),
+                          class_index=class_index)
+    y = trace.probabilities
+    weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
+    return trace, layerscore.score_layers(trace, weights, threshold)
+
+
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             perturb_config: PerturbationConfig = None,
             threshold: float = layerscore.DEFAULT_THRESHOLD,
             class_index=None) -> ExplainResult:
     """Compute the normalized input-resolution heatmap for one image.
 
-    I-CAM without an explicit layer list runs the full perturbation +
-    layer-scoring pipeline; every other configuration maps the requested
+    I-CAM without an explicit layer list scores the layers first (`score`)
+    and maps the selection; every other configuration maps the requested
     layers (default: the final scoring point) and fuses them with equal
     weights when there is more than one. Either way the engine runs once.
     """
     layers = _resolve_layers(model, request.layers)
-    image = check_images(model, image, ndims=(3,))
-    report = None
     if request.method == "icam" and layers is None:
-        if perturb_config is None:
-            perturb_config = PerturbationConfig()
-        perturbed = generate_set(image, perturb_config)
-        # row 0 is the image, rows 1..n its perturbations
-        trace = forward_trace(model, np.concatenate([image[None], perturbed]),
-                              class_index=class_index)
-        y = trace.probabilities
-        weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
-        report = layerscore.score_layers(trace, weights, threshold)
-        weights = report.layer_weights
-    else:
-        trace = forward_trace(model, image, class_index=class_index)
-        if layers is None:
-            layers = [model.spec.scoring_points[-1]]
-        weights = {name: 1.0 / len(layers) for name in layers}
-    return explain_trace(trace, request, weights, report)
+        trace, report = score(model, image, perturb_config, threshold,
+                              class_index)
+        return explain_trace(trace, request, report.layer_weights, report)
+    image = check_images(model, image, ndims=(3,))
+    trace = forward_trace(model, image, class_index=class_index)
+    layers = layers or [model.spec.scoring_points[-1]]
+    return explain_trace(trace, request,
+                         {name: 1.0 / len(layers) for name in layers})
 
 
 def explain_trace(trace: ForwardTrace, request: cam.CamRequest, weights: dict,
@@ -102,7 +106,7 @@ def explain_trace(trace: ForwardTrace, request: cam.CamRequest, weights: dict,
     fused = cam.fuse(maps, weights, *trace.image.shape[-2:])
     zero_maps = [name for name, m in maps.items() if not m.any()]
     return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
-                         list(weights), zero_maps, trace)
+                         list(weights), zero_maps)
 
 
 def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
@@ -140,15 +144,16 @@ def parse_manifest(path, input_shape, num_classes) -> list:
     """JSON-lines records {"image": path, "bbox": [x0,y0,x1,y1], "label": int}."""
     _, in_h, in_w = input_shape
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+    with open(path, "rb") as f:   # json.loads decodes each line's bytes
+        for lineno, line in enumerate(f.read().splitlines(), start=1):
             if not line.strip():
                 continue
             bad = f"malformed manifest line {lineno}"
             try:
                 rec = json.loads(line)
                 image, bbox, label = rec["image"], rec["bbox"], rec["label"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                    TypeError) as exc:
                 raise ManifestError(f"{bad}: {exc}") from exc
             if not isinstance(image, str) or not image:
                 raise ManifestError(

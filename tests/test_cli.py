@@ -154,6 +154,20 @@ class TestScoreLayers:
         for name, score in result.report.scores.items():
             assert abs(blob["scores"][name] - score) < 1e-12
 
+    @pytest.mark.parametrize("flags", [(), ("--n-perturb", "3", "--alpha",
+                                            "0.6", "--seed", "5",
+                                            "--threshold", "0.5")],
+                             ids=["defaults", "custom"])
+    def test_equals_explain_sidecar(self, workspace, tmp_path, flags):
+        _, model_path, image_path = workspace
+        out = tmp_path / "scores.json"
+        main(["score-layers", "--model", model_path, "--image", image_path,
+              "--out", str(out), *flags])
+        main(["explain", "--model", model_path, "--image", image_path,
+              "--out-prefix", str(tmp_path / "ex"), *flags])
+        sidecar = json.loads((tmp_path / "ex.json").read_text())
+        assert json.loads(out.read_text()) == sidecar["layer_scores"]
+
     def test_threshold_one_selects_all_informative(self, workspace, tmp_path):
         _, model_path, image_path = workspace
         out = str(tmp_path / "scores.json")
@@ -267,6 +281,22 @@ class TestVerify:
         for suite in ("derivative-identity", "softmax-polynomials",
                       "mdd-symmetric-kl"):
             assert suite in out
+
+    def test_zero_head_fails_derivative_identity(self, workspace, tmp_path,
+                                                 capsys):
+        # no final-layer gradient: no trial reaches the identity, so its
+        # four checks fail instead of passing at worst = 0
+        model = load_model(workspace[1])
+        model.weights["head.weight"][:] = 0.0
+        zero_head = str(tmp_path / "zero_head.icamw")
+        save_model(model, zero_head)
+        assert main(["verify", "--model", zero_head]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert [line.split("  ")[0] for line in failed] == [
+            f"[FAIL] derivative-identity: {s} n={n}"
+            for s in ("exp", "softmax") for n in (2, 3)]
+        assert lines[-1] == "7/11 checks passed"
 
 
 class _BlockMpmath:
@@ -466,8 +496,21 @@ class TestUserErrors:
             main(["eval", "--model", workspace[1], "--manifest", str(manifest)])
         assert exc.value.code.startswith("error: malformed manifest line 1")
 
+    @pytest.mark.parametrize("blob, lineno", [
+        (b'\xff\xfe{"image": "x.ppm", "bbox": [0, 0, 3, 3], "label": 0}\n', 1),
+        (b'{"image": "x.ppm", "bbox": [0, 0, 3, 3], "label": 0}\n'
+         b'{"image": "\xff.ppm", "bbox": [0, 0, 3, 3], "label": 0}\n', 2)],
+        ids=["utf16-bom", "bad-byte"])
+    def test_manifest_not_utf8(self, workspace, tmp_path, blob, lineno):
+        manifest = tmp_path / "bad.jsonl"
+        manifest.write_bytes(blob)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", workspace[1], "--manifest", str(manifest)])
+        assert exc.value.code.startswith(
+            f"error: malformed manifest line {lineno}: ")
+
     def test_compare_icam_failure_writes_no_file(self, workspace, tmp_path):
-        # head scaled by 10^3: every perturbation weight underflows to zero
+        # head scaled by 10^3: the softmax saturates and every gradient is 0
         model = load_model(workspace[1])
         for name in ("head.weight", "head.bias"):
             model.weights[name] = 1e3 * model.weights[name]

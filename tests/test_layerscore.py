@@ -210,6 +210,34 @@ class TestLayerWeights:
             layerscore.layer_weights({"a": 1.0}, [])
 
 
+class TestNoInformativeLayers:
+    """The error names which cause emptied the scores."""
+
+    def test_zero_perturbation_weights(self, fixture_model):
+        img = np.random.default_rng(9).random((3, 32, 32))
+        tr = forward_trace(fixture_model, np.stack([img, img, img]))
+        with pytest.raises(layerscore.NoInformativeLayersError,
+                           match="^no informative layers: every perturbation "
+                                 "weight is zero"):
+            layerscore.score_layers(tr, np.zeros(2))
+
+    def test_saturated_head_keeps_the_scores_message(self):
+        # head scaled by 10^3: the weights are non-zero, the gradients are 0
+        model = build_fixture_model(42)
+        for name in ("head.weight", "head.bias"):
+            model.weights[name] = 1e3 * model.weights[name]
+        img = np.random.default_rng(0).random((3, 32, 32))
+        perturbed = generate_set(img, PerturbationConfig())
+        tr = forward_trace(model, np.concatenate([img[None], perturbed]))
+        y = tr.probabilities
+        weights = metrics.perturbation_weight(img, perturbed, y[0], y[1:])
+        assert weights.all()
+        with pytest.raises(layerscore.NoInformativeLayersError,
+                           match="^no informative layers: all scores are "
+                                 "zero"):
+            layerscore.score_layers(tr, weights)
+
+
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))

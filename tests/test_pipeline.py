@@ -163,6 +163,39 @@ class TestEngineCalls:
                      str(tmp_path / "cmp")]) == 0
         assert engine_calls == [(6, 3, 32, 32)]
 
+    def test_score_layers_is_one_call_and_maps_nothing(
+            self, model, tmp_path, engine_calls, monkeypatch):
+        maps = []
+        monkeypatch.setattr(cam, "single_layer_map",
+                            lambda *args: maps.append(args[2]))
+        model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
+        save_model(model, model_path)
+        write_ppm(np.random.default_rng(0).integers(0, 256, size=(32, 32, 3),
+                                                    dtype=np.uint8), image_path)
+        assert main(["score-layers", "--model", model_path, "--image",
+                     image_path, "--n-perturb", "5", "--out",
+                     str(tmp_path / "scores.json")]) == 0
+        assert engine_calls == [(6, 3, 32, 32)]
+        assert maps == []
+
+
+def test_kept_results_do_not_hold_their_trace(model, image):
+    # each default icam trace holds ~2.5 MB of activations and gradients
+    import gc
+    import tracemalloc
+    pipeline.explain(model, image, cam.CamRequest("icam"))   # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [pipeline.explain(model, image, cam.CamRequest("icam"))
+                for _ in range(10)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 10 and held < 1 << 20
+
 
 def _head_scaled_model(scale):
     m = build_fixture_model(42)
