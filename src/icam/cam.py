@@ -34,7 +34,7 @@ ALPHA_EPS = 1e-8
 
 METHODS = ("gradcam", "gradcampp", "layercam", "icam")
 SMOOTHS = ("identity", "exp", "softmax")
-BIAS_MODES = ("none", "channel", "spatial")
+BIAS_MODES = ("none", "channel")
 
 DEFAULT_SMOOTH = {"gradcam": "identity", "gradcampp": "exp",
                   "layercam": "identity", "icam": "softmax"}
@@ -151,21 +151,11 @@ def icam_weights(alpha: np.ndarray, f1: float, g: np.ndarray) -> np.ndarray:
     return np.tanh(alpha) * np.maximum(f1 * g, 0.0)
 
 
-def bias_term(mode: str, s_c: float, w: np.ndarray, a: np.ndarray):
-    """Residual bias per channel (scalar each) or per position (full tensor).
-
-    channel mode: b_k = S^c - (sum_ij w_k)(sum_ij A_k), the printed
-    product of sums.
-    spatial mode: b_k_ij = S^c - w_k_ij * sum_ij A_k.
-    """
+def bias_term(s_c: float, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """I-CAM's channel bias b_k = S^c - (sum_ij w_k)(sum_ij A_k), as printed."""
     if w.shape != a.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {a.shape}")
-    a_sum = a.sum(axis=(1, 2))
-    if mode == "channel":
-        return s_c - w.sum(axis=(1, 2)) * a_sum
-    if mode == "spatial":
-        return s_c - w * a_sum[:, None, None]
-    raise ValueError(f"unknown bias mode {mode!r}")
+    return s_c - w.sum(axis=(1, 2)) * a.sum(axis=(1, 2))
 
 
 def single_layer_map(trace: ForwardTrace, request: CamRequest,
@@ -193,9 +183,8 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
     else:
         w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
     raw = (w * a).sum(axis=0)
-    if method == "icam" and request.bias != "none":
-        b = bias_term(request.bias, float(logits[c]), w, a)
-        raw = raw + (b.sum() if request.bias == "channel" else b.sum(axis=0))
+    if method == "icam" and request.bias == "channel":
+        raw = raw + bias_term(float(logits[c]), w, a).sum()
     return np.maximum(raw, 0.0)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -234,16 +234,6 @@ def forward_trace(model: Model, image: np.ndarray,
 #   contiguous little-endian float32 payload
 # ---------------------------------------------------------------------------
 
-def _spec_to_meta(spec: ModelSpec) -> dict:
-    return {
-        "input_shape": list(spec.input_shape),
-        "num_classes": spec.num_classes,
-        "blocks": [{"name": b.name, "out_channels": b.out_channels,
-                    "kernel_size": b.kernel_size, "stride": b.stride,
-                    "padding": b.padding} for b in spec.blocks],
-    }
-
-
 def _meta_to_spec(meta: dict) -> ModelSpec:
     try:
         blocks = tuple(ConvBlockSpec(b["name"], b["out_channels"],
@@ -275,7 +265,7 @@ def _meta_to_spec(meta: dict) -> ModelSpec:
 
 def save_model(model: Model, path) -> None:
     names = sorted(model.weights)
-    header = {_META_KEY: _spec_to_meta(model.spec)}
+    header = {_META_KEY: asdict(model.spec)}
     payload = bytearray()
     offset = 0
     for name in names:

@@ -5,12 +5,17 @@ the library paths under test). There are two exceptions. `ScalarSplitMix64`
 reuses the library's `next_u64`, which `test_prng` checks by hand against
 the mixing constants. `four_corner_bilinear` is vectorized, because it pins
 the library's resize bit for bit, not to a tolerance.
+
+The planted-evidence model and samples at the end are a known answer, not
+a re-implementation: they use the library's `Model`, the fixture's spec
+and `SplitMix64`, and test the CAM methods, not those.
 """
 
 import math
 
 import numpy as np
 
+from icam.model import Model, build_fixture_model
 from icam.prng import SplitMix64
 
 
@@ -95,8 +100,7 @@ def naive_gradcampp_map(a, g, f1, f2, f3, eps):
 def naive_icam_map(a, g, f1, f2, f3, s_c, bias, eps):
     """Loop reference for I-CAM: w = tanh(alpha) relu(f' g) plus its bias.
 
-    channel bias adds sum_k (S^c - sum_ij w_k * sum_ij A_k) everywhere;
-    spatial bias adds sum_k (S^c - w_k_ij * sum_ij A_k) at each position.
+    channel bias adds sum_k (S^c - sum_ij w_k * sum_ij A_k) everywhere.
     """
     alpha = naive_generalized_alpha(f2, f3, g, a, eps)
     w = np.zeros_like(g)
@@ -106,9 +110,6 @@ def naive_icam_map(a, g, f1, f2, f3, s_c, bias, eps):
     c = a.shape[0]
     if bias == "channel":
         raw = raw + sum(s_c - w[k].sum() * a[k].sum() for k in range(c))
-    elif bias == "spatial":
-        for k in range(c):
-            raw = raw + (s_c - w[k] * a[k].sum())
     return np.maximum(raw, 0.0)
 
 
@@ -247,3 +248,55 @@ class ScalarSplitMix64(SplitMix64):
     def bernoulli(self, p: float) -> int:
         """One draw in {0, 1} with P(1) = p."""
         return 1 if self.uniform() < p else 0
+
+
+# ---------------------------------------------------------------------------
+# planted evidence: a model and samples whose right answer is known
+# ---------------------------------------------------------------------------
+
+# class k's color: red, green, blue, yellow, magenta
+PLANTED_COLORS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                           [1, 0, 1]], dtype=np.float64)
+PLANTED_SIDE = 8
+
+
+def planted_model(gain):
+    """The fixture's architecture with hand-set weights: class k < 5 reads
+    only pixels of color v_k, so its evidence is exactly the colored square.
+
+    block1 channel k has center tap 2 v_k - 1 on each input channel and bias
+    0.5 - sum(v_k): 0.5 on color v_k, at most -0.1 on any other color or on a
+    background below 0.4. block2 and block3 pass channel k on through a 1/9
+    box kernel, and head.weight[k, k] = gain. Every other weight is 0.
+    """
+    spec = build_fixture_model(0).spec
+    weights = {name: np.zeros(shape)
+               for name, shape in spec.weight_shapes().items()}
+    for k, v in enumerate(PLANTED_COLORS):
+        weights["block1.weight"][k, :, 1, 1] = 2.0 * v - 1.0
+        weights["block1.bias"][k] = 0.5 - v.sum()
+        weights["block2.weight"][k, k] = 1.0 / 9.0
+        weights["block3.weight"][k, k] = 1.0 / 9.0
+        weights["head.weight"][k, k] = gain
+    return Model(spec, weights)
+
+
+def planted_samples(seed, count):
+    """`count` (image, label, bbox mask) triples from one SplitMix64(seed).
+
+    Sample i is a 0.4 * uniform background with one 8x8 square of color
+    i mod 5 at (x0, y0) = (next_u64() % 25, next_u64() % 25); the mask is
+    the square's exact bbox.
+    """
+    rng = SplitMix64(seed)
+    out = []
+    for i in range(count):
+        image = 0.4 * rng.uniform_array(3 * 32 * 32).reshape(3, 32, 32)
+        x0, y0 = rng.next_u64() % 25, rng.next_u64() % 25
+        label = i % len(PLANTED_COLORS)
+        square = np.s_[y0:y0 + PLANTED_SIDE, x0:x0 + PLANTED_SIDE]
+        image[(slice(None),) + square] = PLANTED_COLORS[label][:, None, None]
+        mask = np.zeros((32, 32), dtype=np.uint8)
+        mask[square] = 1
+        out.append((image, label, mask))
+    return out

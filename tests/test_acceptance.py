@@ -47,7 +47,7 @@ def test_02_softmax_derivative_polynomials():
 
 
 def test_03_mdd_equals_symmetric_kl():
-    checks = verify.mdd_symmetric_kl_suite(pairs=1000)
+    checks = verify.mdd_symmetric_kl_suite()
     for c in checks:
         assert c.passed, f"{c.name}: worst {c.worst_error} >= tol {c.tolerance}"
     x = np.array([0.3, 0.7])

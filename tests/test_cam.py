@@ -214,39 +214,23 @@ class TestIcamWeights:
 class TestBiasTerm:
     def test_zero_weights_channel_bias_is_logit(self):
         a = np.random.default_rng(11).random((3, 4, 4))
-        b = cam.bias_term("channel", 2.5, np.zeros_like(a), a)
+        b = cam.bias_term(2.5, np.zeros_like(a), a)
         assert np.array_equal(b, np.full(3, 2.5))
 
     def test_channel_product_of_sums_hand_case(self):
         w = np.array([[[1.0, 2.0], [0.0, 1.0]]])   # sum = 4
         a = np.array([[[0.5, 0.5], [1.0, 1.0]]])   # sum = 3
-        b = cam.bias_term("channel", 10.0, w, a)
+        b = cam.bias_term(10.0, w, a)
         assert b.shape == (1,)
         assert b[0] == 10.0 - 4.0 * 3.0
 
-    def test_spatial_matches_formula(self):
-        rng = np.random.default_rng(12)
-        w = rng.normal(size=(2, 3, 3))
-        a = rng.random((2, 3, 3))
-        b = cam.bias_term("spatial", 1.5, w, a)
-        for k in range(2):
-            for i in range(3):
-                for j in range(3):
-                    assert abs(b[k, i, j]
-                               - (1.5 - w[k, i, j] * a[k].sum())) < 1e-14
-
-    def test_modes_coincide_on_1x1_maps(self):
-        w = np.array([[[0.4]], [[0.7]]])
-        a = np.array([[[2.0]], [[3.0]]])
-        bc = cam.bias_term("channel", 1.0, w, a)
-        bs = cam.bias_term("spatial", 1.0, w, a)
-        assert np.max(np.abs(bc - bs[:, 0, 0])) < 1e-15
-
     def test_bad_mode_and_shape(self):
-        with pytest.raises(ValueError):
-            cam.bias_term("diag", 0.0, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError):
-            cam.bias_term("channel", 0.0, np.zeros((1, 2, 2)), np.zeros((2, 2, 2)))
+        # the mode is checked where the request is made; bias_term takes
+        # only the channel form's inputs
+        with pytest.raises(ValueError, match="unknown bias mode"):
+            cam.CamRequest("icam", bias="spatial")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cam.bias_term(0.0, np.zeros((1, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestIcamLayerMap:
@@ -263,12 +247,9 @@ class TestIcamLayerMap:
         if bias_mode == "channel":
             raw = raw + sum(s_c - w[k].sum() * a[k].sum()
                             for k in range(a.shape[0]))
-        elif bias_mode == "spatial":
-            for k in range(a.shape[0]):
-                raw = raw + (s_c - w[k] * a[k].sum())
         return np.maximum(raw, 0.0)
 
-    @pytest.mark.parametrize("bias_mode", ["none", "channel", "spatial"])
+    @pytest.mark.parametrize("bias_mode", ["none", "channel"])
     def test_matches_golden_reimplementation(self, logit_trace, bias_mode):
         got = layer_map(logit_trace, "block2", "icam", bias=bias_mode)
         ref = self._golden(logit_trace, "block2", bias_mode)
@@ -379,8 +360,7 @@ class TestSingleLayerMap:
     @pytest.mark.parametrize("layer", ["block1", "block2", "block3"])
     @pytest.mark.parametrize("method, bias", [
         ("gradcam", "channel"), ("layercam", "channel"),
-        ("gradcampp", "channel"), ("icam", "none"), ("icam", "channel"),
-        ("icam", "spatial")])
+        ("gradcampp", "channel"), ("icam", "none"), ("icam", "channel")])
     def test_matches_loop_oracle(self, logit_trace, method, bias, layer):
         tr = logit_trace
         req = cam.CamRequest(method, bias=bias)

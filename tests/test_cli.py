@@ -298,6 +298,28 @@ class TestVerify:
             for s in ("exp", "softmax") for n in (2, 3)]
         assert lines[-1] == "7/11 checks passed"
 
+    @pytest.mark.parametrize("scale", [100.0, 2000.0])
+    def test_saturated_head(self, workspace, tmp_path, capsys, scale):
+        # exp is differentiated as e^(s - S^c), so a top logit of ~1500 does
+        # not overflow it; the softmax rounds to 1, where both sides of
+        # each trial are 0, so no trial counts and its checks fail at nan
+        model = load_model(workspace[1])
+        for name in ("head.weight", "head.bias"):
+            model.weights[name] = scale * model.weights[name]
+        saturated = str(tmp_path / "saturated.icamw")
+        save_model(model, saturated)
+        assert main(["verify", "--model", saturated]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        identity = [line.split(" tol=")[0] for line in lines
+                    if "derivative-identity" in line]
+        assert [line.split("  ")[0] for line in identity] == [
+            "[PASS] derivative-identity: exp n=2",
+            "[PASS] derivative-identity: exp n=3",
+            "[FAIL] derivative-identity: softmax n=2",
+            "[FAIL] derivative-identity: softmax n=3"]
+        assert all(line.endswith("worst=nan") for line in identity[2:])
+        assert lines[-1] == "9/11 checks passed"
+
 
 class _BlockMpmath:
     """A sys.meta_path finder for which mpmath is not installed."""
@@ -583,6 +605,15 @@ class TestUserErrors:
         assert proc.returncode == 1
         assert proc.stderr == ("error: unknown scoring point 'block9' "
                                "(available: block1, block2, block3)\n")
+        assert not list(tmp_path.glob("out*"))
+
+    def test_process_removed_bias_mode_is_a_usage_error(self, workspace,
+                                                        tmp_path):
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 "--bias", "spatial")
+        assert proc.returncode == 2   # argparse's usage error
+        assert "argument --bias: invalid choice: 'spatial'" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("args", [

@@ -248,8 +248,7 @@ class TestHeadScale:
     @pytest.mark.parametrize("smooth", cam.SMOOTHS)
     @pytest.mark.parametrize("method, bias", [
         ("gradcam", "channel"), ("gradcampp", "channel"),
-        ("layercam", "channel"), ("icam", "none"), ("icam", "channel"),
-        ("icam", "spatial")])
+        ("layercam", "channel"), ("icam", "none"), ("icam", "channel")])
     def test_finite_map_or_named_error(self, image, method, bias, smooth,
                                        scale):
         model = _head_scaled_model(scale)
@@ -322,7 +321,7 @@ class TestSidecar:
 
     def test_gradcam_has_no_layer_scores(self, model, image):
         # gradcam adds no bias term, whatever bias mode the request carries
-        req = cam.CamRequest("gradcam", bias="spatial")
+        req = cam.CamRequest("gradcam", bias="channel")
         result = pipeline.explain(model, image, req)
         d = pipeline.sidecar_dict(result, req, small_config())
         assert "layer_scores" not in d
