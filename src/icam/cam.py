@@ -7,15 +7,16 @@ All four methods form one saliency per layer,
 from row 0 of a ForwardTrace: the image's activations A and its logit
 gradients g = dS^c/dA. Only the weights w differ:
 
-    gradcam    w_k = mean_ij f' g                       (one per channel)
-    layercam   w   = relu(f' g)                         (elementwise)
-    gradcampp  w_k = sum_ij alpha * relu(f' g)          (one per channel)
-    icam       w   = tanh(alpha) * relu(f' g)           (elementwise)
+    gradcam    w_k = mean_ij g                          (one per channel)
+    layercam   w   = relu(g)                            (elementwise)
+    gradcampp  w_k = sum_ij alpha_1 * relu(g)           (one per channel)
+    icam       w   = tanh(alpha_f) * relu(f' g)         (elementwise)
 
-with alpha the Grad-CAM++ alpha generalized to a smooth f. The bias b is
-I-CAM's residual term and is zero for the other methods. Any smoothing
-transform f applied on top of the logit is handled analytically through
-its derivative table, never by differentiating through f numerically, so
+with alpha_f the Grad-CAM++ alpha generalized to a smooth f of the logit
+S^c, and alpha_1 its published exp closed form, f' = f'' = f''' = 1. Only
+I-CAM takes a smooth (exp or softmax); the bias b is its channel term and
+is zero for the other methods. f is handled analytically through its
+derivative table, never by differentiating through f numerically, so
 higher-order terms need no higher-order gradients: d^n f(S^c)/dA^n =
 f^(n)(S^c) * g^n when the head after the scoring point is linear.
 """
@@ -33,9 +34,10 @@ from .render import bilinear_resize, normalize_minmax
 ALPHA_EPS = 1e-8
 
 METHODS = ("gradcam", "gradcampp", "layercam", "icam")
-SMOOTHS = ("identity", "exp", "softmax")
+SMOOTHS = ("exp", "softmax")   # icam only
 BIAS_MODES = ("none", "channel")
 
+# the smooth the sidecar names; the Grad-CAM family's forms are fixed
 DEFAULT_SMOOTH = {"gradcam": "identity", "gradcampp": "exp",
                   "layercam": "identity", "icam": "softmax"}
 
@@ -45,20 +47,19 @@ class Heatmap:
     values: np.ndarray       # [H,W], non-negative
 
 
-class UndefinedAlphaError(ValueError):
-    """The smooth has f'' = f''' = 0, so the method's alpha is 0/0."""
-
-
 @dataclass(frozen=True)
 class CamRequest:
     method: str = "icam"
-    smooth: str = None          # defaults per method
+    smooth: str = None          # icam only; None = softmax
     bias: str = "channel"       # icam only
     layers: tuple = None        # explicit scoring points; None = automatic
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.smooth is not None and self.method != "icam":
+            raise ValueError(f"smooth applies to icam only; {self.method} "
+                             f"has a fixed form")
         if self.smooth is not None and self.smooth not in SMOOTHS:
             raise ValueError(f"unknown smooth {self.smooth!r}")
         if self.bias not in BIAS_MODES:
@@ -67,14 +68,6 @@ class CamRequest:
                                         or len(self.layers) == 0):
             raise ValueError(f"layers must be None or a non-empty sequence "
                              f"of layer names, got {self.layers!r}")
-        # gradcampp and icam weigh by generalized_alpha, whose f'' and f'''
-        # vanish for the identity: every map would be zero or a constant
-        if self.method in ("gradcampp", "icam") \
-                and self.effective_smooth == "identity":
-            raise UndefinedAlphaError(
-                f"method {self.method} needs a smooth with f'' != 0: the "
-                f"identity makes its alpha 0/0 and the heatmap all zero; "
-                f"use the exp or softmax smooth")
 
     @property
     def effective_smooth(self) -> str:
@@ -111,8 +104,6 @@ def smooth_softmax(logits: np.ndarray, c: int):
 
 def smooth_table(name: str, logits: np.ndarray, c: int):
     """Derivative table of the named smooth function at S^c."""
-    if name == "identity":
-        return (float(logits[c]), 1.0, 0.0, 0.0)
     if name == "exp":
         s = float(logits[c])
         try:
@@ -120,7 +111,7 @@ def smooth_table(name: str, logits: np.ndarray, c: int):
         except OverflowError:
             raise SmoothOverflowError(
                 f"exp smooth overflows at logit S^c = {s:.6g}; use the "
-                f"identity or softmax smooth") from None
+                f"softmax smooth") from None
         return (e, e, e, e)
     if name == "softmax":
         return smooth_softmax(logits, c)
@@ -167,20 +158,15 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
     a, g = trace.activations[layer][0], trace.gradients[layer][0]
     logits, c = trace.logits[0], trace.class_index
     method = request.method
-    # the other methods read the table at S^c = 0. That scales exp's f', f''
-    # and f''' by e^(-S^c) to all ones (Grad-CAM++'s closed form, which
-    # cannot overflow), a positive scale that their relu'd, min-max
-    # normalized maps cancel; identity and softmax ignore the shift
-    shift = 0.0 if method == "icam" else logits[c]
-    _, f1, f2, f3 = smooth_table(request.effective_smooth, logits - shift, c)
     if method == "gradcam":
-        w = (f1 * g).mean(axis=(1, 2), keepdims=True)
+        w = g.mean(axis=(1, 2), keepdims=True)
     elif method == "layercam":
-        w = np.maximum(f1 * g, 0.0)
+        w = np.maximum(g, 0.0)
     elif method == "gradcampp":
-        w = (generalized_alpha(f2, f3, g, a) * np.maximum(f1 * g, 0.0)
+        w = (generalized_alpha(1.0, 1.0, g, a) * np.maximum(g, 0.0)
              ).sum(axis=(1, 2), keepdims=True)
     else:
+        _, f1, f2, f3 = smooth_table(request.effective_smooth, logits, c)
         w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
     raw = (w * a).sum(axis=0)
     if method == "icam" and request.bias == "channel":

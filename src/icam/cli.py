@@ -31,7 +31,7 @@ DEFAULT_BLEND = 0.5
 _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
                pipeline.ManifestError, pipeline.UnknownLayerError, ShapeError,
                NonFiniteImageError, cam.SmoothOverflowError,
-               cam.UndefinedAlphaError, NoInformativeLayersError)
+               NoInformativeLayersError)
 
 
 def _bounded(convert, accept, bounds):
@@ -57,7 +57,7 @@ def _add_common(p, with_method=True):
     if with_method:
         p.add_argument("--method", choices=cam.METHODS, default="icam")
         p.add_argument("--smooth", choices=cam.SMOOTHS, default=None,
-                       help="override the method's default smooth function")
+                       help="I-CAM's smooth function (default softmax)")
         p.add_argument("--bias", choices=cam.BIAS_MODES, default="channel")
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
@@ -231,7 +231,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "smooth", None) and args.method != "icam":
+        parser.error(f"--smooth applies to --method icam only, "
+                     f"not {args.method}")
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

@@ -28,14 +28,13 @@ class NoInformativeLayersError(ValueError):
 class LayerScoreReport:
     scores: dict          # layer name -> S_l, in declaration order
     perturbation_weights: np.ndarray  # [n], one per perturbation
-    selected: list        # ordered subset of layer names
-    layer_weights: dict   # layer name -> W_l over the selection
+    layer_weights: dict   # selected layer name -> W_l, in selection order
     threshold: float
 
     def to_json_dict(self, n, alpha, seed):
         return {
             "scores": {k: float(v) for k, v in self.scores.items()},
-            "selected": list(self.selected),
+            "selected": list(self.layer_weights),
             "weights": {k: float(v) for k, v in self.layer_weights.items()},
             "threshold": self.threshold,
             "n": n,
@@ -117,11 +116,9 @@ def score_layers(trace: ForwardTrace, weights,
             "no informative layers: every perturbation weight is zero (MDS "
             "clamps to 0 once a perturbation moves the prediction by >= 1 "
             "nat); name the layers to map")
-    selected = filter_layers(scores, threshold)
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),
-        selected=selected,
-        layer_weights=layer_weights(scores, selected),
+        layer_weights=layer_weights(scores, filter_layers(scores, threshold)),
         threshold=threshold,
     )

@@ -21,10 +21,6 @@ def layer_map(trace, layer, method, **kw):
 
 
 class TestSmoothTables:
-    def test_identity(self):
-        assert cam.smooth_table("identity", np.array([0.0, 3.5]), 1) \
-            == (3.5, 1.0, 0.0, 0.0)
-
     def test_exp(self):
         y, f1, f2, f3 = cam.smooth_table("exp", np.array([1.25, 0.0]), 0)
         e = np.exp(1.25)
@@ -72,10 +68,12 @@ class TestSmoothTables:
 
     def test_table_dispatch(self):
         logits = np.array([0.5, -0.5])
-        assert cam.smooth_table("identity", logits, 0) == (0.5, 1.0, 0.0, 0.0)
+        assert cam.smooth_table("softmax", logits, 0) \
+            == cam.smooth_softmax(logits, 0)
         assert cam.smooth_table("exp", logits, 1)[0] == np.exp(-0.5)
-        with pytest.raises(ValueError):
-            cam.smooth_table("nope", logits, 0)
+        for name in ("identity", "nope"):
+            with pytest.raises(ValueError, match="unknown smooth"):
+                cam.smooth_table(name, logits, 0)
         with pytest.raises(IndexError):
             cam.smooth_softmax(logits, 2)
 
@@ -322,25 +320,17 @@ class TestRequestAndDispatch:
     def test_validation(self):
         with pytest.raises(ValueError):
             cam.CamRequest("fancycam")
-        with pytest.raises(ValueError):
-            cam.CamRequest("icam", smooth="log")
+        for smooth in ("log", "identity"):
+            with pytest.raises(ValueError, match="unknown smooth"):
+                cam.CamRequest("icam", smooth=smooth)
         with pytest.raises(ValueError):
             cam.CamRequest("icam", bias="edge")
 
-    @pytest.mark.parametrize("method, layers", [
-        ("gradcampp", None), ("gradcampp", ("block3",)), ("icam", None),
-        ("icam", ("block1", "block3"))])
-    def test_identity_smooth_rejected_where_alpha_is_undefined(self, method,
-                                                               layers):
-        for bias in cam.BIAS_MODES:
-            with pytest.raises(cam.UndefinedAlphaError, match=method):
-                cam.CamRequest(method, smooth="identity", bias=bias,
-                               layers=layers)
-        assert issubclass(cam.UndefinedAlphaError, ValueError)
-
-    @pytest.mark.parametrize("method", ["gradcam", "layercam"])
-    def test_identity_smooth_kept_where_alpha_is_unused(self, method):
-        assert cam.CamRequest(method, smooth="identity").smooth == "identity"
+    @pytest.mark.parametrize("method", ["gradcam", "gradcampp", "layercam"])
+    def test_smooth_is_icam_only(self, method):
+        for smooth in cam.SMOOTHS:
+            with pytest.raises(ValueError, match="icam only"):
+                cam.CamRequest(method, smooth=smooth)
 
     def test_methods_give_distinct_maps(self, logit_trace):
         outs = [layer_map(logit_trace, "block3", m) for m in cam.METHODS]
@@ -366,10 +356,12 @@ class TestSingleLayerMap:
         req = cam.CamRequest(method, bias=bias)
         a, g = tr.activations[layer][0], tr.gradients[layer][0]
         s_c = float(tr.logits[0, tr.class_index])
-        # only icam reads the table at the logit; the others at S^c = 0
-        logits = tr.logits[0] if method == "icam" else tr.logits[0] - s_c
-        _, f1, f2, f3 = cam.smooth_table(req.effective_smooth, logits,
-                                         tr.class_index)
+        # only icam reads a smooth's table; the others' forms have f' = f''
+        # = f''' = 1 (Grad-CAM++'s exp closed form)
+        f1 = f2 = f3 = 1.0
+        if method == "icam":
+            _, f1, f2, f3 = cam.smooth_table(req.effective_smooth,
+                                             tr.logits[0], tr.class_index)
         ref = {
             "gradcam": lambda: naive_gradcam_map(a, g, f1),
             "layercam": lambda: naive_layercam_map(a, g, f1),

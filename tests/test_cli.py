@@ -616,18 +616,26 @@ class TestUserErrors:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.parametrize("args", [
-        ("--method", "gradcampp", "--smooth", "identity"),
-        ("--method", "icam", "--smooth", "identity"),
-        ("--method", "icam", "--layer", "block3", "--smooth", "identity")])
-    def test_process_identity_smooth_without_alpha(self, workspace, tmp_path,
-                                                   args):
-        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
-                                 *args)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: method {args[1]} needs a "
-                                      f"smooth with f'' != 0")
-        assert proc.stderr.count("\n") == 1
+    @pytest.mark.parametrize("command", ["explain", "eval"])
+    @pytest.mark.parametrize("method", ["gradcam", "gradcampp", "layercam"])
+    def test_process_smooth_outside_icam_is_a_usage_error(self, workspace,
+                                                          tmp_path, method,
+                                                          command):
+        if command == "explain":
+            io = ("--image", workspace[2], "--out-prefix",
+                  str(tmp_path / "out"))
+        else:
+            manifest = tmp_path / "m.jsonl"
+            manifest.write_text(json.dumps({"image": workspace[2],
+                                            "bbox": [0, 0, 7, 7],
+                                            "label": 0}) + "\n")
+            io = ("--manifest", str(manifest), "--out",
+                  str(tmp_path / "out.json"))
+        proc = self._run_process(command, "--model", workspace[1], *io,
+                                 "--method", method, "--smooth", "exp")
+        assert proc.returncode == 2   # argparse's usage error
+        assert proc.stderr.endswith(f"error: --smooth applies to --method "
+                                    f"icam only, not {method}\n")
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 

@@ -40,7 +40,7 @@ def compute_record(model, seed):
         "class": result.class_index,
         "probability": result.probability,
         "layer_scores": {k: float(v) for k, v in report.scores.items()},
-        "selected": list(report.selected),
+        "selected": list(report.layer_weights),
         "layer_weights": {k: float(v)
                           for k, v in report.layer_weights.items()},
         "perturbation_weights": [float(w)

@@ -248,3 +248,5 @@ def test_report_json_round_trip(fixture_model):
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}
     assert abs(sum(parsed["weights"].values()) - 1.0) < 1e-12
+    # the selection in descending-score order, as filter_layers made it
+    assert parsed["selected"] == layerscore.filter_layers(report.scores)

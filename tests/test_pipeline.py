@@ -43,7 +43,7 @@ class TestExplain:
                                   small_config())
         assert result.heatmap.values.shape == (32, 32)
         assert result.report is not None
-        assert result.layers == result.report.selected
+        assert result.layers == list(result.report.layer_weights)
         assert abs(sum(result.report.layer_weights.values()) - 1.0) < 1e-12
         assert 0.0 <= result.probability <= 1.0
 
@@ -212,27 +212,31 @@ def saturated_model():
     return _head_scaled_model(2000.0)
 
 
+# only icam takes a smooth; the Grad-CAM family runs its fixed form, which
+# the id names by the smooth its sidecar writes
+FAMILY = [m for m in cam.METHODS if m != "icam"]
+
+
 class TestSaturatedHead:
     @pytest.mark.parametrize("layers", [None, ("block1", "block2", "block3")],
                              ids=["auto", "explicit"])
-    @pytest.mark.parametrize("smooth", cam.SMOOTHS)
-    @pytest.mark.parametrize("method", cam.METHODS)
+    @pytest.mark.parametrize("method, smooth", [
+        *(pytest.param(m, None, id=f"{m}-{cam.DEFAULT_SMOOTH[m]}")
+          for m in FAMILY),
+        *(pytest.param("icam", s, id=f"icam-{s}") for s in cam.SMOOTHS)])
     def test_finite_map_or_named_error(self, saturated_model, image, method,
                                        smooth, layers):
-        if method in ("gradcampp", "icam") and smooth == "identity":
-            expected = cam.UndefinedAlphaError   # raised by the request
-        elif method == "icam" and layers is None:
+        if method == "icam" and layers is None:
             expected = layerscore.NoInformativeLayersError
         elif method == "icam" and smooth == "exp":
             expected = cam.SmoothOverflowError   # the others are scale-free
         else:
             expected = None
+        req = cam.CamRequest(method, smooth=smooth, layers=layers)
         if expected is not None:
             with pytest.raises(expected):
-                req = cam.CamRequest(method, smooth=smooth, layers=layers)
                 pipeline.explain(saturated_model, image, req, small_config())
             return
-        req = cam.CamRequest(method, smooth=smooth, layers=layers)
         values = pipeline.explain(saturated_model, image, req,
                                   small_config()).heatmap.values
         assert np.isfinite(values).all()
@@ -245,24 +249,22 @@ class TestHeadScale:
 
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-3, 5)],
                              ids=[f"1e{k}" for k in range(-3, 5)])
-    @pytest.mark.parametrize("smooth", cam.SMOOTHS)
-    @pytest.mark.parametrize("method, bias", [
-        ("gradcam", "channel"), ("gradcampp", "channel"),
-        ("layercam", "channel"), ("icam", "none"), ("icam", "channel")])
+    @pytest.mark.parametrize("method, bias, smooth", [
+        *(pytest.param(m, "channel", None,
+                       id=f"{m}-channel-{cam.DEFAULT_SMOOTH[m]}")
+          for m in FAMILY),
+        *(pytest.param("icam", b, s, id=f"icam-{b}-{s}")
+          for b in cam.BIAS_MODES for s in cam.SMOOTHS)])
     def test_finite_map_or_named_error(self, image, method, bias, smooth,
                                        scale):
         model = _head_scaled_model(scale)
+        req = cam.CamRequest(method, smooth=smooth, bias=bias)
         try:
-            req = cam.CamRequest(method, smooth=smooth, bias=bias)
             values = pipeline.explain(model, image, req,
                                       small_config()).heatmap.values
-        except (cam.UndefinedAlphaError, cam.SmoothOverflowError,
-                layerscore.NoInformativeLayersError) as exc:
-            # the Grad-CAM family is scale-free: its one named error is the
-            # identity smooth's undefined alpha, whatever the scale
-            assert method == "icam" or (
-                isinstance(exc, cam.UndefinedAlphaError)
-                and (method, smooth) == ("gradcampp", "identity"))
+        except (cam.SmoothOverflowError,
+                layerscore.NoInformativeLayersError):
+            assert method == "icam"   # the Grad-CAM family is scale-free
             return
         assert np.isfinite(values).all()
         assert values.min() >= 0.0 and values.max() <= 1.0
