@@ -21,6 +21,11 @@ def layer_map(trace, layer, method, **kw):
 
 
 class TestSmoothTables:
+    def test_identity(self):
+        # the identity's f'' = f''' = 0 make alpha 0/0; it has no table
+        with pytest.raises(ValueError, match="unknown smooth 'identity'"):
+            cam.smooth_table("identity", np.array([0.0, 3.5]), 1)
+
     def test_exp(self):
         y, f1, f2, f3 = cam.smooth_table("exp", np.array([1.25, 0.0]), 0)
         e = np.exp(1.25)
@@ -71,9 +76,8 @@ class TestSmoothTables:
         assert cam.smooth_table("softmax", logits, 0) \
             == cam.smooth_softmax(logits, 0)
         assert cam.smooth_table("exp", logits, 1)[0] == np.exp(-0.5)
-        for name in ("identity", "nope"):
-            with pytest.raises(ValueError, match="unknown smooth"):
-                cam.smooth_table(name, logits, 0)
+        with pytest.raises(ValueError, match="unknown smooth"):
+            cam.smooth_table("nope", logits, 0)
         with pytest.raises(IndexError):
             cam.smooth_softmax(logits, 2)
 
@@ -320,11 +324,30 @@ class TestRequestAndDispatch:
     def test_validation(self):
         with pytest.raises(ValueError):
             cam.CamRequest("fancycam")
-        for smooth in ("log", "identity"):
-            with pytest.raises(ValueError, match="unknown smooth"):
-                cam.CamRequest("icam", smooth=smooth)
+        with pytest.raises(ValueError, match="unknown smooth"):
+            cam.CamRequest("icam", smooth="log")
         with pytest.raises(ValueError):
             cam.CamRequest("icam", bias="edge")
+
+    @pytest.mark.parametrize("method, layers", [
+        ("gradcampp", None), ("gradcampp", ("block3",)), ("icam", None),
+        ("icam", ("block1", "block3"))])
+    def test_identity_smooth_rejected_where_alpha_is_undefined(self, method,
+                                                               layers):
+        # Grad-CAM++ takes no smooth, and I-CAM none whose alpha is 0/0
+        match = ("unknown smooth 'identity'" if method == "icam"
+                 else "icam only")
+        for bias in cam.BIAS_MODES:
+            with pytest.raises(ValueError, match=match):
+                cam.CamRequest(method, smooth="identity", bias=bias,
+                               layers=layers)
+
+    @pytest.mark.parametrize("method", ["gradcam", "layercam"])
+    def test_identity_smooth_kept_where_alpha_is_unused(self, method):
+        # their fixed form is the identity's f' = 1, and the sidecar says so
+        req = cam.CamRequest(method)
+        assert req.smooth is None
+        assert req.effective_smooth == "identity"
 
     @pytest.mark.parametrize("method", ["gradcam", "gradcampp", "layercam"])
     def test_smooth_is_icam_only(self, method):

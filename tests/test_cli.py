@@ -616,6 +616,19 @@ class TestUserErrors:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("args", [
+        ("--method", "gradcampp", "--smooth", "identity"),
+        ("--method", "icam", "--smooth", "identity"),
+        ("--method", "icam", "--layer", "block3", "--smooth", "identity")])
+    def test_process_identity_smooth_without_alpha(self, workspace, tmp_path,
+                                                   args):
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 *args)
+        assert proc.returncode == 2   # argparse's usage error
+        assert "argument --smooth: invalid choice: 'identity'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("command", ["explain", "eval"])
     @pytest.mark.parametrize("method", ["gradcam", "gradcampp", "layercam"])
     def test_process_smooth_outside_icam_is_a_usage_error(self, workspace,
