@@ -14,11 +14,12 @@ gradients g = dS^c/dA. Only the weights w differ:
 
 with alpha_f the Grad-CAM++ alpha generalized to a smooth f of the logit
 S^c, and alpha_1 its published exp closed form, f' = f'' = f''' = 1. Only
-I-CAM takes a smooth (exp or softmax); the bias b is its channel term and
-is zero for the other methods. f is handled analytically through its
-derivative table, never by differentiating through f numerically, so
-higher-order terms need no higher-order gradients: d^n f(S^c)/dA^n =
-f^(n)(S^c) * g^n when the head after the scoring point is linear.
+I-CAM takes a smooth (exp or softmax) and a bias b (none or its channel
+term); the other methods refuse both, and b is zero there. f is handled
+analytically through its derivative table, never by differentiating
+through f numerically, so higher-order terms need no higher-order
+gradients: d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head after the
+scoring point is linear.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ ALPHA_EPS = 1e-8
 
 METHODS = ("gradcam", "gradcampp", "layercam", "icam")
 SMOOTHS = ("exp", "softmax")   # icam only
-BIAS_MODES = ("none", "channel")
-
-# the smooth the sidecar names; the Grad-CAM family's forms are fixed
-DEFAULT_SMOOTH = {"gradcam": "identity", "gradcampp": "exp",
-                  "layercam": "identity", "icam": "softmax"}
+BIAS_MODES = ("none", "channel")   # icam only
 
 
 @dataclass
@@ -50,28 +47,31 @@ class Heatmap:
 @dataclass(frozen=True)
 class CamRequest:
     method: str = "icam"
-    smooth: str = None          # icam only; None = softmax
-    bias: str = "channel"       # icam only
+    smooth: str = None          # icam only; icam's default is softmax
+    bias: str = None            # icam only; icam's default is channel
     layers: tuple = None        # explicit scoring points; None = automatic
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.smooth is not None and self.method != "icam":
-            raise ValueError(f"smooth applies to icam only; {self.method} "
-                             f"has a fixed form")
-        if self.smooth is not None and self.smooth not in SMOOTHS:
-            raise ValueError(f"unknown smooth {self.smooth!r}")
-        if self.bias not in BIAS_MODES:
-            raise ValueError(f"unknown bias mode {self.bias!r}")
+        if self.method != "icam":
+            for name in ("smooth", "bias"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies to icam only; "
+                                     f"{self.method} has a fixed form")
+        else:   # fill in the defaults, so every reader sees the values that run
+            if self.smooth is None:
+                object.__setattr__(self, "smooth", "softmax")
+            if self.bias is None:
+                object.__setattr__(self, "bias", "channel")
+            if self.smooth not in SMOOTHS:
+                raise ValueError(f"unknown smooth {self.smooth!r}")
+            if self.bias not in BIAS_MODES:
+                raise ValueError(f"unknown bias mode {self.bias!r}")
         if self.layers is not None and (isinstance(self.layers, str)
                                         or len(self.layers) == 0):
             raise ValueError(f"layers must be None or a non-empty sequence "
                              f"of layer names, got {self.layers!r}")
-
-    @property
-    def effective_smooth(self) -> str:
-        return self.smooth if self.smooth is not None else DEFAULT_SMOOTH[self.method]
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +157,18 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
     """
     a, g = trace.activations[layer][0], trace.gradients[layer][0]
     logits, c = trace.logits[0], trace.class_index
-    method = request.method
-    if method == "gradcam":
+    if request.method == "gradcam":
         w = g.mean(axis=(1, 2), keepdims=True)
-    elif method == "layercam":
+    elif request.method == "layercam":
         w = np.maximum(g, 0.0)
-    elif method == "gradcampp":
+    elif request.method == "gradcampp":
         w = (generalized_alpha(1.0, 1.0, g, a) * np.maximum(g, 0.0)
              ).sum(axis=(1, 2), keepdims=True)
     else:
-        _, f1, f2, f3 = smooth_table(request.effective_smooth, logits, c)
+        _, f1, f2, f3 = smooth_table(request.smooth, logits, c)
         w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
     raw = (w * a).sum(axis=0)
-    if method == "icam" and request.bias == "channel":
+    if request.bias == "channel":
         raw = raw + bias_term(float(logits[c]), w, a).sum()
     return np.maximum(raw, 0.0)
 

@@ -58,7 +58,8 @@ def _add_common(p, with_method=True):
         p.add_argument("--method", choices=cam.METHODS, default="icam")
         p.add_argument("--smooth", choices=cam.SMOOTHS, default=None,
                        help="I-CAM's smooth function (default softmax)")
-        p.add_argument("--bias", choices=cam.BIAS_MODES, default="channel")
+        p.add_argument("--bias", choices=cam.BIAS_MODES, default=None,
+                       help="I-CAM's bias term (default channel)")
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
     p.add_argument("--n-perturb", type=_AT_LEAST_ONE, default=DEFAULT_N)
@@ -84,12 +85,6 @@ def _write_json(obj, path):
         f.write("\n")
 
 
-def _request(args):
-    return cam.CamRequest(method=args.method, smooth=args.smooth,
-                          bias=args.bias,
-                          layers=tuple(args.layers) if args.layers else None)
-
-
 def _perturb_config(args):
     return PerturbationConfig(n=args.n_perturb, alpha=args.alpha, seed=args.seed)
 
@@ -98,12 +93,12 @@ def cmd_explain(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    request = _request(args)
     config = _perturb_config(args)
-    result = pipeline.explain(model, image, request, config, args.threshold)
+    result = pipeline.explain(model, image, args.request, config,
+                              args.threshold)
 
     _write_heatmap(rgb, result.heatmap, args.out_prefix, args.blend)
-    _write_json(pipeline.sidecar_dict(result, request, config),
+    _write_json(pipeline.sidecar_dict(result, args.request, config),
                 f"{args.out_prefix}.json")
     print(f"class {result.class_index}  probability {result.probability:.6f}  "
           f"layers {','.join(result.layers)}")
@@ -133,7 +128,7 @@ def cmd_eval(args):
     records = pipeline.parse_manifest(args.manifest, model.spec.input_shape,
                                       model.spec.num_classes)
     summary = pipeline.evaluate_manifest(
-        model, records, _request(args), _perturb_config(args),
+        model, records, args.request, _perturb_config(args),
         args.threshold, args.iou_threshold_frac)
     _write_json(summary, args.out)
     print(json.dumps(summary, sort_keys=True, indent=2))
@@ -146,12 +141,13 @@ def cmd_compare(args):
     image = pipeline.image_from_rgb(rgb)
     trace, report = pipeline.score(model, image, _perturb_config(args),
                                    args.threshold)
-    # icam maps its selection, the others the final point (bias is icam's)
+    # icam maps its selection with --bias, the others the final point
     final = {model.spec.scoring_points[-1]: 1.0}
-    heatmaps = [pipeline.explain_trace(
-        trace, cam.CamRequest(m, bias=args.bias),
-        report.layer_weights if m == "icam" else final).heatmap
-        for m in cam.METHODS]
+    plans = {m: (cam.CamRequest(m), final) for m in cam.METHODS}
+    plans["icam"] = (cam.CamRequest("icam", bias=args.bias),
+                     report.layer_weights)
+    heatmaps = [pipeline.explain_trace(trace, *plans[m]).heatmap
+                for m in cam.METHODS]
     overlays = [_write_heatmap(rgb, h, f"{args.out_prefix}_{m}", args.blend)
                 for m, h in zip(cam.METHODS, heatmaps)]
     strip = np.concatenate(overlays, axis=1)
@@ -211,7 +207,8 @@ def build_parser():
     p = sub.add_parser("compare", help="all four methods on one image")
     _add_common(p, with_method=False)
     p.add_argument("--image", required=True)
-    p.add_argument("--bias", choices=cam.BIAS_MODES, default="channel")
+    p.add_argument("--bias", choices=cam.BIAS_MODES, default=None,
+                   help="I-CAM's bias term (default channel)")
     p.add_argument("--out-prefix", default="compare")
     p.add_argument("--blend", type=_UNIT_CLOSED, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_compare)
@@ -233,9 +230,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "smooth", None) and args.method != "icam":
-        parser.error(f"--smooth applies to --method icam only, "
-                     f"not {args.method}")
+    if "method" in args:   # explain, eval: refuse a request before any read
+        try:
+            args.request = cam.CamRequest(
+                args.method, smooth=args.smooth, bias=args.bias,
+                layers=tuple(args.layers) if args.layers else None)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

@@ -110,12 +110,12 @@ def layer_weights(scores: dict, selected) -> dict:
 def score_layers(trace: ForwardTrace, weights,
                  threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
     """Score, filter and weight the layers of an image's perturbation trace."""
-    scores = layer_importance(trace, weights)
-    if not np.any(weights):
+    if not np.any(weights):   # every score would be zero: score nothing
         raise NoInformativeLayersError(
             "no informative layers: every perturbation weight is zero (MDS "
             "clamps to 0 once a perturbation moves the prediction by >= 1 "
             "nat); name the layers to map")
+    scores = layer_importance(trace, weights)
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),

@@ -115,9 +115,8 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
         "class": result.class_index,
         "probability": result.probability,
         "method": request.method,
-        "smooth": request.effective_smooth,
-        # only icam adds a bias term (README step 4)
-        "bias": request.bias if request.method == "icam" else "none",
+        "smooth": request.smooth,
+        "bias": request.bias,
         "layers": result.layers,
         "zero_maps": result.zero_maps,
     }

@@ -315,11 +315,24 @@ class TestFuse:
 
 class TestRequestAndDispatch:
     def test_default_smooths(self):
-        assert cam.CamRequest("gradcam").effective_smooth == "identity"
-        assert cam.CamRequest("gradcampp").effective_smooth == "exp"
-        assert cam.CamRequest("layercam").effective_smooth == "identity"
-        assert cam.CamRequest("icam").effective_smooth == "softmax"
-        assert cam.CamRequest("icam", smooth="exp").effective_smooth == "exp"
+        # the request holds the values that run: icam's, or none at all
+        for method in ("gradcam", "gradcampp", "layercam"):
+            req = cam.CamRequest(method)
+            assert (req.smooth, req.bias) == (None, None)
+        req = cam.CamRequest("icam")
+        assert (req.smooth, req.bias) == ("softmax", "channel")
+        req = cam.CamRequest("icam", smooth="exp", bias="none")
+        assert (req.smooth, req.bias) == ("exp", "none")
+
+    def test_icam_defaults_equal_their_explicit_values(self):
+        # one map, one request value: the defaults are filled in, not kept
+        implicit = cam.CamRequest("icam")
+        explicit = cam.CamRequest("icam", smooth="softmax", bias="channel")
+        assert implicit == explicit and hash(implicit) == hash(explicit)
+        assert cam.CamRequest("icam", smooth="exp") \
+            == cam.CamRequest("icam", smooth="exp", bias="channel")
+        assert cam.CamRequest("icam", bias="none") \
+            != cam.CamRequest("icam", bias="channel")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -344,10 +357,12 @@ class TestRequestAndDispatch:
 
     @pytest.mark.parametrize("method", ["gradcam", "layercam"])
     def test_identity_smooth_kept_where_alpha_is_unused(self, method):
-        # their fixed form is the identity's f' = 1, and the sidecar says so
+        # their fixed form is the identity's f' = 1; the request names no
+        # smooth for it, and refuses the identity by name
         req = cam.CamRequest(method)
         assert req.smooth is None
-        assert req.effective_smooth == "identity"
+        with pytest.raises(ValueError, match="icam only"):
+            cam.CamRequest(method, smooth="identity")
 
     @pytest.mark.parametrize("method", ["gradcam", "gradcampp", "layercam"])
     def test_smooth_is_icam_only(self, method):
@@ -372,8 +387,9 @@ class TestSingleLayerMap:
 
     @pytest.mark.parametrize("layer", ["block1", "block2", "block3"])
     @pytest.mark.parametrize("method, bias", [
-        ("gradcam", "channel"), ("layercam", "channel"),
-        ("gradcampp", "channel"), ("icam", "none"), ("icam", "channel")])
+        *(pytest.param(m, None, id=m)
+          for m in ("gradcam", "layercam", "gradcampp")),
+        ("icam", "none"), ("icam", "channel")])
     def test_matches_loop_oracle(self, logit_trace, method, bias, layer):
         tr = logit_trace
         req = cam.CamRequest(method, bias=bias)
@@ -383,8 +399,8 @@ class TestSingleLayerMap:
         # = f''' = 1 (Grad-CAM++'s exp closed form)
         f1 = f2 = f3 = 1.0
         if method == "icam":
-            _, f1, f2, f3 = cam.smooth_table(req.effective_smooth,
-                                             tr.logits[0], tr.class_index)
+            _, f1, f2, f3 = cam.smooth_table(req.smooth, tr.logits[0],
+                                             tr.class_index)
         ref = {
             "gradcam": lambda: naive_gradcam_map(a, g, f1),
             "layercam": lambda: naive_layercam_map(a, g, f1),
@@ -398,7 +414,11 @@ class TestSingleLayerMap:
         assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_bias_applies_to_icam_only(self, logit_trace):
+        # the Grad-CAM family adds no bias term, so it refuses every mode
         for method in ("gradcam", "gradcampp", "layercam"):
-            maps = [layer_map(logit_trace, "block2", method, bias=b)
-                    for b in cam.BIAS_MODES]
-            assert all(np.array_equal(maps[0], m) for m in maps[1:])
+            for b in cam.BIAS_MODES:
+                with pytest.raises(ValueError, match=f"^bias applies to icam "
+                                                     f"only; {method} has a "
+                                                     f"fixed form$"):
+                    layer_map(logit_trace, "block2", method, bias=b)
+            assert cam.CamRequest(method).bias is None

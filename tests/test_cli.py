@@ -221,8 +221,10 @@ class TestCompare:
                      "--out-prefix", str(tmp_path / "cmp")]) == 0
         image = pipeline.image_from_rgb(rgb)
         config = PerturbationConfig(n=3, seed=42)
-        for method in cam.METHODS:
-            request = cam.CamRequest(method, bias=bias)
+        # --bias is icam's; the Grad-CAM family takes none
+        requests = {m: cam.CamRequest(m) for m in cam.METHODS}
+        requests["icam"] = cam.CamRequest("icam", bias=bias)
+        for method, request in requests.items():
             oracle = pipeline.explain(model, image, request, config)
             assert written[method].tobytes() == oracle.heatmap.values.tobytes()
         assert list(written) == list(cam.METHODS)
@@ -644,13 +646,16 @@ class TestUserErrors:
                                             "label": 0}) + "\n")
             io = ("--manifest", str(manifest), "--out",
                   str(tmp_path / "out.json"))
-        proc = self._run_process(command, "--model", workspace[1], *io,
-                                 "--method", method, "--smooth", "exp")
-        assert proc.returncode == 2   # argparse's usage error
-        assert proc.stderr.endswith(f"error: --smooth applies to --method "
-                                    f"icam only, not {method}\n")
-        assert "Traceback" not in proc.stderr
-        assert not list(tmp_path.glob("out*"))
+        # --bias is icam's too, so every mode of it is refused like --smooth
+        for name, value in (("smooth", "exp"), ("bias", "none"),
+                            ("bias", "channel")):
+            proc = self._run_process(command, "--model", workspace[1], *io,
+                                     "--method", method, f"--{name}", value)
+            assert proc.returncode == 2   # argparse's usage error
+            assert proc.stderr.endswith(f"error: {name} applies to icam "
+                                        f"only; {method} has a fixed form\n")
+            assert "Traceback" not in proc.stderr
+            assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("args, message", [
         (("--method", "gradcampp"), None),   # scale-free: a heatmap, exit 0

@@ -221,6 +221,26 @@ class TestNoInformativeLayers:
                                  "weight is zero"):
             layerscore.score_layers(tr, np.zeros(2))
 
+    def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
+                                                      monkeypatch):
+        # zero weights zero every score, so the layers are not scored at all
+        calls = []
+        importance = layerscore.layer_importance
+
+        def counting(*args):
+            calls.append(args)
+            return importance(*args)
+
+        monkeypatch.setattr(layerscore, "layer_importance", counting)
+        img = np.random.default_rng(9).random((3, 32, 32))
+        tr = forward_trace(fixture_model, np.stack([img, img, img]))
+        with pytest.raises(layerscore.NoInformativeLayersError,
+                           match="every perturbation weight is zero"):
+            layerscore.score_layers(tr, np.zeros(2))
+        assert len(calls) == 0
+        layerscore.score_layers(tr, np.array([0.0, 0.5]))
+        assert len(calls) == 1
+
     def test_saturated_head_keeps_the_scores_message(self):
         # head scaled by 10^3: the weights are non-zero, the gradients are 0
         model = build_fixture_model(42)

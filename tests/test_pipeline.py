@@ -212,8 +212,8 @@ def saturated_model():
     return _head_scaled_model(2000.0)
 
 
-# only icam takes a smooth; the Grad-CAM family runs its fixed form, which
-# the id names by the smooth its sidecar writes
+# only icam takes a smooth and a bias; the Grad-CAM family runs its fixed
+# form, with neither
 FAMILY = [m for m in cam.METHODS if m != "icam"]
 
 
@@ -221,8 +221,7 @@ class TestSaturatedHead:
     @pytest.mark.parametrize("layers", [None, ("block1", "block2", "block3")],
                              ids=["auto", "explicit"])
     @pytest.mark.parametrize("method, smooth", [
-        *(pytest.param(m, None, id=f"{m}-{cam.DEFAULT_SMOOTH[m]}")
-          for m in FAMILY),
+        *(pytest.param(m, None, id=m) for m in FAMILY),
         *(pytest.param("icam", s, id=f"icam-{s}") for s in cam.SMOOTHS)])
     def test_finite_map_or_named_error(self, saturated_model, image, method,
                                        smooth, layers):
@@ -250,9 +249,7 @@ class TestHeadScale:
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-3, 5)],
                              ids=[f"1e{k}" for k in range(-3, 5)])
     @pytest.mark.parametrize("method, bias, smooth", [
-        *(pytest.param(m, "channel", None,
-                       id=f"{m}-channel-{cam.DEFAULT_SMOOTH[m]}")
-          for m in FAMILY),
+        *(pytest.param(m, None, None, id=m) for m in FAMILY),
         *(pytest.param("icam", b, s, id=f"icam-{b}-{s}")
           for b in cam.BIAS_MODES for s in cam.SMOOTHS)])
     def test_finite_map_or_named_error(self, image, method, bias, smooth,
@@ -322,13 +319,24 @@ class TestSidecar:
         assert blob["n"] == 2 and blob["seed"] == 42
 
     def test_gradcam_has_no_layer_scores(self, model, image):
-        # gradcam adds no bias term, whatever bias mode the request carries
-        req = cam.CamRequest("gradcam", bias="channel")
+        # gradcam takes no smooth and no bias, and the sidecar names none
+        req = cam.CamRequest("gradcam")
         result = pipeline.explain(model, image, req)
         d = pipeline.sidecar_dict(result, req, small_config())
         assert "layer_scores" not in d
-        assert d["bias"] == "none"
-        assert json.dumps(d)  # serializable
+        assert d["smooth"] is None and d["bias"] is None
+        assert '"smooth": null' in json.dumps(d)
+
+    @pytest.mark.parametrize("req", [
+        *(pytest.param(cam.CamRequest(m), id=m) for m in cam.METHODS),
+        pytest.param(cam.CamRequest("icam", smooth="exp", bias="none"),
+                     id="icam-exp-none")])
+    def test_settings_rebuild_the_request_that_ran(self, model, image, req):
+        cfg = small_config()
+        d = json.loads(json.dumps(pipeline.sidecar_dict(
+            pipeline.explain(model, image, req, cfg), req, cfg)))
+        assert cam.CamRequest(d["method"], smooth=d["smooth"],
+                              bias=d["bias"]) == req
 
 
 class TestManifest:
