@@ -62,6 +62,7 @@ def _add_common(p, with_method=True):
                        help="I-CAM's bias term (default channel)")
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
+        p.set_defaults(parser=p)   # main reports a refused request with it
     p.add_argument("--n-perturb", type=_AT_LEAST_ONE, default=DEFAULT_N)
     p.add_argument("--alpha", type=_UNIT_CLOSED, default=DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=42)
@@ -110,8 +111,7 @@ def cmd_score_layers(args):
     image = pipeline.image_from_rgb(render.read_ppm(args.image))
     config = _perturb_config(args)
     _, report = pipeline.score(model, image, config, args.threshold)
-    _write_json(report.to_json_dict(n=config.n, alpha=config.alpha,
-                                    seed=config.seed), args.out)
+    _write_json(report.to_json_dict(config), args.out)
 
     print(f"{'layer':<12}{'score':>14}{'selected':>10}{'weight':>12}")
     ranked = sorted(report.scores, key=lambda n: -report.scores[n])
@@ -141,13 +141,10 @@ def cmd_compare(args):
     image = pipeline.image_from_rgb(rgb)
     trace, report = pipeline.score(model, image, _perturb_config(args),
                                    args.threshold)
-    # icam maps its selection with --bias, the others the final point
-    final = {model.spec.scoring_points[-1]: 1.0}
-    plans = {m: (cam.CamRequest(m), final) for m in cam.METHODS}
-    plans["icam"] = (cam.CamRequest("icam", bias=args.bias),
-                     report.layer_weights)
-    heatmaps = [pipeline.explain_trace(trace, *plans[m]).heatmap
-                for m in cam.METHODS]
+    requests = [cam.CamRequest(m, bias=args.bias if m == "icam" else None)
+                for m in cam.METHODS]   # --bias is icam's alone
+    heatmaps = [pipeline.explain_trace(trace, r, report).heatmap
+                for r in requests]
     overlays = [_write_heatmap(rgb, h, f"{args.out_prefix}_{m}", args.blend)
                 for m, h in zip(cam.METHODS, heatmaps)]
     strip = np.concatenate(overlays, axis=1)
@@ -228,15 +225,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if "method" in args:   # explain, eval: refuse a request before any read
         try:
             args.request = cam.CamRequest(
                 args.method, smooth=args.smooth, bias=args.bias,
                 layers=tuple(args.layers) if args.layers else None)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

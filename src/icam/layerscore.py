@@ -1,4 +1,4 @@
-"""Per-layer importance scoring, redundant-layer filtering, layer weights.
+"""Per-layer importance scoring and the layer plan: selection and weights.
 
 A layer's score is the perturbation-weighted L2 distance between the
 input-gradient saliency magnitude map and the layer's gradient-weighted
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardTrace
+from .perturb import PerturbationConfig
 from .render import bilinear_resize
 
 DEFAULT_THRESHOLD = 0.95
@@ -31,15 +32,15 @@ class LayerScoreReport:
     layer_weights: dict   # selected layer name -> W_l, in selection order
     threshold: float
 
-    def to_json_dict(self, n, alpha, seed):
+    def to_json_dict(self, config: PerturbationConfig):
         return {
             "scores": {k: float(v) for k, v in self.scores.items()},
             "selected": list(self.layer_weights),
             "weights": {k: float(v) for k, v in self.layer_weights.items()},
             "threshold": self.threshold,
-            "n": n,
-            "alpha": alpha,
-            "seed": seed,
+            "n": config.n,
+            "alpha": config.alpha,
+            "seed": config.seed,
         }
 
 
@@ -74,19 +75,17 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
     return scores
 
 
-def filter_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> list:
-    """Minimal descending-score prefix whose cumulative sum reaches T * total.
-
-    Ties sort stably by declaration order of the scores mapping.
-    """
+def select_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> dict:
+    """The layer plan {name: W_l = S_l / cum} over the minimal descending-score
+    prefix whose cumulative sum `cum` reaches T * total, in selection order.
+    Ties sort stably by declaration order of the scores mapping."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0,1], got {threshold}")
-    names = list(scores)
-    total = sum(scores[n] for n in names)
+    total = sum(scores.values())
     if total <= 0.0:
         raise NoInformativeLayersError("no informative layers: all scores "
                                        "are zero; name the layers to map")
-    ranked = sorted(names, key=lambda n: -scores[n])  # stable for ties
+    ranked = sorted(scores, key=lambda n: -scores[n])  # stable for ties
     selected = []
     cum = 0.0
     for name in ranked:
@@ -94,22 +93,12 @@ def filter_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> list:
         cum += scores[name]
         if cum >= threshold * total:
             break
-    return selected
-
-
-def layer_weights(scores: dict, selected) -> dict:
-    """W_l = S_l / sum of selected scores, over the selection."""
-    if not selected:
-        raise ValueError("empty selection")
-    total = sum(scores[n] for n in selected)
-    if total <= 0.0:
-        raise NoInformativeLayersError("selected scores sum to zero")
-    return {n: scores[n] / total for n in selected}
+    return {n: scores[n] / cum for n in selected}
 
 
 def score_layers(trace: ForwardTrace, weights,
                  threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
-    """Score, filter and weight the layers of an image's perturbation trace."""
+    """Score, select and weigh the layers of an image's perturbation trace."""
     if not np.any(weights):   # every score would be zero: score nothing
         raise NoInformativeLayersError(
             "no informative layers: every perturbation weight is zero (MDS "
@@ -119,6 +108,6 @@ def score_layers(trace: ForwardTrace, weights,
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),
-        layer_weights=layer_weights(scores, filter_layers(scores, threshold)),
+        layer_weights=select_layers(scores, threshold),
         threshold=threshold,
     )

@@ -25,7 +25,7 @@ class ExplainResult:
     probability: float
     report: layerscore.LayerScoreReport  # None unless automatic icam
     layers: list                   # scoring points that fed the map
-    zero_maps: list                # layers whose map is all zero after relu
+    zero_maps: list                # flat maps, which fuse's min-max zeroes
 
 
 def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -40,8 +40,8 @@ class UnknownLayerError(KeyError):
         return str(self.args[0])   # KeyError's own str would quote it
 
 
-def _resolve_layers(model: Model, layers):
-    points = model.spec.scoring_points
+def _resolve_layers(points, layers):
+    """The named layers among `points`, each once ("final" = the last)."""
     if layers is None:
         return None
     resolved = []
@@ -75,36 +75,37 @@ def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             perturb_config: PerturbationConfig = None,
             threshold: float = layerscore.DEFAULT_THRESHOLD,
             class_index=None) -> ExplainResult:
-    """Compute the normalized input-resolution heatmap for one image.
-
-    I-CAM without an explicit layer list scores the layers first (`score`)
-    and maps the selection; every other configuration maps the requested
-    layers (default: the final scoring point) and fuses them with equal
-    weights when there is more than one. Either way the engine runs once.
-    """
-    layers = _resolve_layers(model, request.layers)
-    if request.method == "icam" and layers is None:
+    """The normalized input-resolution heatmap for one image, from one engine
+    run: `score` for automatic I-CAM, else the image alone. An unknown layer
+    fails before the engine runs."""
+    _resolve_layers(model.spec.scoring_points, request.layers)
+    if request.method == "icam" and request.layers is None:
         trace, report = score(model, image, perturb_config, threshold,
                               class_index)
-        return explain_trace(trace, request, report.layer_weights, report)
+        return explain_trace(trace, request, report)
     image = check_images(model, image, ndims=(3,))
     trace = forward_trace(model, image, class_index=class_index)
-    layers = layers or [model.spec.scoring_points[-1]]
-    return explain_trace(trace, request,
-                         {name: 1.0 / len(layers) for name in layers})
+    return explain_trace(trace, request)
 
 
-def explain_trace(trace: ForwardTrace, request: cam.CamRequest, weights: dict,
+def explain_trace(trace: ForwardTrace, request: cam.CamRequest,
                   report: layerscore.LayerScoreReport = None) -> ExplainResult:
-    """Map each layer of `weights`, in key order, from row 0 and fuse them.
-
-    Row 0 of an [image; perturbations] trace is the lone image's trace bit
-    for bit (every matmul runs per row), so it serves every method.
-    """
+    """Map the request's layers from row 0 of `trace` and fuse them: for
+    automatic I-CAM with `report`'s layer weights, else the named layers
+    (default: the trace's last scoring point) equally, with no report. Row 0
+    of an [image; perturbations] trace is the lone image's trace bit for bit
+    (every matmul runs per row), so it serves every method."""
+    if request.method == "icam" and request.layers is None:
+        weights = report.layer_weights
+    else:
+        points = list(trace.activations)
+        layers = _resolve_layers(points, request.layers) or points[-1:]
+        weights = {name: 1.0 / len(layers) for name in layers}
+        report = None
     c = trace.class_index
     maps = {name: cam.single_layer_map(trace, request, name) for name in weights}
     fused = cam.fuse(maps, weights, *trace.image.shape[-2:])
-    zero_maps = [name for name, m in maps.items() if not m.any()]
+    zero_maps = [name for name, m in maps.items() if m.max() == m.min()]
     return ExplainResult(fused, c, float(trace.probabilities[0, c]), report,
                          list(weights), zero_maps)
 
@@ -121,9 +122,7 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
         "zero_maps": result.zero_maps,
     }
     if result.report is not None:
-        out["layer_scores"] = result.report.to_json_dict(
-            n=perturb_config.n, alpha=perturb_config.alpha,
-            seed=perturb_config.seed)
+        out["layer_scores"] = result.report.to_json_dict(perturb_config)
     return out
 
 
@@ -207,7 +206,8 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     heatmap is all zero.
     """
     _, in_h, in_w = model.spec.input_shape
-    _resolve_layers(model, request.layers)   # fail before any record is read
+    # an unknown layer fails before any record is read
+    _resolve_layers(model.spec.scoring_points, request.layers)
     ious, saliencies = [], []   # one entry per correct prediction
     zero_heatmaps = 0
     for start in range(0, len(records), PREDICT_ROWS):

@@ -141,9 +141,8 @@ def test_06_gradcampp_alpha_vs_finite_differences():
 def test_07_layer_filtering():
     from icam import layerscore
     scores = {"a": 0.5, "b": 0.3, "c": 0.15, "d": 0.05}
-    selected = layerscore.filter_layers(scores, 0.95)
-    assert len(selected) == 3
-    w = layerscore.layer_weights(scores, selected)
+    w = layerscore.select_layers(scores, 0.95)
+    assert len(w) == 3
     assert abs(w["a"] - 10 / 19) < 1e-12
     assert abs(w["b"] - 6 / 19) < 1e-12
     assert abs(w["c"] - 3 / 19) < 1e-12
@@ -152,12 +151,11 @@ def test_07_layer_filtering():
     for _ in range(100):
         sc = {f"l{i}": float(v) for i, v in enumerate(rng.random(6) + 1e-3)}
         t = float(rng.uniform(0.3, 0.99))
-        sel = layerscore.filter_layers(sc, t)
-        ws = layerscore.layer_weights(sc, sel)
+        ws = layerscore.select_layers(sc, t)
         assert abs(sum(ws.values()) - 1.0) < 1e-12
         scale = float(rng.uniform(0.1, 50.0))
-        assert layerscore.filter_layers(
-            {k: scale * v for k, v in sc.items()}, t) == sel
+        assert list(layerscore.select_layers(
+            {k: scale * v for k, v in sc.items()}, t)) == list(ws)
     _report(7, "threshold filtering selects {a,b,c} with weights "
                "{10/19, 6/19, 3/19}; weights sum to 1 and selection is "
                "rescale-invariant on 100 random score vectors")

@@ -646,15 +646,20 @@ class TestUserErrors:
                                             "label": 0}) + "\n")
             io = ("--manifest", str(manifest), "--out",
                   str(tmp_path / "out.json"))
+        # the subcommand's usage, as argparse prints it for its own errors
+        own = self._run_process(command, "--model", workspace[1], *io,
+                                "--bias", "spatial").stderr
+        usage = own[:own.index(f"icam {command}: error: ")]
+        assert usage.startswith(f"usage: icam {command} [-h] --model MODEL")
         # --bias is icam's too, so every mode of it is refused like --smooth
         for name, value in (("smooth", "exp"), ("bias", "none"),
                             ("bias", "channel")):
             proc = self._run_process(command, "--model", workspace[1], *io,
                                      "--method", method, f"--{name}", value)
             assert proc.returncode == 2   # argparse's usage error
-            assert proc.stderr.endswith(f"error: {name} applies to icam "
-                                        f"only; {method} has a fixed form\n")
-            assert "Traceback" not in proc.stderr
+            assert proc.stderr == (f"{usage}icam {command}: error: {name} "
+                                   f"applies to icam only; {method} has a "
+                                   f"fixed form\n")
             assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("args, message", [
@@ -683,3 +688,22 @@ class TestUserErrors:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
+
+
+def test_every_named_error_reaches_the_handler():
+    """Every exception an icam module defines ends a command with one
+    `error: ...` line, not a traceback."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import icam
+    errors = []
+    for info in pkgutil.iter_modules(icam.__path__):
+        module = importlib.import_module(f"icam.{info.name}")
+        errors += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                   if c.__module__ == module.__name__
+                   and issubclass(c, Exception)]
+    assert "NoInformativeLayersError" in [e.__name__ for e in errors]
+    assert [e.__name__ for e in errors
+            if not issubclass(e, cli._USER_ERRORS)] == []

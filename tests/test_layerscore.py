@@ -131,22 +131,28 @@ class TestLayerImportance:
             layerscore.layer_importance(tr, [])
 
 
+def selected(scores, threshold=layerscore.DEFAULT_THRESHOLD):
+    return list(layerscore.select_layers(scores, threshold))
+
+
 class TestFilterLayers:
+    """select_layers' selection: its keys, in selection order."""
+
     def test_worked_example(self):
         scores = {"a": 0.5, "b": 0.3, "c": 0.15, "d": 0.05}
-        assert layerscore.filter_layers(scores, 0.95) == ["a", "b", "c"]
+        assert selected(scores, 0.95) == ["a", "b", "c"]
 
     def test_threshold_one_keeps_all_informative(self):
         # zero-score layers are never needed to reach the cumulative total
         scores = {"a": 0.5, "b": 0.3, "c": 0.0, "d": 0.2}
-        assert set(layerscore.filter_layers(scores, 1.0)) == {"a", "b", "d"}
+        assert set(selected(scores, 1.0)) == {"a", "b", "d"}
 
     def test_single_layer(self):
-        assert layerscore.filter_layers({"only": 2.0}, 0.95) == ["only"]
+        assert selected({"only": 2.0}, 0.95) == ["only"]
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="no informative layers"):
-            layerscore.filter_layers({"a": 0.0, "b": 0.0}, 0.95)
+            layerscore.select_layers({"a": 0.0, "b": 0.0}, 0.95)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
@@ -154,8 +160,7 @@ class TestFilterLayers:
             scores = {f"l{i}": float(v)
                       for i, v in enumerate(rng.random(5) + 1e-3)}
             scaled = {k: 7.25 * v for k, v in scores.items()}
-            assert layerscore.filter_layers(scores) == \
-                layerscore.filter_layers(scaled)
+            assert selected(scores) == selected(scaled)
 
     def test_prefix_minimality(self):
         rng = np.random.default_rng(7)
@@ -163,7 +168,7 @@ class TestFilterLayers:
             scores = {f"l{i}": float(v)
                       for i, v in enumerate(rng.random(6) + 1e-3)}
             t = float(rng.uniform(0.3, 0.99))
-            sel = layerscore.filter_layers(scores, t)
+            sel = selected(scores, t)
             total = sum(scores.values())
             cum = sum(scores[n] for n in sel)
             assert cum >= t * total
@@ -172,27 +177,30 @@ class TestFilterLayers:
 
     def test_stable_tie_break(self):
         scores = {"first": 0.5, "second": 0.5}
-        assert layerscore.filter_layers(scores, 0.4) == ["first"]
+        assert selected(scores, 0.4) == ["first"]
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0 + 1e-12, 2.0])
     def test_threshold_outside_unit_interval(self, threshold):
         with pytest.raises(ValueError, match=r"threshold must be in \(0,1\]"):
-            layerscore.filter_layers({"a": 0.5, "b": 0.3}, threshold)
+            layerscore.select_layers({"a": 0.5, "b": 0.3}, threshold)
 
 
 class TestLayerWeights:
+    """select_layers' weights: W_l = S_l / the selected scores' sum."""
+
     def test_worked_example(self):
         scores = {"a": 0.5, "b": 0.3, "c": 0.15, "d": 0.05}
-        w = layerscore.layer_weights(scores, ["a", "b", "c"])
+        w = layerscore.select_layers(scores, 0.95)
         assert abs(w["a"] - 10 / 19) < 1e-12
         assert abs(w["b"] - 6 / 19) < 1e-12
         assert abs(w["c"] - 3 / 19) < 1e-12
 
     def test_single_selected(self):
-        assert layerscore.layer_weights({"a": 0.4, "b": 0.1}, ["a"]) == {"a": 1.0}
+        assert layerscore.select_layers({"a": 0.4, "b": 0.1}, 0.5) == \
+            {"a": 1.0}
 
     def test_equal_scores_equal_weights(self):
-        w = layerscore.layer_weights({"a": 0.2, "b": 0.2}, ["a", "b"])
+        w = layerscore.select_layers({"a": 0.2, "b": 0.2}, 1.0)
         assert w["a"] == w["b"] == 0.5
 
     def test_weights_sum_to_one(self):
@@ -200,14 +208,22 @@ class TestLayerWeights:
         for _ in range(100):
             scores = {f"l{i}": float(v)
                       for i, v in enumerate(rng.random(5) + 1e-3)}
-            sel = layerscore.filter_layers(scores)
-            w = layerscore.layer_weights(scores, sel)
+            w = layerscore.select_layers(scores)
             assert abs(sum(w.values()) - 1.0) < 1e-12
             assert all(v > 0 for v in w.values())
 
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            layerscore.layer_weights({"a": 1.0}, [])
+    def test_divides_by_the_left_to_right_selected_sum(self):
+        # bit for bit the division by the selected scores added in
+        # selection order, one float addition at a time
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            scores = {f"l{i}": float(v)
+                      for i, v in enumerate(rng.random(6) + 1e-3)}
+            w = layerscore.select_layers(scores, float(rng.uniform(0.3, 1.0)))
+            total = 0.0
+            for name in w:
+                total += scores[name]
+            assert w == {name: scores[name] / total for name in w}
 
 
 class TestNoInformativeLayers:
@@ -263,10 +279,11 @@ def test_report_json_round_trip(fixture_model):
     img = np.random.default_rng(9).random((3, 32, 32))
     tr = forward_trace(fixture_model, np.stack([img, img]))
     report = layerscore.score_layers(tr, [0.5])
-    parsed = json.loads(json.dumps(report.to_json_dict(n=1, alpha=0.4,
-                                                       seed=9)))
+    config = PerturbationConfig(n=1, alpha=0.4, seed=9)
+    parsed = json.loads(json.dumps(report.to_json_dict(config)))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}
+    assert (parsed["n"], parsed["alpha"], parsed["seed"]) == (1, 0.4, 9)
     assert abs(sum(parsed["weights"].values()) - 1.0) < 1e-12
-    # the selection in descending-score order, as filter_layers made it
-    assert parsed["selected"] == layerscore.filter_layers(report.scores)
+    # the selection in descending-score order, as select_layers made it
+    assert parsed["selected"] == selected(report.scores)

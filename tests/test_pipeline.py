@@ -163,6 +163,14 @@ class TestEngineCalls:
                      str(tmp_path / "cmp")]) == 0
         assert engine_calls == [(6, 3, 32, 32)]
 
+    @pytest.mark.parametrize("method", cam.METHODS)
+    def test_unknown_layer_fails_before_the_engine(self, model, image, method,
+                                                   engine_calls):
+        req = cam.CamRequest(method, layers=("block1", "block7"))
+        with pytest.raises(pipeline.UnknownLayerError):
+            pipeline.explain(model, image, req, small_config())
+        assert engine_calls == []
+
     def test_score_layers_is_one_call_and_maps_nothing(
             self, model, tmp_path, engine_calls, monkeypatch):
         maps = []
@@ -268,8 +276,9 @@ class TestHeadScale:
 
 
 class TestZeroMaps:
-    """The layers whose map is all zero after the relu; on fixture seed 7
-    the channel bias clears every default I-CAM map."""
+    """The layers whose map is flat, so that it adds nothing to the fused
+    heatmap; on fixture seed 7 the channel bias clears every default I-CAM
+    map."""
 
     def test_default_icam_reports_every_layer(self, model, image):
         cfg = small_config()
@@ -294,6 +303,15 @@ class TestZeroMaps:
         result = pipeline.explain(build_fixture_model(0), image, req)
         assert result.zero_maps == ["block1"]
         assert result.heatmap.values.any()
+
+    def test_flat_non_zero_maps_are_listed(self, image):
+        # head x100: the softmax saturates, so f', f'' and f''' are 0 and
+        # each map is the constant relu(bias), which fuse's min-max zeroes
+        result = pipeline.explain(_head_scaled_model(100.0), image,
+                                  cam.CamRequest("icam"))
+        assert result.layers == ["block1", "block2", "block3"]
+        assert result.zero_maps == result.layers
+        assert not result.heatmap.values.any()
 
     @pytest.mark.parametrize("bias, zeros", [("channel", 2), ("none", 0)])
     def test_eval_counts_zero_heatmaps(self, tmp_path, model, bias, zeros):
