@@ -82,39 +82,29 @@ class SmoothOverflowError(OverflowError):
     """The exp smooth's e^(S^c) exceeds the float64 range."""
 
 
-def smooth_softmax(logits: np.ndarray, c: int):
-    """Softmax as a scalar smooth function of S^c, other logits held fixed.
+def smooth_table(name: str, s_c: float, y: float):
+    """Derivative table of the named smooth function at the class logit
+    s_c, whose softmax probability is y (a trace's `probabilities`).
 
-    Returns (Y^c, f', f'', f''') with
+    exp: f = f' = f'' = f''' = e^(S^c). softmax, as a scalar function of
+    S^c with the other logits held fixed: f = Y and
       f'   = Y(1 - Y)
       f''  = Y(1 - 3Y + 2Y^2)
       f''' = Y(1 - 7Y + 12Y^2 - 6Y^3)
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= c < logits.size:
-        raise IndexError(f"class index {c} out of range")
-    z = logits - logits.max()
-    e = np.exp(z)
-    y = float(e[c] / e.sum())
-    f1 = y * (1.0 - y)
-    f2 = y * (1.0 - 3.0 * y + 2.0 * y * y)
-    f3 = y * (1.0 - 7.0 * y + 12.0 * y * y - 6.0 * y ** 3)
-    return (y, f1, f2, f3)
-
-
-def smooth_table(name: str, logits: np.ndarray, c: int):
-    """Derivative table of the named smooth function at S^c."""
     if name == "exp":
-        s = float(logits[c])
         try:
-            e = math.exp(s)
+            e = math.exp(s_c)
         except OverflowError:
             raise SmoothOverflowError(
-                f"exp smooth overflows at logit S^c = {s:.6g}; use the "
+                f"exp smooth overflows at logit S^c = {s_c:.6g}; use the "
                 f"softmax smooth") from None
         return (e, e, e, e)
     if name == "softmax":
-        return smooth_softmax(logits, c)
+        f1 = y * (1.0 - y)
+        f2 = y * (1.0 - 3.0 * y + 2.0 * y * y)
+        f3 = y * (1.0 - 7.0 * y + 12.0 * y * y - 6.0 * y ** 3)
+        return (y, f1, f2, f3)
     raise ValueError(f"unknown smooth {name!r}")
 
 
@@ -156,7 +146,8 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
     Returns the raw [H,W] map at the layer's own resolution.
     """
     a, g = trace.activations[layer][0], trace.gradients[layer][0]
-    logits, c = trace.logits[0], trace.class_index
+    c = trace.class_index
+    s_c = float(trace.logits[0, c])
     if request.method == "gradcam":
         w = g.mean(axis=(1, 2), keepdims=True)
     elif request.method == "layercam":
@@ -165,11 +156,12 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
         w = (generalized_alpha(1.0, 1.0, g, a) * np.maximum(g, 0.0)
              ).sum(axis=(1, 2), keepdims=True)
     else:
-        _, f1, f2, f3 = smooth_table(request.smooth, logits, c)
+        _, f1, f2, f3 = smooth_table(request.smooth, s_c,
+                                     float(trace.probabilities[0, c]))
         w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
     raw = (w * a).sum(axis=0)
     if request.bias == "channel":
-        raw = raw + bias_term(float(logits[c]), w, a).sum()
+        raw = raw + bias_term(s_c, w, a).sum()
     return np.maximum(raw, 0.0)
 
 
@@ -179,9 +171,6 @@ def fuse(maps: dict, weights: dict, out_h: int, out_w: int) -> Heatmap:
     Each layer map is upsampled, min-max normalized, and combined in the
     declared layer order; the result is min-max normalized again.
     """
-    missing = [n for n in weights if n not in maps]
-    if missing:
-        raise KeyError(f"missing layer maps: {missing}")
     out = np.zeros((out_h, out_w), dtype=np.float64)
     for name, w_l in weights.items():
         out += w_l * normalize_minmax(bilinear_resize(maps[name], out_h, out_w))

@@ -19,10 +19,11 @@ import sys
 import numpy as np
 
 from . import cam, metrics, pipeline, render
-from .layerscore import DEFAULT_THRESHOLD, NoInformativeLayersError
+from .layerscore import NoInformativeLayersError
 from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
                     load_model, save_model)
-from .perturb import DEFAULT_ALPHA, DEFAULT_N, PerturbationConfig
+from .perturb import (DEFAULT_ALPHA, DEFAULT_N, DEFAULT_THRESHOLD,
+                      PerturbationConfig)
 from .tensor import ShapeError
 
 DEFAULT_BLEND = 0.5
@@ -87,19 +88,18 @@ def _write_json(obj, path):
 
 
 def _perturb_config(args):
-    return PerturbationConfig(n=args.n_perturb, alpha=args.alpha, seed=args.seed)
+    return PerturbationConfig(n=args.n_perturb, alpha=args.alpha,
+                              seed=args.seed, threshold=args.threshold)
 
 
 def cmd_explain(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    config = _perturb_config(args)
-    result = pipeline.explain(model, image, args.request, config,
-                              args.threshold)
+    result = pipeline.explain(model, image, args.request, _perturb_config(args))
 
     _write_heatmap(rgb, result.heatmap, args.out_prefix, args.blend)
-    _write_json(pipeline.sidecar_dict(result, args.request, config),
+    _write_json(pipeline.sidecar_dict(result, args.request),
                 f"{args.out_prefix}.json")
     print(f"class {result.class_index}  probability {result.probability:.6f}  "
           f"layers {','.join(result.layers)}")
@@ -109,9 +109,8 @@ def cmd_explain(args):
 def cmd_score_layers(args):
     model = load_model(args.model)
     image = pipeline.image_from_rgb(render.read_ppm(args.image))
-    config = _perturb_config(args)
-    _, report = pipeline.score(model, image, config, args.threshold)
-    _write_json(report.to_json_dict(config), args.out)
+    _, report = pipeline.score(model, image, _perturb_config(args))
+    _write_json(report.to_json_dict(), args.out)
 
     print(f"{'layer':<12}{'score':>14}{'selected':>10}{'weight':>12}")
     ranked = sorted(report.scores, key=lambda n: -report.scores[n])
@@ -129,7 +128,7 @@ def cmd_eval(args):
                                       model.spec.num_classes)
     summary = pipeline.evaluate_manifest(
         model, records, args.request, _perturb_config(args),
-        args.threshold, args.iou_threshold_frac)
+        args.iou_threshold_frac)
     _write_json(summary, args.out)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
@@ -139,8 +138,7 @@ def cmd_compare(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    trace, report = pipeline.score(model, image, _perturb_config(args),
-                                   args.threshold)
+    trace, report = pipeline.score(model, image, _perturb_config(args))
     requests = [cam.CamRequest(m, bias=args.bias if m == "icam" else None)
                 for m in cam.METHODS]   # --bias is icam's alone
     heatmaps = [pipeline.explain_trace(trace, r, report).heatmap

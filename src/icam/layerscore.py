@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardTrace
-from .perturb import PerturbationConfig
+from .perturb import DEFAULT_THRESHOLD, PerturbationConfig
 from .render import bilinear_resize
-
-DEFAULT_THRESHOLD = 0.95
 
 
 class NoInformativeLayersError(ValueError):
@@ -30,17 +28,17 @@ class LayerScoreReport:
     scores: dict          # layer name -> S_l, in declaration order
     perturbation_weights: np.ndarray  # [n], one per perturbation
     layer_weights: dict   # selected layer name -> W_l, in selection order
-    threshold: float
+    config: PerturbationConfig   # the settings that made the report
 
-    def to_json_dict(self, config: PerturbationConfig):
+    def to_json_dict(self):
         return {
             "scores": {k: float(v) for k, v in self.scores.items()},
             "selected": list(self.layer_weights),
             "weights": {k: float(v) for k, v in self.layer_weights.items()},
-            "threshold": self.threshold,
-            "n": config.n,
-            "alpha": config.alpha,
-            "seed": config.seed,
+            "threshold": self.config.threshold,
+            "n": self.config.n,
+            "alpha": self.config.alpha,
+            "seed": self.config.seed,
         }
 
 
@@ -78,9 +76,8 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
 def select_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> dict:
     """The layer plan {name: W_l = S_l / cum} over the minimal descending-score
     prefix whose cumulative sum `cum` reaches T * total, in selection order.
-    Ties sort stably by declaration order of the scores mapping."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0,1], got {threshold}")
+    Ties sort stably by declaration order of the scores mapping. The
+    threshold's (0,1] range is checked by PerturbationConfig."""
     total = sum(scores.values())
     if total <= 0.0:
         raise NoInformativeLayersError("no informative layers: all scores "
@@ -97,8 +94,9 @@ def select_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> dict:
 
 
 def score_layers(trace: ForwardTrace, weights,
-                 threshold: float = DEFAULT_THRESHOLD) -> LayerScoreReport:
-    """Score, select and weigh the layers of an image's perturbation trace."""
+                 config: PerturbationConfig) -> LayerScoreReport:
+    """Score, select and weigh the layers of an image's perturbation trace,
+    made with `config`, at its threshold."""
     if not np.any(weights):   # every score would be zero: score nothing
         raise NoInformativeLayersError(
             "no informative layers: every perturbation weight is zero (MDS "
@@ -108,6 +106,6 @@ def score_layers(trace: ForwardTrace, weights,
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),
-        layer_weights=select_layers(scores, threshold),
-        threshold=threshold,
+        layer_weights=select_layers(scores, config.threshold),
+        config=config,
     )

@@ -245,7 +245,11 @@ def _meta_to_spec(meta: dict) -> ModelSpec:
 
     if len(spec.input_shape) != 3:
         raise ModelFormatError("bad __meta__ entry: input_shape must be [C, H, W]")
-    if not blocks or len({str(b.name) for b in blocks}) < len(blocks):
+    names = [b.name for b in blocks]
+    if not all(type(n) is str and n for n in names):
+        raise ModelFormatError(f"bad __meta__ entry: block names {names!r} "
+                               f"must be non-empty strings")
+    if not blocks or len(set(names)) < len(blocks):
         raise ModelFormatError("bad __meta__ entry: blocks must be non-empty "
                                "with unique names")
     ints = [("input_shape", d, 1) for d in spec.input_shape]
@@ -305,16 +309,20 @@ def load_model(path) -> Model:
     for name, entry in header.items():
         try:
             shape = tuple(entry["shape"])
-            off, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            off, nbytes = entry["offset"], entry["nbytes"]
+        except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"bad entry for tensor {name!r}: {exc}") from exc
+        for field, value in (("offset", off), ("nbytes", nbytes)):
+            if type(value) is not int or value < 0:
+                raise ModelFormatError(f"bad entry for tensor {name!r}: {field} "
+                                       f"{value!r} must be an integer >= 0")
         if not all(type(d) is int and d >= 0 for d in shape) \
                 or nbytes != 4 * math.prod(shape):
             raise ModelFormatError(
                 f"shape/offset inconsistency: tensor {name!r} shape "
                 f"{list(shape)} must be non-negative integers whose product "
                 f"is nbytes / 4 (nbytes {nbytes})")
-        if off < 0 or off + nbytes > len(body):
+        if off + nbytes > len(body):
             raise ModelFormatError(
                 f"truncated payload: tensor {name!r} at offset {off} "
                 f"({nbytes} bytes) extends past end of file")

@@ -21,19 +21,25 @@ from .prng import SplitMix64
 
 DEFAULT_N = 8
 DEFAULT_ALPHA = 0.4
+DEFAULT_THRESHOLD = 0.95
 
 
 @dataclass(frozen=True)
 class PerturbationConfig:
+    """The layer scorer's settings: n perturbations of strength alpha drawn
+    from seed, and the cumulative layer-score threshold T."""
     n: int = DEFAULT_N
     alpha: float = DEFAULT_ALPHA
     seed: int = 42
+    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0,1], got {self.threshold}")
 
 
 @lru_cache(maxsize=1)

@@ -57,31 +57,29 @@ def _resolve_layers(points, layers):
 
 
 def score(model: Model, image: np.ndarray,
-          perturb_config: PerturbationConfig = None,
-          threshold: float = layerscore.DEFAULT_THRESHOLD, class_index=None):
+          perturb_config: PerturbationConfig = None, class_index=None):
     """I-CAM's first stage in one engine run: perturb, weigh, score layers.
     Returns the [image; perturbations] trace and the layer-score report."""
     image = check_images(model, image, ndims=(3,))
-    perturbed = generate_set(image, perturb_config or PerturbationConfig())
+    config = perturb_config or PerturbationConfig()
+    perturbed = generate_set(image, config)
     # row 0 is the image, rows 1..n its perturbations
     trace = forward_trace(model, np.concatenate([image[None], perturbed]),
                           class_index=class_index)
     y = trace.probabilities
     weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
-    return trace, layerscore.score_layers(trace, weights, threshold)
+    return trace, layerscore.score_layers(trace, weights, config)
 
 
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             perturb_config: PerturbationConfig = None,
-            threshold: float = layerscore.DEFAULT_THRESHOLD,
             class_index=None) -> ExplainResult:
     """The normalized input-resolution heatmap for one image, from one engine
     run: `score` for automatic I-CAM, else the image alone. An unknown layer
     fails before the engine runs."""
     _resolve_layers(model.spec.scoring_points, request.layers)
     if request.method == "icam" and request.layers is None:
-        trace, report = score(model, image, perturb_config, threshold,
-                              class_index)
+        trace, report = score(model, image, perturb_config, class_index)
         return explain_trace(trace, request, report)
     image = check_images(model, image, ndims=(3,))
     trace = forward_trace(model, image, class_index=class_index)
@@ -110,8 +108,7 @@ def explain_trace(trace: ForwardTrace, request: cam.CamRequest,
                          list(weights), zero_maps)
 
 
-def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
-                 perturb_config: PerturbationConfig) -> dict:
+def sidecar_dict(result: ExplainResult, request: cam.CamRequest) -> dict:
     out = {
         "class": result.class_index,
         "probability": result.probability,
@@ -122,7 +119,7 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest,
         "zero_maps": result.zero_maps,
     }
     if result.report is not None:
-        out["layer_scores"] = result.report.to_json_dict(perturb_config)
+        out["layer_scores"] = result.report.to_json_dict()
     return out
 
 
@@ -196,7 +193,6 @@ PREDICT_ROWS = 16
 
 def evaluate_manifest(model: Model, records, request: cam.CamRequest,
                       perturb_config: PerturbationConfig,
-                      threshold: float = layerscore.DEFAULT_THRESHOLD,
                       iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC,
                       ) -> dict:
     """Mean IoU and saliency over correct predictions, plus accuracy.
@@ -219,7 +215,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
         for rec, image, pred in zip(chunk, images, preds):
             if pred != rec["label"]:
                 continue
-            heat = explain(model, image, request, perturb_config, threshold,
+            heat = explain(model, image, request, perturb_config,
                            class_index=pred).heatmap.values
             zero_heatmaps += not heat.any()
             truth = bbox_mask(rec["bbox"], in_h, in_w)

@@ -51,10 +51,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return int(_mix(np.array([self._state], dtype=np.uint64))[0])
 
     def uniform_array(self, k: int) -> np.ndarray:
         """The next k uniform draws as a float64 array."""

@@ -6,6 +6,8 @@ trivially byte-exact which keeps golden-file tests portable.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 
@@ -23,6 +25,12 @@ COLORMAP_ANCHORS = np.array([
 ], dtype=np.float64)
 
 
+# after the magic: width, height and maxval, each after a run of
+# whitespace, then one whitespace byte before the pixel data (none at the
+# end of the file). A bytes pattern's \s is the set bytes.isspace() accepts.
+_HEADER = re.compile(rb"\s+(\S+)\s+(\S+)\s+(\S+)\s?")
+
+
 def _read_netpbm(path, magic, channels):
     with open(path, "rb") as f:
         blob = f.read()
@@ -36,24 +44,15 @@ def _parse_netpbm(blob, magic, channels):
     if not (blob.startswith(magic) and blob[len(magic):len(magic) + 1].isspace()):
         raise ImageFormatError(
             f"wrong magic: expected {magic.decode()}, got {blob[:2]!r}")
-    # header: magic, width, height, maxval, each separated by whitespace,
-    # with a single whitespace byte before the pixel data
-    tokens = []
-    pos = len(magic)
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ImageFormatError("truncated header")
-        tokens.append(blob[start:pos])
-    pos += 1  # the single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ImageFormatError(f"non-numeric header field: {exc}") from exc
+    header = _HEADER.match(blob, len(magic))
+    if header is None:
+        raise ImageFormatError("truncated header")
+    for field in header.groups():
+        if not field.isdigit():   # bytes.isdigit() is ASCII 0-9 only
+            raise ImageFormatError(f"non-numeric header field {field!r}: "
+                                   f"must be ASCII decimal digits")
+    width, height, maxval = map(int, header.groups())
+    pos = header.end()
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (must be 255)")
     if width < 1 or height < 1:

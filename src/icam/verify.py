@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from . import cam, metrics
+from . import cam, metrics, tensor
 from .model import Model, _run, build_fixture_model, forward_trace
 from .prng import SplitMix64
 
@@ -83,6 +83,7 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
         image = _random_image(rng, model.spec.input_shape)
         trace = forward_trace(model, image)
         c, logits = trace.class_index, trace.logits[0]
+        s_c, y = float(logits[c]), float(trace.probabilities[0, c])
         a = trace.activations[layer][0]
         g_map = trace.gradients[layer][0]
         flat = np.abs(g_map).ravel()
@@ -95,7 +96,7 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
 
         for smooth in ("exp", "softmax"):
             shift = logits[c] if smooth == "exp" else 0.0
-            _, _, f2, f3 = table_fn(smooth, logits - shift, c)
+            _, _, f2, f3 = table_fn(smooth, s_c - shift, y)
             f = (lambda s: np.exp(s - shift)) if smooth == "exp" \
                 else _frozen_softmax_scalar(logits, c)
 
@@ -142,7 +143,8 @@ def softmax_polynomial_suite(trials: int = 100,
         for _ in range(trials):
             logits = 2.0 * rng.gaussian_array(classes)
             c = rng.next_u64() % classes
-            _, f1, f2, f3 = table_fn("softmax", logits, c)
+            _, f1, f2, f3 = table_fn("softmax", float(logits[c]),
+                                     float(tensor.softmax(logits)[c]))
             k = sum(Decimal(float(v)).exp()
                     for i, v in enumerate(logits) if i != c)
 
@@ -160,7 +162,7 @@ def softmax_polynomial_suite(trials: int = 100,
                        worst[o - 1], 1e-5, worst[o - 1] < 1e-5)
            for o in (1, 2, 3)]
 
-    y, f1, f2, f3 = table_fn("softmax", np.array([0.0, 0.0]), 0)
+    y, f1, f2, f3 = table_fn("softmax", 0.0, 0.5)
     spot = max(abs(y - 0.5), abs(f1 - 0.25), abs(f2 - 0.0), abs(f3 + 0.125))
     out.append(CheckResult("softmax-polynomials", "Y=0.5 spot values",
                            spot, 1e-12, spot < 1e-12))
@@ -202,9 +204,9 @@ def mdd_symmetric_kl_suite() -> list:
     return checks
 
 
-def run_all(model: Model = None, table_fn=cam.smooth_table) -> list:
+def run_all(model: Model = None) -> list:
     checks = []
-    checks += derivative_identity_suite(model, table_fn=table_fn)
-    checks += softmax_polynomial_suite(table_fn=table_fn)
+    checks += derivative_identity_suite(model)
+    checks += softmax_polynomial_suite()
     checks += mdd_symmetric_kl_suite()
     return checks

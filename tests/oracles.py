@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (explicit loops, no shared code with
 the library paths under test). There are two exceptions. `ScalarSplitMix64`
-reuses the library's `next_u64`, which `test_prng` checks by hand against
-the mixing constants. `four_corner_bilinear` is vectorized, because it pins
-the library's resize bit for bit, not to a tolerance.
+shares the library stream's state, so block and scalar draws can be
+interleaved. `four_corner_bilinear` is vectorized, because it pins the
+library's resize bit for bit, not to a tolerance.
 
 The planted-evidence model and samples at the end are a known answer, not
 a re-implementation: they use the library's `Model`, the fixture's spec
@@ -223,10 +223,19 @@ def naive_ssim(x, y, c1, c2):
 class ScalarSplitMix64(SplitMix64):
     """One draw per call: the reference recipe the block methods replay.
 
-    It shares the stream (`next_u64`, `_state` and the cached Box-Muller
-    sin twin `_spare`) with the block methods, so block and scalar draws
-    can be interleaved on one stream.
+    It shares the stream (`_state` and the cached Box-Muller sin twin
+    `_spare`) with the block methods, so block and scalar draws can be
+    interleaved on one stream. `next_u64` is the recipe in Python integers,
+    apart from the library's numpy output function.
     """
+
+    def next_u64(self) -> int:
+        mask = (1 << 64) - 1
+        self._state = (self._state + 0x9E3779B97F4A7C15) & mask
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53

@@ -37,7 +37,7 @@ def test_02_softmax_derivative_polynomials():
     checks = verify.softmax_polynomial_suite(trials=100)
     for c in checks:
         assert c.passed, f"{c.name}: worst {c.worst_error} >= tol {c.tolerance}"
-    y, f1, f2, f3 = cam.smooth_softmax(np.array([0.0, 0.0]), 0)
+    y, f1, f2, f3 = cam.smooth_table("softmax", 0.0, 0.5)
     assert (y, f1, f2) == (0.5, 0.25, 0.0)
     assert abs(f3 + 0.125) < 1e-15
     worst = max(c.worst_error for c in checks[:3])

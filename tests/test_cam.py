@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icam import cam
+from icam import tensor as T
 from icam.model import build_fixture_model, forward_trace
 from icam.render import normalize_minmax
 from oracles import (naive_bilinear_resize, naive_generalized_alpha,
@@ -20,20 +21,26 @@ def layer_map(trace, layer, method, **kw):
     return cam.single_layer_map(trace, cam.CamRequest(method, **kw), layer)
 
 
+def softmax_table(logits, c):
+    """The softmax table at logits[c], read at the probability softmax gives."""
+    return cam.smooth_table("softmax", float(logits[c]),
+                            float(T.softmax(logits)[c]))
+
+
 class TestSmoothTables:
     def test_identity(self):
         # the identity's f'' = f''' = 0 make alpha 0/0; it has no table
         with pytest.raises(ValueError, match="unknown smooth 'identity'"):
-            cam.smooth_table("identity", np.array([0.0, 3.5]), 1)
+            cam.smooth_table("identity", 3.5, 0.5)
 
     def test_exp(self):
-        y, f1, f2, f3 = cam.smooth_table("exp", np.array([1.25, 0.0]), 0)
+        y, f1, f2, f3 = cam.smooth_table("exp", 1.25, 0.5)
         e = np.exp(1.25)
         assert y == f1 == f2 == f3 == e
 
     def test_softmax_half_probability_spot(self):
         # two equal logits give Y = 0.5 and (f', f'', f''') = (0.25, 0, -0.125)
-        y, f1, f2, f3 = cam.smooth_softmax(np.array([2.0, 2.0]), 0)
+        y, f1, f2, f3 = softmax_table(np.array([2.0, 2.0]), 0)
         assert abs(y - 0.5) < 1e-15
         assert abs(f1 - 0.25) < 1e-15
         assert abs(f2) < 1e-15
@@ -44,7 +51,7 @@ class TestSmoothTables:
         for _ in range(20):
             logits = rng.normal(size=5)
             c = int(rng.integers(0, 5))
-            _, f1, _, _ = cam.smooth_softmax(logits, c)
+            _, f1, _, _ = softmax_table(logits, c)
             h = 1e-6
             lp, lm = logits.copy(), logits.copy()
             lp[c] += h
@@ -62,24 +69,39 @@ class TestSmoothTables:
         for _ in range(20):
             logits = rng.normal(size=4)
             c = int(rng.integers(0, 4))
-            _, f1, f2, f3 = cam.smooth_softmax(logits, c)
+            _, f1, f2, f3 = softmax_table(logits, c)
             lp, lm = logits.copy(), logits.copy()
             lp[c] += h
             lm[c] -= h
-            _, f1p, f2p, _ = cam.smooth_softmax(lp, c)
-            _, f1m, f2m, _ = cam.smooth_softmax(lm, c)
+            _, f1p, f2p, _ = softmax_table(lp, c)
+            _, f1m, f2m, _ = softmax_table(lm, c)
             assert abs(f2 - (f1p - f1m) / (2 * h)) < 1e-7
             assert abs(f3 - (f2p - f2m) / (2 * h)) < 1e-7
 
     def test_table_dispatch(self):
-        logits = np.array([0.5, -0.5])
-        assert cam.smooth_table("softmax", logits, 0) \
-            == cam.smooth_softmax(logits, 0)
-        assert cam.smooth_table("exp", logits, 1)[0] == np.exp(-0.5)
+        # exp reads only the logit, softmax only the probability
+        assert cam.smooth_table("softmax", 7.0, 0.75) \
+            == cam.smooth_table("softmax", -3.0, 0.75)
+        assert cam.smooth_table("softmax", 0.5, 0.75)[0] == 0.75
+        assert cam.smooth_table("exp", -0.5, 0.1) \
+            == cam.smooth_table("exp", -0.5, 0.9)
+        assert cam.smooth_table("exp", -0.5, 0.1)[0] == np.exp(-0.5)
         with pytest.raises(ValueError, match="unknown smooth"):
-            cam.smooth_table("nope", logits, 0)
-        with pytest.raises(IndexError):
-            cam.smooth_softmax(logits, 2)
+            cam.smooth_table("nope", 0.5, 0.75)
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_trace_probability_is_the_lone_softmax(self, rows):
+        # I-CAM reads Y from the trace: bit for bit the softmax of row 0's
+        # logits alone, for a lone image and for row 0 of [1+8] rows
+        rng = np.random.default_rng(rows)
+        for seed in (42, 7, 3):
+            model = build_fixture_model(seed)
+            for _ in range(5):
+                images = rng.random((rows, 3, 32, 32))
+                tr = forward_trace(model, images if rows > 1 else images[0])
+                e = np.exp(tr.logits[0] - tr.logits[0].max())
+                c = tr.class_index
+                assert tr.probabilities[0, c] == e[c] / e.sum()
 
 
 class TestGradCam:
@@ -239,7 +261,7 @@ class TestIcamLayerMap:
     def _golden(self, tr, layer, bias_mode):
         a = tr.activations[layer][0]
         g = tr.gradients[layer][0]
-        _, f1, f2, f3 = cam.smooth_softmax(tr.logits[0], tr.class_index)
+        _, f1, f2, f3 = softmax_table(tr.logits[0], tr.class_index)
         alpha = cam.generalized_alpha(f2, f3, g, a)
         w = np.tanh(alpha) * np.maximum(f1 * g, 0.0)
         raw = np.zeros(a.shape[1:])
@@ -399,8 +421,8 @@ class TestSingleLayerMap:
         # = f''' = 1 (Grad-CAM++'s exp closed form)
         f1 = f2 = f3 = 1.0
         if method == "icam":
-            _, f1, f2, f3 = cam.smooth_table(req.smooth, tr.logits[0],
-                                             tr.class_index)
+            _, f1, f2, f3 = cam.smooth_table(
+                req.smooth, s_c, float(T.softmax(tr.logits[0])[tr.class_index]))
         ref = {
             "gradcam": lambda: naive_gradcam_map(a, g, f1),
             "layercam": lambda: naive_layercam_map(a, g, f1),

@@ -600,6 +600,25 @@ class TestUserErrors:
         assert proc.stderr.startswith("error: image shape (3, 40, 48)")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args", [(), ("--layer", "7")],
+                             ids=["automatic", "named"])
+    def test_process_integer_block_name_without_traceback(
+            self, workspace, tmp_path, args):
+        def rename(header):
+            header["__meta__"]["blocks"][0]["name"] = 7
+            for part in ("weight", "bias"):
+                header[f"7.{part}"] = header.pop(f"block1.{part}")
+        bad = tmp_path / "named7.icamw"
+        bad.write_bytes(_resaved_model(workspace[1], rename))
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 *args, model=str(bad))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: bad __meta__ entry: block names")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
     def test_process_unknown_layer_without_traceback(self, workspace,
                                                      tmp_path):
         proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],

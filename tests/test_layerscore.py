@@ -181,8 +181,9 @@ class TestFilterLayers:
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0 + 1e-12, 2.0])
     def test_threshold_outside_unit_interval(self, threshold):
+        # T is checked where it is set, with the scorer's other settings
         with pytest.raises(ValueError, match=r"threshold must be in \(0,1\]"):
-            layerscore.select_layers({"a": 0.5, "b": 0.3}, threshold)
+            PerturbationConfig(threshold=threshold)
 
 
 class TestLayerWeights:
@@ -235,7 +236,7 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: every perturbation "
                                  "weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2))
+            layerscore.score_layers(tr, np.zeros(2), PerturbationConfig(n=2))
 
     def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
                                                       monkeypatch):
@@ -252,9 +253,10 @@ class TestNoInformativeLayers:
         tr = forward_trace(fixture_model, np.stack([img, img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="every perturbation weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2))
+            layerscore.score_layers(tr, np.zeros(2), PerturbationConfig(n=2))
         assert len(calls) == 0
-        layerscore.score_layers(tr, np.array([0.0, 0.5]))
+        layerscore.score_layers(tr, np.array([0.0, 0.5]),
+                                PerturbationConfig(n=2))
         assert len(calls) == 1
 
     def test_saturated_head_keeps_the_scores_message(self):
@@ -271,19 +273,20 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: all scores are "
                                  "zero"):
-            layerscore.score_layers(tr, weights)
+            layerscore.score_layers(tr, weights, PerturbationConfig())
 
 
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
     tr = forward_trace(fixture_model, np.stack([img, img]))
-    report = layerscore.score_layers(tr, [0.5])
-    config = PerturbationConfig(n=1, alpha=0.4, seed=9)
-    parsed = json.loads(json.dumps(report.to_json_dict(config)))
+    config = PerturbationConfig(n=1, alpha=0.4, seed=9, threshold=0.5)
+    report = layerscore.score_layers(tr, [0.5], config)
+    parsed = json.loads(json.dumps(report.to_json_dict()))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}
-    assert (parsed["n"], parsed["alpha"], parsed["seed"]) == (1, 0.4, 9)
+    assert (parsed["n"], parsed["alpha"], parsed["seed"],
+            parsed["threshold"]) == (1, 0.4, 9, 0.5)
     assert abs(sum(parsed["weights"].values()) - 1.0) < 1e-12
     # the selection in descending-score order, as select_layers made it
-    assert parsed["selected"] == selected(report.scores)
+    assert parsed["selected"] == selected(report.scores, 0.5)

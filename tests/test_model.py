@@ -364,6 +364,10 @@ class TestWeightFile:
         (lambda m: m.update(num_classes=0), "num_classes"),
         (lambda m: m.update(blocks=[]), "blocks"),
         (lambda m: m["blocks"][1].update(name="block1"), "unique names"),
+        (lambda m: m["blocks"][0].update(name=7), "non-empty strings"),
+        (lambda m: m["blocks"][0].update(name=""), "non-empty strings"),
+        (lambda m: m["blocks"][2].update(name=["block3"]),
+         "non-empty strings"),
     ])
     def test_bad_meta_rejected(self, tmp_path, fixture_model, mutate, match):
         p = self._save_with_header(tmp_path, fixture_model,
@@ -378,6 +382,21 @@ class TestWeightFile:
             header["head.bias"]["shape"] = [-1, -5]
         p = self._save_with_header(tmp_path, fixture_model, mutate)
         with pytest.raises(ModelFormatError, match=r"head\.bias.*\[-1, -5\]"):
+            load_model(p)
+
+    @pytest.mark.parametrize("field, convert", [
+        ("offset", str), ("nbytes", str), ("offset", float),
+        ("nbytes", lambda v: v + 0.5), ("offset", lambda v: -v),
+        ("nbytes", lambda v: v > 0)])
+    def test_offset_and_nbytes_must_be_integers(self, tmp_path, fixture_model,
+                                                field, convert):
+        # int() would read "20" and 20.5 as 20 and load the file
+        def mutate(header):
+            header["head.bias"][field] = convert(header["head.bias"][field])
+        p = self._save_with_header(tmp_path, fixture_model, mutate)
+        with pytest.raises(ModelFormatError,
+                           match=rf"tensor 'head\.bias': {field} .* must be "
+                                 rf"an integer >= 0"):
             load_model(p)
 
     def test_tensor_not_named_by_meta_rejected(self, tmp_path,

@@ -286,7 +286,7 @@ class TestZeroMaps:
         result = pipeline.explain(model, image, req, cfg)
         assert result.zero_maps == result.layers
         assert not result.heatmap.values.any()
-        assert pipeline.sidecar_dict(result, req, cfg)["zero_maps"] \
+        assert pipeline.sidecar_dict(result, req)["zero_maps"] \
             == result.layers
 
     def test_bias_none_reports_none(self, model, image):
@@ -295,7 +295,7 @@ class TestZeroMaps:
         result = pipeline.explain(model, image, req, cfg)
         assert result.zero_maps == []
         assert result.heatmap.values.any()
-        assert pipeline.sidecar_dict(result, req, cfg)["zero_maps"] == []
+        assert pipeline.sidecar_dict(result, req)["zero_maps"] == []
 
     def test_lists_only_the_zero_layers(self, image):
         # on fixture seed 0 the channel bias clears block1's map alone
@@ -327,7 +327,7 @@ class TestSidecar:
         cfg = small_config()
         req = cam.CamRequest("icam")
         result = pipeline.explain(model, image, req, cfg)
-        d = pipeline.sidecar_dict(result, req, cfg)
+        d = pipeline.sidecar_dict(result, req)
         assert d["method"] == "icam"
         assert d["smooth"] == "softmax"
         assert d["bias"] == "channel"
@@ -340,7 +340,7 @@ class TestSidecar:
         # gradcam takes no smooth and no bias, and the sidecar names none
         req = cam.CamRequest("gradcam")
         result = pipeline.explain(model, image, req)
-        d = pipeline.sidecar_dict(result, req, small_config())
+        d = pipeline.sidecar_dict(result, req)
         assert "layer_scores" not in d
         assert d["smooth"] is None and d["bias"] is None
         assert '"smooth": null' in json.dumps(d)
@@ -352,7 +352,7 @@ class TestSidecar:
     def test_settings_rebuild_the_request_that_ran(self, model, image, req):
         cfg = small_config()
         d = json.loads(json.dumps(pipeline.sidecar_dict(
-            pipeline.explain(model, image, req, cfg), req, cfg)))
+            pipeline.explain(model, image, req, cfg), req)))
         assert cam.CamRequest(d["method"], smooth=d["smooth"],
                               bias=d["bias"]) == req
 

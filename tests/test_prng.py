@@ -31,6 +31,14 @@ def test_mixing_constants():
     assert SplitMix64(0).next_u64() == z
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_next_u64_matches_the_integer_recipe(seed):
+    # the library draws through the numpy output function `_mix`
+    lib, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+    assert [lib.next_u64() for _ in range(100)] \
+        == [ref.next_u64() for _ in range(100)]
+
+
 def test_uniform_range_and_mean():
     rng = ScalarSplitMix64(123)
     vals = [rng.uniform() for _ in range(20000)]

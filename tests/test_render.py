@@ -87,11 +87,28 @@ class TestNetpbmIo:
         with pytest.raises(ImageFormatError, match="non-numeric"):
             read_pgm(p)
 
-    @pytest.mark.parametrize("size", [b"-2 2", b"2 -2", b"0 0", b"0 3"])
+    @pytest.mark.parametrize("fields", [
+        b"3_2 +32 2_55", b"3_2 32 255", b"32 +32 255", b"32 32 2_55",
+        b"-2 2 255", b"2 -2 255", b"\xd9\xa3 32 255"])
+    def test_header_fields_must_be_ascii_digits(self, tmp_path, fields):
+        # int() would read "3_2" and "+32" as 32, and "-2" as a size
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6 " + fields + b"\n" + b"\x00" * 3072)
+        with pytest.raises(ImageFormatError, match="non-numeric header field"):
+            read_ppm(p)
+
+    @pytest.mark.parametrize("size", [b"0 0", b"0 3"])
     def test_non_positive_size_rejected(self, tmp_path, size):
         p = tmp_path / "x.ppm"
         p.write_bytes(b"P6 " + size + b" 255\n" + b"\x00" * 12)
         with pytest.raises(ImageFormatError, match="bad size"):
+            read_ppm(p)
+
+    def test_no_whitespace_after_maxval(self, tmp_path):
+        # the header may end the file; then the pixel data is missing
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6 1 1 255")
+        with pytest.raises(ImageFormatError, match="truncated pixel data"):
             read_ppm(p)
 
     def test_write_shape_validation(self, tmp_path):

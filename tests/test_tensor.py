@@ -234,7 +234,8 @@ class TestGeneralizedAlphaBlockSized:
         g[1] = 0.0
         a = np.maximum(rng.normal(size=shape), 0.0)
         logits = rng.normal(size=5)
-        _, _, f2, f3 = cam.smooth_table(table, logits, 2)
+        _, _, f2, f3 = cam.smooth_table(table, float(logits[2]),
+                                        float(T.softmax(logits)[2]))
         got = cam.generalized_alpha(f2, f3, g, a)
         ref = naive_generalized_alpha(f2, f3, g, a, cam.ALPHA_EPS)
         # the channel sum's order differs: bound the error by how much the

@@ -34,8 +34,8 @@ class TestNegativeControl:
     """Corrupting the analytic derivative tables must be caught."""
 
     @staticmethod
-    def _broken_table(name, logits, c):
-        y, f1, f2, f3 = cam.smooth_table(name, logits, c)
+    def _broken_table(name, s_c, y):
+        y, f1, f2, f3 = cam.smooth_table(name, s_c, y)
         if name == "softmax":
             return (y, f1, -f2, f3)  # wrong sign on the second derivative
         return (y, f1, f2, f3)
@@ -69,7 +69,7 @@ class TestDecimalContext:
             assert decimal.getcontext().prec == self.CALLER_PREC
 
     def test_prec_unchanged_after_the_suite_raises(self):
-        def failing_table(name, logits, c):
+        def failing_table(name, s_c, y):
             assert decimal.getcontext().prec == 60  # raised mid-oracle
             raise RuntimeError("table failed")
 
