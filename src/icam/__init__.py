@@ -48,5 +48,5 @@ _keep_freed_heap()
 
 from .cam import CamRequest, Heatmap
 from .model import Model, build_fixture_model, forward_trace, load_model, save_model
-from .perturb import PerturbationConfig, generate_set
+from .perturb import generate_set
 from .pipeline import ExplainResult, explain

@@ -15,7 +15,8 @@ gradients g = dS^c/dA. Only the weights w differ:
 with alpha_f the Grad-CAM++ alpha generalized to a smooth f of the logit
 S^c, and alpha_1 its published exp closed form, f' = f'' = f''' = 1. Only
 I-CAM takes a smooth (exp or softmax) and a bias b (none or its channel
-term); the other methods refuse both, and b is zero there. f is handled
+term); the other methods refuse both, and b is zero there. Only automatic
+I-CAM takes the layer scorer's n, alpha, seed and T. f is handled
 analytically through its derivative table, never by differentiating
 through f numerically, so higher-order terms need no higher-order
 gradients: d^n f(S^c)/dA^n = f^(n)(S^c) * g^n when the head after the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,6 +39,9 @@ ALPHA_EPS = 1e-8
 METHODS = ("gradcam", "gradcampp", "layercam", "icam")
 SMOOTHS = ("exp", "softmax")   # icam only
 BIAS_MODES = ("none", "channel")   # icam only
+ICAM_DEFAULTS = {"smooth": "softmax", "bias": "channel"}
+# automatic icam's scorer: n perturbations of strength alpha from seed, T
+SCORER_DEFAULTS = {"n": 8, "alpha": 0.4, "seed": 42, "threshold": 0.95}
 
 
 @dataclass
@@ -44,34 +49,60 @@ class Heatmap:
     values: np.ndarray       # [H,W], non-negative
 
 
+def is_integer(v) -> bool:   # an int or a numpy integer, not a bool
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class CamRequest:
     method: str = "icam"
-    smooth: str = None          # icam only; icam's default is softmax
-    bias: str = None            # icam only; icam's default is channel
+    smooth: str = None          # icam only
+    bias: str = None            # icam only
     layers: tuple = None        # explicit scoring points; None = automatic
+    n: int = None               # n, alpha, seed, threshold: automatic icam only
+    alpha: float = None
+    seed: int = None
+    threshold: float = None
+
+    @property
+    def scores_layers(self) -> bool:   # automatic icam: the scorer picks layers
+        return self.method == "icam" and self.layers is None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method != "icam":
-            for name in ("smooth", "bias"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} applies to icam only; "
-                                     f"{self.method} has a fixed form")
-        else:   # fill in the defaults, so every reader sees the values that run
-            if self.smooth is None:
-                object.__setattr__(self, "smooth", "softmax")
-            if self.bias is None:
-                object.__setattr__(self, "bias", "channel")
-            if self.smooth not in SMOOTHS:
-                raise ValueError(f"unknown smooth {self.smooth!r}")
-            if self.bias not in BIAS_MODES:
-                raise ValueError(f"unknown bias mode {self.bias!r}")
         if self.layers is not None and (isinstance(self.layers, str)
                                         or len(self.layers) == 0):
             raise ValueError(f"layers must be None or a non-empty sequence "
                              f"of layer names, got {self.layers!r}")
+        # refuse what does not run; fill in what does, so readers see what runs
+        for defaults, runs, only in (
+                (ICAM_DEFAULTS, self.method == "icam",
+                 f"icam only; {self.method} has a fixed form"),
+                (SCORER_DEFAULTS, self.scores_layers,
+                 "automatic icam only (method icam, no layers named)")):
+            for name, default in defaults.items():
+                if not runs and getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies to {only}")
+                if runs and getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+        if self.method == "icam" and self.smooth not in SMOOTHS:
+            raise ValueError(f"unknown smooth {self.smooth!r}")
+        if self.method == "icam" and self.bias not in BIAS_MODES:
+            raise ValueError(f"unknown bias mode {self.bias!r}")
+        if not self.scores_layers:
+            return
+        n, alpha, seed, threshold = self.n, self.alpha, self.seed, self.threshold
+        for name, ok, rule in (
+                ("n", is_integer(n) and n >= 1, "an integer >= 1"),
+                ("alpha", isinstance(alpha, Real) and 0 <= alpha <= 1, "in [0,1]"),
+                ("seed", is_integer(seed), "an integer"),
+                ("threshold", isinstance(threshold, Real) and 0 < threshold <= 1,
+                 "in (0,1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, default in SCORER_DEFAULTS.items():   # as Python numbers, for JSON
+            object.__setattr__(self, name, type(default)(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------

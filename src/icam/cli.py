@@ -22,8 +22,6 @@ from . import cam, metrics, pipeline, render
 from .layerscore import NoInformativeLayersError
 from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
                     load_model, save_model)
-from .perturb import (DEFAULT_ALPHA, DEFAULT_N, DEFAULT_THRESHOLD,
-                      PerturbationConfig)
 from .tensor import ShapeError
 
 DEFAULT_BLEND = 0.5
@@ -47,10 +45,8 @@ def _bounded(convert, accept, bounds):
     return parse
 
 
-_AT_LEAST_ONE = _bounded(int, lambda v: v >= 1, "[1, inf)")
 _UNIT_CLOSED = _bounded(float, lambda v: 0.0 <= v <= 1.0, "[0,1]")
 _UNIT_OPEN = _bounded(float, lambda v: 0.0 < v < 1.0, "(0,1)")
-_UNIT_HALF_OPEN = _bounded(float, lambda v: 0.0 < v <= 1.0, "(0,1]")
 
 
 def _add_common(p, with_method=True):
@@ -63,12 +59,13 @@ def _add_common(p, with_method=True):
                        help="I-CAM's bias term (default channel)")
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
-        p.set_defaults(parser=p)   # main reports a refused request with it
-    p.add_argument("--n-perturb", type=_AT_LEAST_ONE, default=DEFAULT_N)
-    p.add_argument("--alpha", type=_UNIT_CLOSED, default=DEFAULT_ALPHA)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threshold", type=_UNIT_HALF_OPEN,
-                   default=DEFAULT_THRESHOLD,
+    else:   # score-layers, compare: the request is automatic icam
+        p.set_defaults(method="icam", smooth=None, bias=None, layers=None)
+    p.set_defaults(parser=p)   # main reports a refused request with it
+    p.add_argument("--n-perturb", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--threshold", type=float, default=None,
                    help="cumulative layer-score threshold T")
 
 
@@ -87,16 +84,11 @@ def _write_json(obj, path):
         f.write("\n")
 
 
-def _perturb_config(args):
-    return PerturbationConfig(n=args.n_perturb, alpha=args.alpha,
-                              seed=args.seed, threshold=args.threshold)
-
-
 def cmd_explain(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    result = pipeline.explain(model, image, args.request, _perturb_config(args))
+    result = pipeline.explain(model, image, args.request)
 
     _write_heatmap(rgb, result.heatmap, args.out_prefix, args.blend)
     _write_json(pipeline.sidecar_dict(result, args.request),
@@ -109,7 +101,7 @@ def cmd_explain(args):
 def cmd_score_layers(args):
     model = load_model(args.model)
     image = pipeline.image_from_rgb(render.read_ppm(args.image))
-    _, report = pipeline.score(model, image, _perturb_config(args))
+    _, report = pipeline.score(model, image, args.request)
     _write_json(report.to_json_dict(), args.out)
 
     print(f"{'layer':<12}{'score':>14}{'selected':>10}{'weight':>12}")
@@ -126,9 +118,8 @@ def cmd_eval(args):
     model = load_model(args.model)
     records = pipeline.parse_manifest(args.manifest, model.spec.input_shape,
                                       model.spec.num_classes)
-    summary = pipeline.evaluate_manifest(
-        model, records, args.request, _perturb_config(args),
-        args.iou_threshold_frac)
+    summary = pipeline.evaluate_manifest(model, records, args.request,
+                                         args.iou_threshold_frac)
     _write_json(summary, args.out)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
@@ -138,9 +129,9 @@ def cmd_compare(args):
     model = load_model(args.model)
     rgb = render.read_ppm(args.image)
     image = pipeline.image_from_rgb(rgb)
-    trace, report = pipeline.score(model, image, _perturb_config(args))
-    requests = [cam.CamRequest(m, bias=args.bias if m == "icam" else None)
-                for m in cam.METHODS]   # --bias is icam's alone
+    trace, report = pipeline.score(model, image, args.request)
+    requests = [args.request if m == "icam" else cam.CamRequest(m)
+                for m in cam.METHODS]
     heatmaps = [pipeline.explain_trace(trace, r, report).heatmap
                 for r in requests]
     overlays = [_write_heatmap(rgb, h, f"{args.out_prefix}_{m}", args.blend)
@@ -224,11 +215,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if "method" in args:   # explain, eval: refuse a request before any read
+    if "parser" in args:   # refuse a request before any file is read
         try:
             args.request = cam.CamRequest(
                 args.method, smooth=args.smooth, bias=args.bias,
-                layers=tuple(args.layers) if args.layers else None)
+                layers=tuple(args.layers) if args.layers else None,
+                n=args.n_perturb, alpha=args.alpha, seed=args.seed,
+                threshold=args.threshold)
         except ValueError as exc:
             args.parser.error(str(exc))
     try:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cam import SCORER_DEFAULTS, CamRequest
 from .model import ForwardTrace
-from .perturb import DEFAULT_THRESHOLD, PerturbationConfig
 from .render import bilinear_resize
 
 
@@ -28,17 +28,14 @@ class LayerScoreReport:
     scores: dict          # layer name -> S_l, in declaration order
     perturbation_weights: np.ndarray  # [n], one per perturbation
     layer_weights: dict   # selected layer name -> W_l, in selection order
-    config: PerturbationConfig   # the settings that made the report
+    request: CamRequest   # the scoring request that made the report
 
     def to_json_dict(self):
         return {
             "scores": {k: float(v) for k, v in self.scores.items()},
             "selected": list(self.layer_weights),
             "weights": {k: float(v) for k, v in self.layer_weights.items()},
-            "threshold": self.config.threshold,
-            "n": self.config.n,
-            "alpha": self.config.alpha,
-            "seed": self.config.seed,
+            **{k: getattr(self.request, k) for k in SCORER_DEFAULTS},
         }
 
 
@@ -73,11 +70,11 @@ def layer_importance(trace: ForwardTrace, weights) -> dict:
     return scores
 
 
-def select_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> dict:
+def select_layers(scores: dict, threshold: float) -> dict:
     """The layer plan {name: W_l = S_l / cum} over the minimal descending-score
     prefix whose cumulative sum `cum` reaches T * total, in selection order.
     Ties sort stably by declaration order of the scores mapping. The
-    threshold's (0,1] range is checked by PerturbationConfig."""
+    threshold's (0,1] range is checked by CamRequest."""
     total = sum(scores.values())
     if total <= 0.0:
         raise NoInformativeLayersError("no informative layers: all scores "
@@ -94,9 +91,9 @@ def select_layers(scores: dict, threshold: float = DEFAULT_THRESHOLD) -> dict:
 
 
 def score_layers(trace: ForwardTrace, weights,
-                 config: PerturbationConfig) -> LayerScoreReport:
+                 request: CamRequest) -> LayerScoreReport:
     """Score, select and weigh the layers of an image's perturbation trace,
-    made with `config`, at its threshold."""
+    made with the scoring `request`, at its threshold."""
     if not np.any(weights):   # every score would be zero: score nothing
         raise NoInformativeLayersError(
             "no informative layers: every perturbation weight is zero (MDS "
@@ -106,6 +103,6 @@ def score_layers(trace: ForwardTrace, weights,
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),
-        layer_weights=select_layers(scores, config.threshold),
-        config=config,
+        layer_weights=select_layers(scores, request.threshold),
+        request=request,
     )

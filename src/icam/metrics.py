@@ -84,11 +84,15 @@ def perturbation_weight(image: np.ndarray, perturbed: np.ndarray,
     return np.sqrt(svim(image, perturbed) * mds(probs, probs_perturbed))
 
 
+def check_frac(frac: float):
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"frac must be in (0,1), got {frac}")
+
+
 def threshold_heatmap(h: np.ndarray, frac: float = DEFAULT_THRESHOLD_FRAC) -> np.ndarray:
     """Binary mask: 1 where h >= frac * max(h); all-zero maps give zeros."""
     h = np.asarray(h, dtype=np.float64)
-    if not 0.0 < frac < 1.0:
-        raise ValueError(f"frac must be in (0,1), got {frac}")
+    check_frac(frac)
     peak = h.max()
     if peak <= 0.0:
         return np.zeros(h.shape, dtype=np.uint8)

@@ -12,34 +12,11 @@ the most recent set is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .prng import SplitMix64
-
-DEFAULT_N = 8
-DEFAULT_ALPHA = 0.4
-DEFAULT_THRESHOLD = 0.95
-
-
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """The layer scorer's settings: n perturbations of strength alpha drawn
-    from seed, and the cumulative layer-score threshold T."""
-    n: int = DEFAULT_N
-    alpha: float = DEFAULT_ALPHA
-    seed: int = 42
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0,1], got {self.threshold}")
 
 
 @lru_cache(maxsize=1)
@@ -62,8 +39,9 @@ def _draws(seed: int, n: int, shape: tuple) -> tuple:
     return noise, uniforms
 
 
-def generate_set(image: np.ndarray, config: PerturbationConfig) -> np.ndarray:
-    """n perturbations from a single stream seeded by config.seed.
+def generate_set(image: np.ndarray, config) -> np.ndarray:
+    """config.n perturbations of strength config.alpha from a single stream
+    seeded by config.seed, where `config` is a scoring CamRequest.
 
     Returns a new float64 [n, C, H, W] array; pixel (h, w) of perturbation
     i is masked when its uniform draw is >= 1 - alpha.

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import cam, layerscore, metrics
 from .model import ForwardTrace, Model, check_images, forward, forward_trace
-from .perturb import PerturbationConfig, generate_set
+from .perturb import generate_set
 from .render import read_ppm
 from .tensor import ShapeError
 
@@ -33,11 +33,8 @@ def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
     return np.transpose(rgb.astype(np.float64) / 255.0, (2, 0, 1))
 
 
-class UnknownLayerError(KeyError):
+class UnknownLayerError(ValueError):
     """A requested layer is not one of the model's scoring points."""
-
-    def __str__(self):
-        return str(self.args[0])   # KeyError's own str would quote it
 
 
 def _resolve_layers(points, layers):
@@ -57,29 +54,31 @@ def _resolve_layers(points, layers):
 
 
 def score(model: Model, image: np.ndarray,
-          perturb_config: PerturbationConfig = None, class_index=None):
-    """I-CAM's first stage in one engine run: perturb, weigh, score layers.
-    Returns the [image; perturbations] trace and the layer-score report."""
+          request: cam.CamRequest = cam.CamRequest(), class_index=None):
+    """I-CAM's first stage in one engine run: perturb, weigh, score layers,
+    all set by a `request` that scores layers. Returns the trace of
+    [image; perturbations] and the layer-score report."""
+    if not request.scores_layers:
+        raise ValueError(f"only automatic icam scores layers, not method "
+                         f"{request.method!r} with layers {request.layers!r}")
     image = check_images(model, image, ndims=(3,))
-    config = perturb_config or PerturbationConfig()
-    perturbed = generate_set(image, config)
+    perturbed = generate_set(image, request)
     # row 0 is the image, rows 1..n its perturbations
     trace = forward_trace(model, np.concatenate([image[None], perturbed]),
                           class_index=class_index)
     y = trace.probabilities
     weights = metrics.perturbation_weight(image, perturbed, y[0], y[1:])
-    return trace, layerscore.score_layers(trace, weights, config)
+    return trace, layerscore.score_layers(trace, weights, request)
 
 
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
-            perturb_config: PerturbationConfig = None,
             class_index=None) -> ExplainResult:
     """The normalized input-resolution heatmap for one image, from one engine
     run: `score` for automatic I-CAM, else the image alone. An unknown layer
     fails before the engine runs."""
     _resolve_layers(model.spec.scoring_points, request.layers)
-    if request.method == "icam" and request.layers is None:
-        trace, report = score(model, image, perturb_config, class_index)
+    if request.scores_layers:
+        trace, report = score(model, image, request, class_index)
         return explain_trace(trace, request, report)
     image = check_images(model, image, ndims=(3,))
     trace = forward_trace(model, image, class_index=class_index)
@@ -93,7 +92,7 @@ def explain_trace(trace: ForwardTrace, request: cam.CamRequest,
     (default: the trace's last scoring point) equally, with no report. Row 0
     of an [image; perturbations] trace is the lone image's trace bit for bit
     (every matmul runs per row), so it serves every method."""
-    if request.method == "icam" and request.layers is None:
+    if request.scores_layers:
         weights = report.layer_weights
     else:
         points = list(trace.activations)
@@ -131,10 +130,6 @@ class ManifestError(ValueError):
     pass
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_manifest(path, input_shape, num_classes) -> list:
     """JSON-lines records {"image": path, "bbox": [x0,y0,x1,y1], "label": int}."""
     _, in_h, in_w = input_shape
@@ -153,10 +148,10 @@ def parse_manifest(path, input_shape, num_classes) -> list:
             if not isinstance(image, str) or not image:
                 raise ManifestError(
                     f"{bad}: image {image!r} is not a non-empty path string")
-            if not _is_int(label):
+            if not cam.is_integer(label):
                 raise ManifestError(f"{bad}: label {label!r} is not an integer")
             if not (isinstance(bbox, list) and len(bbox) == 4
-                    and all(_is_int(v) for v in bbox)):
+                    and all(cam.is_integer(v) for v in bbox)):
                 raise ManifestError(
                     f"{bad}: bbox {bbox!r} is not a list of 4 integers")
             x0, y0, x1, y1 = bbox
@@ -192,17 +187,19 @@ PREDICT_ROWS = 16
 
 
 def evaluate_manifest(model: Model, records, request: cam.CamRequest,
-                      perturb_config: PerturbationConfig,
                       iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC,
                       ) -> dict:
     """Mean IoU and saliency over correct predictions, plus accuracy.
 
     IoU and saliency are computed only where argmax == label, matching the
     weak-localization protocol; zero_heatmaps counts those records whose
-    heatmap is all zero.
+    heatmap is all zero. The records, the fraction and an unknown layer are
+    checked before any record is read.
     """
+    if not records:
+        raise ManifestError("empty manifest")
+    metrics.check_frac(iou_threshold_frac)
     _, in_h, in_w = model.spec.input_shape
-    # an unknown layer fails before any record is read
     _resolve_layers(model.spec.scoring_points, request.layers)
     ious, saliencies = [], []   # one entry per correct prediction
     zero_heatmaps = 0
@@ -215,8 +212,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
         for rec, image, pred in zip(chunk, images, preds):
             if pred != rec["label"]:
                 continue
-            heat = explain(model, image, request, perturb_config,
-                           class_index=pred).heatmap.values
+            heat = explain(model, image, request, pred).heatmap.values
             zero_heatmaps += not heat.any()
             truth = bbox_mask(rec["bbox"], in_h, in_w)
             ious.append(metrics.iou(

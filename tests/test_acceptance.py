@@ -14,7 +14,7 @@ import pytest
 from icam import cam, metrics, pipeline, verify
 from icam.cli import main
 from icam.model import _run, build_fixture_model, forward_trace
-from icam.perturb import PerturbationConfig, generate_set
+from icam.perturb import generate_set
 from icam.render import read_pgm, read_ppm, write_pgm, write_ppm
 from conftest import make_gap_linear_model
 from oracles import naive_iou, naive_saliency
@@ -165,7 +165,7 @@ def test_08_perturbation_statistics():
     img = np.random.default_rng(5).random((1, 100, 100))
 
     def one(alpha, seed):
-        cfg = PerturbationConfig(n=1, alpha=alpha, seed=seed)
+        cfg = cam.CamRequest(n=1, alpha=alpha, seed=seed)
         return generate_set(img, cfg)[0]
 
     assert np.array_equal(one(0.0, 1), img)

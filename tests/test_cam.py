@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,73 @@ class TestRequestAndDispatch:
     def test_layers_must_be_a_nonempty_sequence(self, layers):
         with pytest.raises(ValueError, match="layers"):
             cam.CamRequest("gradcam", layers=layers)
+
+
+class TestScorerSettings:
+    """n, alpha, seed and T belong to automatic I-CAM, the one request that
+    runs the layer scorer: it fills in their defaults and checks them, and
+    every other request refuses them."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2), ("alpha", 0.3), ("seed", 5), ("threshold", 0.5)])
+    @pytest.mark.parametrize("method, layers", [
+        ("gradcam", None), ("gradcampp", None), ("layercam", None),
+        ("icam", ("block2",))],
+        ids=["gradcam", "gradcampp", "layercam", "icam-named"])
+    def test_refused_where_no_layers_are_scored(self, method, layers, name,
+                                                value):
+        with pytest.raises(ValueError) as exc:
+            cam.CamRequest(method, layers=layers, **{name: value})
+        assert str(exc.value) == (f"{name} applies to automatic icam only "
+                                  f"(method icam, no layers named)")
+
+    @pytest.mark.parametrize("method, layers", [
+        ("gradcam", None), ("icam", ("block2",))])
+    def test_non_scoring_requests_hold_none(self, method, layers):
+        req = cam.CamRequest(method, layers=layers)
+        assert not req.scores_layers
+        assert (req.n, req.alpha, req.seed, req.threshold) == (None,) * 4
+
+    def test_automatic_icam_fills_in_the_defaults(self):
+        req = cam.CamRequest("icam")
+        assert req.scores_layers
+        assert (req.n, req.alpha, req.seed, req.threshold) == (8, 0.4, 42, 0.95)
+        explicit = cam.CamRequest("icam", n=8, alpha=0.4, seed=42,
+                                  threshold=0.95)
+        assert req == explicit and hash(req) == hash(explicit)
+        assert cam.CamRequest("icam", n=3) != req
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0}, "n must be an integer >= 1, got 0"),
+        ({"n": 2.0}, "n must be an integer >= 1, got 2.0"),
+        ({"n": True}, "n must be an integer >= 1, got True"),
+        ({"n": "2"}, "n must be an integer >= 1, got '2'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"alpha": -0.1}, "alpha must be in [0,1], got -0.1"),
+        ({"alpha": float("nan")}, "alpha must be in [0,1], got nan"),
+        ({"alpha": "x"}, "alpha must be in [0,1], got 'x'"),
+        ({"threshold": 0.0}, "threshold must be in (0,1], got 0.0"),
+        ({"threshold": 1.01}, "threshold must be in (0,1], got 1.01")],
+        ids=["n-0", "n-float", "n-bool", "n-str", "seed-float", "seed-bool",
+             "alpha-negative", "alpha-nan", "alpha-str", "threshold-0",
+             "threshold-above-1"])
+    def test_ill_typed_or_out_of_range_values_name_the_field(self, kwargs,
+                                                             message):
+        with pytest.raises(ValueError) as exc:
+            cam.CamRequest("icam", **kwargs)
+        assert str(exc.value) == message
+
+    def test_numpy_scalars_run_as_python_numbers(self):
+        # the sidecar's JSON writes them; an int alpha or T becomes a float
+        req = cam.CamRequest("icam", n=np.int64(2), alpha=np.float32(0.5),
+                             seed=np.uint64(5), threshold=1)
+        assert [type(v) for v in (req.n, req.alpha, req.seed, req.threshold)] \
+            == [int, float, int, float]
+        assert req == cam.CamRequest("icam", n=2, alpha=0.5, seed=5,
+                                     threshold=1.0)
+        assert json.dumps([req.n, req.alpha, req.seed, req.threshold]) \
+            == "[2, 0.5, 5, 1.0]"
 
 
 class TestSingleLayerMap:

@@ -8,7 +8,6 @@ import pytest
 from icam import cam, cli, pipeline
 from icam.cli import main
 from icam.model import build_fixture_model, forward_trace, load_model, save_model
-from icam.perturb import PerturbationConfig
 from icam.render import read_pgm, read_ppm, write_ppm
 
 FIXTURE_SHA256 = \
@@ -80,11 +79,11 @@ class TestMakeFixture:
 
 
 class TestExplain:
-    def _run(self, workspace, tmp_path, extra=()):
+    def _run(self, workspace, tmp_path, extra=("--n-perturb", "2")):
         _, model_path, image_path = workspace
         prefix = str(tmp_path / "out")
         rc = main(["explain", "--model", model_path, "--image", image_path,
-                   "--n-perturb", "2", "--out-prefix", prefix, *extra])
+                   "--out-prefix", prefix, *extra])
         assert rc == 0
         return prefix
 
@@ -119,8 +118,7 @@ class TestExplain:
         _, model_path, image_path = workspace
         model = load_model(model_path)
         image = pipeline.image_from_rgb(read_ppm(image_path))
-        result = pipeline.explain(model, image, cam.CamRequest("icam"),
-                                  PerturbationConfig(n=2))
+        result = pipeline.explain(model, image, cam.CamRequest("icam", n=2))
         expected = np.clip(np.rint(result.heatmap.values * 255), 0,
                            255).astype(np.uint8)
         assert np.array_equal(read_pgm(prefix + ".pgm"), expected)
@@ -149,8 +147,7 @@ class TestScoreLayers:
 
         model = load_model(model_path)
         image = pipeline.image_from_rgb(read_ppm(image_path))
-        result = pipeline.explain(model, image, cam.CamRequest("icam"),
-                                  PerturbationConfig(n=1))
+        result = pipeline.explain(model, image, cam.CamRequest("icam", n=1))
         for name, score in result.report.scores.items():
             assert abs(blob["scores"][name] - score) < 1e-12
 
@@ -220,14 +217,27 @@ class TestCompare:
                      "--n-perturb", "3", "--bias", bias,
                      "--out-prefix", str(tmp_path / "cmp")]) == 0
         image = pipeline.image_from_rgb(rgb)
-        config = PerturbationConfig(n=3, seed=42)
-        # --bias is icam's; the Grad-CAM family takes none
+        # --bias and --n-perturb are icam's; the Grad-CAM family takes neither
         requests = {m: cam.CamRequest(m) for m in cam.METHODS}
-        requests["icam"] = cam.CamRequest("icam", bias=bias)
+        requests["icam"] = cam.CamRequest("icam", bias=bias, n=3)
         for method, request in requests.items():
-            oracle = pipeline.explain(model, image, request, config)
+            oracle = pipeline.explain(model, image, request)
             assert written[method].tobytes() == oracle.heatmap.values.tobytes()
         assert list(written) == list(cam.METHODS)
+
+
+    def test_takes_all_four_scorer_flags(self, workspace, tmp_path):
+        # its icam map is explain's at the same flags, byte for byte
+        _, model_path, image_path = workspace
+        flags = ["--n-perturb", "3", "--alpha", "0.6", "--seed", "5",
+                 "--threshold", "0.5"]
+        assert main(["compare", "--model", model_path, "--image", image_path,
+                     *flags, "--out-prefix", str(tmp_path / "cmp")]) == 0
+        assert main(["explain", "--model", model_path, "--image", image_path,
+                     *flags, "--out-prefix", str(tmp_path / "ex")]) == 0
+        for suffix in (".pgm", "_overlay.ppm"):
+            assert (tmp_path / f"cmp_icam{suffix}").read_bytes() == \
+                (tmp_path / f"ex{suffix}").read_bytes()
 
 
 class TestEval:
@@ -248,7 +258,7 @@ class TestEval:
         manifest.write_text("\n".join(lines) + "\n")
         out = str(tmp_path / "eval.json")
         rc = main(["eval", "--model", model_path, "--manifest", str(manifest),
-                   "--method", "gradcam", "--n-perturb", "2", "--out", out])
+                   "--method", "gradcam", "--out", out])
         assert rc == 0
         summary = json.loads(Path(out).read_text())
         assert summary["records"] == 3
@@ -421,8 +431,69 @@ class TestArgumentErrors:
             main(["explain", "--model", model_path, "--image", image_path,
                   "--out-prefix", str(out / "x"), flag, value])
         assert exc.value.code == 2   # argparse's usage error
-        assert f"argument {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: icam explain ")
+        # argparse converts each flag; the request checks the scorer's ranges
+        assert {("--n-perturb", "0"): "error: n must be an integer >= 1, got 0",
+                ("--n-perturb", "1.5"):
+                    "error: argument --n-perturb: invalid int value: '1.5'",
+                ("--alpha", "-0.1"): "error: alpha must be in [0,1], got -0.1",
+                ("--alpha", "nan"): "error: alpha must be in [0,1], got nan",
+                ("--threshold", "0"):
+                    "error: threshold must be in (0,1], got 0.0",
+                ("--threshold", "1.01"):
+                    "error: threshold must be in (0,1], got 1.01",
+                ("--blend", "3"): "error: argument --blend: must be in [0,1], "
+                                  "got 3"}[flag, value] in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, args, name", [
+        ("explain", ("--method", "gradcam", "--n-perturb", "2"), "n"),
+        ("explain", ("--layer", "block2", "--seed", "5"), "seed"),
+        ("explain", ("--method", "gradcampp", "--threshold", "0.5"),
+         "threshold"),
+        ("eval", ("--method", "layercam", "--alpha", "0.3"), "alpha"),
+        ("eval", ("--layer", "final", "--n-perturb", "2"), "n")],
+        ids=["explain-gradcam-n", "explain-named-seed",
+             "explain-gradcampp-threshold", "eval-layercam-alpha",
+             "eval-named-n"])
+    def test_scorer_flag_outside_automatic_icam(self, workspace, tmp_path,
+                                                capsys, command, args, name):
+        # n, alpha, seed and T only run in automatic icam; elsewhere each is
+        # refused under the subcommand's usage line, before any file is read
+        _, model_path, image_path = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        io = (("--image", image_path, "--out-prefix", str(out / "x"))
+              if command == "explain" else
+              ("--manifest", str(tmp_path / "none.jsonl"),
+               "--out", str(out / "x.json")))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_path, *io, *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: icam {command} ")
+        assert err.endswith(f"icam {command}: error: {name} applies to "
+                            f"automatic icam only (method icam, no layers "
+                            f"named)\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["score-layers", "compare"])
+    def test_scoring_commands_check_the_scorer_ranges(
+            self, workspace, tmp_path, capsys, command):
+        _, model_path, image_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_path, "--image", image_path,
+                  "--n-perturb", "0", "--out", str(tmp_path / "x")]
+                 if command == "score-layers" else
+                 [command, "--model", model_path, "--image", image_path,
+                  "--n-perturb", "0", "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: icam {command} ")
+        assert err.endswith(f"icam {command}: error: n must be an integer "
+                            f">= 1, got 0\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "1", "x"])
     def test_bad_iou_threshold_frac(self, workspace, tmp_path, capsys, value):

@@ -3,7 +3,8 @@ import pytest
 
 from icam import layerscore, metrics
 from icam.model import ForwardTrace, build_fixture_model, forward_trace
-from icam.perturb import PerturbationConfig, generate_set
+from icam.cam import CamRequest
+from icam.perturb import generate_set
 from oracles import naive_bilinear_resize, naive_channel_norm
 
 
@@ -90,7 +91,7 @@ class TestLayerImportance:
         model = build_fixture_model(42)
         img = np.random.default_rng(5).random((3, 32, 32))
         c = forward_trace(model, img).class_index
-        perturbed = generate_set(img, PerturbationConfig(n=2, alpha=0.4,
+        perturbed = generate_set(img, CamRequest(n=2, alpha=0.4,
                                                          seed=42))
         tr = forward_trace(model, np.concatenate([img[None], perturbed]),
                            class_index=c)
@@ -131,7 +132,7 @@ class TestLayerImportance:
             layerscore.layer_importance(tr, [])
 
 
-def selected(scores, threshold=layerscore.DEFAULT_THRESHOLD):
+def selected(scores, threshold=CamRequest().threshold):
     return list(layerscore.select_layers(scores, threshold))
 
 
@@ -183,7 +184,7 @@ class TestFilterLayers:
     def test_threshold_outside_unit_interval(self, threshold):
         # T is checked where it is set, with the scorer's other settings
         with pytest.raises(ValueError, match=r"threshold must be in \(0,1\]"):
-            PerturbationConfig(threshold=threshold)
+            CamRequest(threshold=threshold)
 
 
 class TestLayerWeights:
@@ -209,7 +210,7 @@ class TestLayerWeights:
         for _ in range(100):
             scores = {f"l{i}": float(v)
                       for i, v in enumerate(rng.random(5) + 1e-3)}
-            w = layerscore.select_layers(scores)
+            w = layerscore.select_layers(scores, CamRequest().threshold)
             assert abs(sum(w.values()) - 1.0) < 1e-12
             assert all(v > 0 for v in w.values())
 
@@ -236,7 +237,7 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: every perturbation "
                                  "weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2), PerturbationConfig(n=2))
+            layerscore.score_layers(tr, np.zeros(2), CamRequest(n=2))
 
     def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
                                                       monkeypatch):
@@ -253,10 +254,10 @@ class TestNoInformativeLayers:
         tr = forward_trace(fixture_model, np.stack([img, img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="every perturbation weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2), PerturbationConfig(n=2))
+            layerscore.score_layers(tr, np.zeros(2), CamRequest(n=2))
         assert len(calls) == 0
         layerscore.score_layers(tr, np.array([0.0, 0.5]),
-                                PerturbationConfig(n=2))
+                                CamRequest(n=2))
         assert len(calls) == 1
 
     def test_saturated_head_keeps_the_scores_message(self):
@@ -265,7 +266,7 @@ class TestNoInformativeLayers:
         for name in ("head.weight", "head.bias"):
             model.weights[name] = 1e3 * model.weights[name]
         img = np.random.default_rng(0).random((3, 32, 32))
-        perturbed = generate_set(img, PerturbationConfig())
+        perturbed = generate_set(img, CamRequest())
         tr = forward_trace(model, np.concatenate([img[None], perturbed]))
         y = tr.probabilities
         weights = metrics.perturbation_weight(img, perturbed, y[0], y[1:])
@@ -273,14 +274,14 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: all scores are "
                                  "zero"):
-            layerscore.score_layers(tr, weights, PerturbationConfig())
+            layerscore.score_layers(tr, weights, CamRequest())
 
 
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
     tr = forward_trace(fixture_model, np.stack([img, img]))
-    config = PerturbationConfig(n=1, alpha=0.4, seed=9, threshold=0.5)
+    config = CamRequest(n=1, alpha=0.4, seed=9, threshold=0.5)
     report = layerscore.score_layers(tr, [0.5], config)
     parsed = json.loads(json.dumps(report.to_json_dict()))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from icam import perturb
-from icam.perturb import PerturbationConfig, generate_set
+from icam.cam import CamRequest
+from icam.perturb import generate_set
 from oracles import ScalarSplitMix64
 
 
 def _one(img, alpha, seed):
     """The single perturbation drawn from SplitMix64(seed)."""
-    return generate_set(img, PerturbationConfig(n=1, alpha=alpha, seed=seed))[0]
+    return generate_set(img, CamRequest(n=1, alpha=alpha, seed=seed))[0]
 
 
 def test_alpha_zero_is_identity():
@@ -54,16 +55,16 @@ def test_mask_shared_across_channels_and_exact_values():
 
 def test_alpha_out_of_range():
     with pytest.raises(ValueError):
-        PerturbationConfig(alpha=1.5)
+        CamRequest(alpha=1.5)
     with pytest.raises(ValueError):
-        PerturbationConfig(alpha=-0.1)
+        CamRequest(alpha=-0.1)
     with pytest.raises(ValueError):
-        PerturbationConfig(n=0)
+        CamRequest(n=0)
 
 
 def test_generate_set_deterministic():
     img = np.random.default_rng(1).random((3, 8, 8))
-    cfg = PerturbationConfig(n=8, alpha=0.4, seed=5)
+    cfg = CamRequest(n=8, alpha=0.4, seed=5)
     s1 = generate_set(img, cfg)
     s2 = generate_set(img, cfg)
     assert s1.shape == (8,) + img.shape
@@ -72,13 +73,13 @@ def test_generate_set_deterministic():
 
 def test_generate_set_single():
     img = np.ones((3, 4, 4))
-    s = generate_set(img, PerturbationConfig(n=1, alpha=0.3, seed=0))
+    s = generate_set(img, CamRequest(n=1, alpha=0.3, seed=0))
     assert s.shape == (1, 3, 4, 4)
 
 
 def test_generate_set_is_one_float64_array():
     img = np.random.default_rng(2).random((3, 5, 7)).astype(np.float32)
-    s = generate_set(img, PerturbationConfig(n=4, alpha=0.4, seed=9))
+    s = generate_set(img, CamRequest(n=4, alpha=0.4, seed=9))
     assert isinstance(s, np.ndarray)
     assert s.dtype == np.float64
     assert s.shape == (4, 3, 5, 7)
@@ -106,7 +107,7 @@ def test_generate_set_replays_scalar_stream(shape, n, seed):
     # an odd C*H*W leaves a cached sin twin between noise and mask draws
     # and across perturbations
     img = np.random.default_rng(4).random(shape)
-    cfg = PerturbationConfig(n=n, alpha=0.4, seed=seed)
+    cfg = CamRequest(n=n, alpha=0.4, seed=seed)
     want = _scalar_perturbations(img, n, 0.4, seed).tobytes()
     perturb._draws.cache_clear()
     assert generate_set(img, cfg).tobytes() == want      # fills the cache
@@ -123,14 +124,14 @@ def test_generate_set_replays_scalar_stream(shape, n, seed):
 def test_alphas_back_to_back_each_replay_their_own_stream():
     img = np.random.default_rng(5).random((3, 5, 3))
     for alpha in (0.4, 0.7, 0.4):
-        got = generate_set(img, PerturbationConfig(n=3, alpha=alpha, seed=8))
+        got = generate_set(img, CamRequest(n=3, alpha=alpha, seed=8))
         assert got.tobytes() == \
             _scalar_perturbations(img, 3, alpha, 8).tobytes()
 
 
 def test_draws_shared_across_images_and_alphas():
     rng = np.random.default_rng(6)
-    cfg = PerturbationConfig(n=3, alpha=0.4, seed=11)
+    cfg = CamRequest(n=3, alpha=0.4, seed=11)
     perturb._draws.cache_clear()
     generate_set(rng.random((3, 4, 4)), cfg)
     generate_set(rng.random((3, 4, 4)), cfg)
@@ -149,7 +150,7 @@ def test_cached_draws_are_read_only():
 
 def test_writing_into_a_set_leaves_the_next_call_unchanged():
     img = np.random.default_rng(7).random((1, 3, 3))
-    cfg = PerturbationConfig(n=2, alpha=0.4, seed=3)
+    cfg = CamRequest(n=2, alpha=0.4, seed=3)
     first = generate_set(img, cfg)
     first[...] = 7.0
     assert generate_set(img, cfg).tobytes() == \

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from icam import cam, layerscore, metrics, pipeline
 from icam.cli import main
 from icam.model import (NonFiniteImageError, build_fixture_model, forward,
                         forward_trace, save_model)
-from icam.perturb import PerturbationConfig, _draws
+from icam.perturb import _draws
 from icam.render import read_ppm, write_ppm
 from icam.tensor import ShapeError
 
@@ -22,8 +23,11 @@ def image():
     return np.random.default_rng(0).random((3, 32, 32))
 
 
-def small_config():
-    return PerturbationConfig(n=2, alpha=0.4, seed=42)
+def small(method="icam", **kw):
+    """cam.CamRequest(method, **kw), with 2 perturbations if it scores
+    layers, which keeps the tests fast."""
+    req = cam.CamRequest(method, **kw)
+    return replace(req, n=2) if req.scores_layers else req
 
 
 class TestImageFromRgb:
@@ -39,8 +43,7 @@ class TestImageFromRgb:
 
 class TestExplain:
     def test_icam_automatic_pipeline(self, model, image):
-        result = pipeline.explain(model, image, cam.CamRequest("icam"),
-                                  small_config())
+        result = pipeline.explain(model, image, small())
         assert result.heatmap.values.shape == (32, 32)
         assert result.report is not None
         assert result.layers == list(result.report.layer_weights)
@@ -48,14 +51,14 @@ class TestExplain:
         assert 0.0 <= result.probability <= 1.0
 
     def test_deterministic(self, model, image):
-        r1 = pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
-        r2 = pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
+        r1 = pipeline.explain(model, image, small())
+        r2 = pipeline.explain(model, image, small())
         assert np.array_equal(r1.heatmap.values, r2.heatmap.values)
         assert r1.report.scores == r2.report.scores
 
     def test_explicit_layer_skips_scoring(self, model, image):
         req = cam.CamRequest("icam", layers=("block2",))
-        result = pipeline.explain(model, image, req, small_config())
+        result = pipeline.explain(model, image, req)
         assert result.report is None
         assert result.layers == ["block2"]
 
@@ -90,7 +93,7 @@ class TestExplain:
 
     def test_unknown_layer(self, model, image):
         req = cam.CamRequest("gradcam", layers=("block7",))
-        with pytest.raises(KeyError):
+        with pytest.raises(pipeline.UnknownLayerError):
             pipeline.explain(model, image, req)
 
     def test_unknown_layer_error_reads_as_plain_message(self, model, image):
@@ -99,12 +102,30 @@ class TestExplain:
             pipeline.explain(model, image, req)
         assert str(exc.value) == ("unknown scoring point 'block7' "
                                   "(available: block1, block2, block3)")
+        assert isinstance(exc.value, ValueError)   # a boundary error like the rest
+
+    @pytest.mark.parametrize("req", [
+        *(cam.CamRequest(m) for m in ("gradcam", "gradcampp", "layercam")),
+        cam.CamRequest("icam", layers=("block1",))],
+        ids=["gradcam", "gradcampp", "layercam", "icam-named"])
+    def test_score_refuses_a_request_that_scores_no_layers(
+            self, model, image, req, engine_calls):
+        with pytest.raises(ValueError, match="only automatic icam scores"):
+            pipeline.score(model, image, req)
+        assert engine_calls == []
+
+    def test_score_reads_the_request_settings(self, model, image):
+        req = cam.CamRequest("icam", n=3, alpha=0.6, seed=5, threshold=0.5)
+        trace, report = pipeline.score(model, image, req)
+        assert len(trace.image) == 4 and report.request is req
+        assert report.to_json_dict()["n"] == 3
+        assert pipeline.explain(model, image, req).report.scores \
+            == report.scores
 
     @pytest.mark.parametrize("method", ["gradcam", "icam"])
     def test_all_nan_image_rejected(self, model, method):
         with pytest.raises(NonFiniteImageError):
-            pipeline.explain(model, np.full((3, 32, 32), np.nan),
-                             cam.CamRequest(method), small_config())
+            pipeline.explain(model, np.full((3, 32, 32), np.nan), small(method))
 
     @pytest.mark.parametrize("bad, error", [
         (np.zeros((32, 32)), ShapeError),
@@ -113,11 +134,10 @@ class TestExplain:
         (np.full((3, 32, 32), np.nan), NonFiniteImageError)],
         ids=["2d", "3x16x16", "batch", "nan"])
     def test_image_checked_before_perturbing(self, model, image, bad, error):
-        pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
+        pipeline.explain(model, image, small())
         before = _draws.cache_info()
         with pytest.raises(error):
-            pipeline.explain(model, bad, cam.CamRequest("icam"),
-                             small_config())
+            pipeline.explain(model, bad, small())
         assert _draws.cache_info() == before
 
     def test_forced_class_index(self, model, image):
@@ -142,14 +162,14 @@ def engine_calls(monkeypatch):
 class TestEngineCalls:
     def test_icam_automatic_is_one_call_over_image_and_perturbations(
             self, model, image, engine_calls):
-        pipeline.explain(model, image, cam.CamRequest("icam"), small_config())
+        pipeline.explain(model, image, small())
         assert engine_calls == [(3, 3, 32, 32)]
 
     @pytest.mark.parametrize("method", cam.METHODS)
     def test_single_layer_method_is_one_call(self, model, image, method,
                                              engine_calls):
         req = cam.CamRequest(method, layers=("block1", "block3"))
-        pipeline.explain(model, image, req, small_config())
+        pipeline.explain(model, image, req)
         assert engine_calls == [(3, 32, 32)]
 
     def test_compare_is_one_call_over_image_and_perturbations(
@@ -168,7 +188,7 @@ class TestEngineCalls:
                                                    engine_calls):
         req = cam.CamRequest(method, layers=("block1", "block7"))
         with pytest.raises(pipeline.UnknownLayerError):
-            pipeline.explain(model, image, req, small_config())
+            pipeline.explain(model, image, req)
         assert engine_calls == []
 
     def test_score_layers_is_one_call_and_maps_nothing(
@@ -239,13 +259,12 @@ class TestSaturatedHead:
             expected = cam.SmoothOverflowError   # the others are scale-free
         else:
             expected = None
-        req = cam.CamRequest(method, smooth=smooth, layers=layers)
+        req = small(method, smooth=smooth, layers=layers)
         if expected is not None:
             with pytest.raises(expected):
-                pipeline.explain(saturated_model, image, req, small_config())
+                pipeline.explain(saturated_model, image, req)
             return
-        values = pipeline.explain(saturated_model, image, req,
-                                  small_config()).heatmap.values
+        values = pipeline.explain(saturated_model, image, req).heatmap.values
         assert np.isfinite(values).all()
         assert values.min() >= 0.0 and values.max() <= 1.0
 
@@ -263,10 +282,9 @@ class TestHeadScale:
     def test_finite_map_or_named_error(self, image, method, bias, smooth,
                                        scale):
         model = _head_scaled_model(scale)
-        req = cam.CamRequest(method, smooth=smooth, bias=bias)
+        req = small(method, smooth=smooth, bias=bias)
         try:
-            values = pipeline.explain(model, image, req,
-                                      small_config()).heatmap.values
+            values = pipeline.explain(model, image, req).heatmap.values
         except (cam.SmoothOverflowError,
                 layerscore.NoInformativeLayersError):
             assert method == "icam"   # the Grad-CAM family is scale-free
@@ -281,18 +299,16 @@ class TestZeroMaps:
     map."""
 
     def test_default_icam_reports_every_layer(self, model, image):
-        cfg = small_config()
-        req = cam.CamRequest("icam")
-        result = pipeline.explain(model, image, req, cfg)
+        req = small()
+        result = pipeline.explain(model, image, req)
         assert result.zero_maps == result.layers
         assert not result.heatmap.values.any()
         assert pipeline.sidecar_dict(result, req)["zero_maps"] \
             == result.layers
 
     def test_bias_none_reports_none(self, model, image):
-        cfg = small_config()
-        req = cam.CamRequest("icam", bias="none")
-        result = pipeline.explain(model, image, req, cfg)
+        req = small(bias="none")
+        result = pipeline.explain(model, image, req)
         assert result.zero_maps == []
         assert result.heatmap.values.any()
         assert pipeline.sidecar_dict(result, req)["zero_maps"] == []
@@ -316,17 +332,15 @@ class TestZeroMaps:
     @pytest.mark.parametrize("bias, zeros", [("channel", 2), ("none", 0)])
     def test_eval_counts_zero_heatmaps(self, tmp_path, model, bias, zeros):
         records, _ = TestEvaluateManifest._setup(tmp_path, model)
-        summary = pipeline.evaluate_manifest(
-            model, records, cam.CamRequest("icam", bias=bias), small_config())
+        summary = pipeline.evaluate_manifest(model, records, small(bias=bias))
         assert summary["correct"] == 2
         assert summary["zero_heatmaps"] == zeros
 
 
 class TestSidecar:
     def test_icam_includes_layer_scores(self, model, image):
-        cfg = small_config()
-        req = cam.CamRequest("icam")
-        result = pipeline.explain(model, image, req, cfg)
+        req = small()
+        result = pipeline.explain(model, image, req)
         d = pipeline.sidecar_dict(result, req)
         assert d["method"] == "icam"
         assert d["smooth"] == "softmax"
@@ -346,15 +360,15 @@ class TestSidecar:
         assert '"smooth": null' in json.dumps(d)
 
     @pytest.mark.parametrize("req", [
-        *(pytest.param(cam.CamRequest(m), id=m) for m in cam.METHODS),
-        pytest.param(cam.CamRequest("icam", smooth="exp", bias="none"),
-                     id="icam-exp-none")])
+        *(pytest.param(small(m), id=m) for m in cam.METHODS),
+        pytest.param(small(smooth="exp", bias="none"), id="icam-exp-none")])
     def test_settings_rebuild_the_request_that_ran(self, model, image, req):
-        cfg = small_config()
         d = json.loads(json.dumps(pipeline.sidecar_dict(
-            pipeline.explain(model, image, req, cfg), req)))
-        assert cam.CamRequest(d["method"], smooth=d["smooth"],
-                              bias=d["bias"]) == req
+            pipeline.explain(model, image, req), req)))
+        scorer = d.get("layer_scores", {})
+        assert cam.CamRequest(d["method"], smooth=d["smooth"], bias=d["bias"],
+                              **{k: scorer[k] for k in cam.SCORER_DEFAULTS
+                                 if k in scorer}) == req
 
 
 class TestManifest:
@@ -451,8 +465,7 @@ class TestEvaluateManifest:
     def test_hand_aggregated_summary(self, tmp_path, model):
         records, images = self._setup(tmp_path, model)
         req = cam.CamRequest("gradcam")
-        cfg = small_config()
-        summary = pipeline.evaluate_manifest(model, records, req, cfg,
+        summary = pipeline.evaluate_manifest(model, records, req,
                                              iou_threshold_frac=0.2)
         assert summary["records"] == 4
         assert summary["correct"] == 2
@@ -466,7 +479,7 @@ class TestEvaluateManifest:
             tr = forward_trace(model, img)
             if tr.class_index != rec["label"]:
                 continue
-            res = pipeline.explain(model, img, req, cfg,
+            res = pipeline.explain(model, img, req,
                                    class_index=tr.class_index)
             truth = pipeline.bbox_mask(rec["bbox"], 32, 32)
             mask = metrics.threshold_heatmap(res.heatmap.values, 0.2)
@@ -484,8 +497,7 @@ class TestEvaluateManifest:
         pred = forward_trace(model, img).class_index
         records = [{"image": path, "bbox": (0, 0, 31, 31), "label": pred}]
         summary = pipeline.evaluate_manifest(model, records,
-                                             cam.CamRequest("gradcam"),
-                                             small_config())
+                                             cam.CamRequest("gradcam"))
         assert summary["correct"] == 1
         assert summary["mean_saliency"] == 1.0
         assert summary["mean_iou"] > 0.0
@@ -494,22 +506,19 @@ class TestEvaluateManifest:
         records, _ = self._setup(tmp_path, model, n_images=1)
         records[0]["label"] = (records[0]["label"] + 2) % 5
         summary = pipeline.evaluate_manifest(model, records,
-                                             cam.CamRequest("gradcam"),
-                                             small_config())
+                                             cam.CamRequest("gradcam"))
         assert summary["correct"] == 0
         assert summary["mean_iou"] == 0.0 and summary["mean_saliency"] == 0.0
 
     def test_one_engine_call_per_correct_record(self, tmp_path, model,
                                                 engine_calls):
         records, _ = self._setup(tmp_path, model)
-        summary = pipeline.evaluate_manifest(model, records,
-                                             cam.CamRequest("icam"),
-                                             small_config())
+        summary = pipeline.evaluate_manifest(model, records, small())
         assert summary["correct"] == 2 and summary["records"] == 4
         assert engine_calls == [(3, 3, 32, 32)] * 2
 
     @staticmethod
-    def _per_record_summary(model, records, request, config, frac):
+    def _per_record_summary(model, records, request, frac):
         """The summary from a loop that predicts each record on its own."""
         ious, sals, zeros = [], [], 0
         for rec in records:
@@ -517,7 +526,7 @@ class TestEvaluateManifest:
             pred = int(np.argmax(forward(model, img)))
             if pred != rec["label"]:
                 continue
-            heat = pipeline.explain(model, img, request, config,
+            heat = pipeline.explain(model, img, request,
                                     class_index=pred).heatmap.values
             zeros += not heat.any()
             truth = pipeline.bbox_mask(rec["bbox"], 32, 32)
@@ -544,12 +553,12 @@ class TestEvaluateManifest:
 
         monkeypatch.setattr(pipeline, "PREDICT_ROWS", predict_rows)
         monkeypatch.setattr(pipeline, "forward", counted)
-        req, cfg = cam.CamRequest(method), small_config()
-        summary = pipeline.evaluate_manifest(model, records, req, cfg,
+        req = small(method)
+        summary = pipeline.evaluate_manifest(model, records, req,
                                              iou_threshold_frac=0.3)
         rows = [min(predict_rows, 7 - i) for i in range(0, 7, predict_rows)]
         assert forwards == [(r, 3, 32, 32) for r in rows]
-        expected = self._per_record_summary(model, records, req, cfg, 0.3)
+        expected = self._per_record_summary(model, records, req, 0.3)
         assert summary["correct"] == 4
         assert summary == expected   # exact float equality
 
@@ -559,5 +568,22 @@ class TestEvaluateManifest:
         records[0]["label"] = (records[0]["label"] + 2) % 5
         with pytest.raises(pipeline.UnknownLayerError, match="block9"):
             pipeline.evaluate_manifest(
-                model, records, cam.CamRequest("gradcam", layers=("block9",)),
-                small_config())
+                model, records, cam.CamRequest("gradcam", layers=("block9",)))
+
+    def test_empty_records_rejected(self, model):
+        with pytest.raises(pipeline.ManifestError, match="^empty manifest$"):
+            pipeline.evaluate_manifest(model, [], cam.CamRequest("gradcam"))
+
+    @pytest.mark.parametrize("frac", [2.0, -1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_bad_fraction_rejected_before_any_record_is_read(
+            self, tmp_path, model, engine_calls, monkeypatch, frac, correct):
+        records, _ = self._setup(tmp_path, model, n_images=1)
+        if not correct:
+            records[0]["label"] = (records[0]["label"] + 2) % 5
+        read = []
+        monkeypatch.setattr(pipeline, "read_ppm", read.append)
+        with pytest.raises(ValueError, match=r"frac must be in \(0,1\)"):
+            pipeline.evaluate_manifest(model, records, cam.CamRequest("gradcam"),
+                                       iou_threshold_frac=frac)
+        assert read == [] and engine_calls == []
