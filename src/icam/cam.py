@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .model import ForwardTrace
+from .model import ForwardTrace, is_integer
 from .render import bilinear_resize, normalize_minmax
 
 ALPHA_EPS = 1e-8
@@ -49,12 +49,11 @@ class Heatmap:
     values: np.ndarray       # [H,W], non-negative
 
 
-def is_integer(v) -> bool:   # an int or a numpy integer, not a bool
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class CamRequest:
+    """Stores the defaults it fills in, so `dataclasses.replace` keeps to one
+    kind of request (a new n for automatic icam); another method, or named
+    layers, needs a new CamRequest."""
     method: str = "icam"
     smooth: str = None          # icam only
     bias: str = None            # icam only

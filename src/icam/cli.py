@@ -25,6 +25,7 @@ from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
 from .tensor import ShapeError
 
 DEFAULT_BLEND = 0.5
+_BIAS_HELP = f"I-CAM's bias term (default {cam.ICAM_DEFAULTS['bias']})"
 
 # what main() reports as "error: ..." with exit status 1, without a traceback
 _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
@@ -33,30 +34,15 @@ _USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
                NoInformativeLayersError)
 
 
-def _bounded(convert, accept, bounds):
-    """argparse type: convert the text, then require it to lie in bounds."""
-    def parse(text):
-        value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(
-                f"must be in {bounds}, got {text}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-_UNIT_CLOSED = _bounded(float, lambda v: 0.0 <= v <= 1.0, "[0,1]")
-_UNIT_OPEN = _bounded(float, lambda v: 0.0 < v < 1.0, "(0,1)")
-
-
 def _add_common(p, with_method=True):
     p.add_argument("--model", required=True, help="ICAMW001 weight file")
     if with_method:
         p.add_argument("--method", choices=cam.METHODS, default="icam")
         p.add_argument("--smooth", choices=cam.SMOOTHS, default=None,
-                       help="I-CAM's smooth function (default softmax)")
+                       help="I-CAM's smooth function "
+                            f"(default {cam.ICAM_DEFAULTS['smooth']})")
         p.add_argument("--bias", choices=cam.BIAS_MODES, default=None,
-                       help="I-CAM's bias term (default channel)")
+                       help=_BIAS_HELP)
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
     else:   # score-layers, compare: the request is automatic icam
@@ -86,8 +72,7 @@ def _write_json(obj, path):
 
 def cmd_explain(args):
     model = load_model(args.model)
-    rgb = render.read_ppm(args.image)
-    image = pipeline.image_from_rgb(rgb)
+    rgb, image = pipeline.read_image(model, args.image)
     result = pipeline.explain(model, image, args.request)
 
     _write_heatmap(rgb, result.heatmap, args.out_prefix, args.blend)
@@ -100,7 +85,7 @@ def cmd_explain(args):
 
 def cmd_score_layers(args):
     model = load_model(args.model)
-    image = pipeline.image_from_rgb(render.read_ppm(args.image))
+    _, image = pipeline.read_image(model, args.image)
     _, report = pipeline.score(model, image, args.request)
     _write_json(report.to_json_dict(), args.out)
 
@@ -127,8 +112,7 @@ def cmd_eval(args):
 
 def cmd_compare(args):
     model = load_model(args.model)
-    rgb = render.read_ppm(args.image)
-    image = pipeline.image_from_rgb(rgb)
+    rgb, image = pipeline.read_image(model, args.image)
     trace, report = pipeline.score(model, image, args.request)
     requests = [args.request if m == "icam" else cam.CamRequest(m)
                 for m in cam.METHODS]
@@ -173,7 +157,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--image", required=True, help="input PPM (P6) image")
     p.add_argument("--out-prefix", default="explain")
-    p.add_argument("--blend", type=_UNIT_CLOSED, default=DEFAULT_BLEND)
+    p.add_argument("--blend", type=float, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("score-layers", help="per-layer importance report")
@@ -185,7 +169,7 @@ def build_parser():
     p = sub.add_parser("eval", help="IoU/saliency metrics over a manifest")
     _add_common(p)
     p.add_argument("--manifest", required=True, help="JSON-lines manifest")
-    p.add_argument("--iou-threshold-frac", type=_UNIT_OPEN,
+    p.add_argument("--iou-threshold-frac", type=float,
                    default=metrics.DEFAULT_THRESHOLD_FRAC)
     p.add_argument("--out", default="eval.json")
     p.set_defaults(func=cmd_eval)
@@ -194,9 +178,9 @@ def build_parser():
     _add_common(p, with_method=False)
     p.add_argument("--image", required=True)
     p.add_argument("--bias", choices=cam.BIAS_MODES, default=None,
-                   help="I-CAM's bias term (default channel)")
+                   help=_BIAS_HELP)
     p.add_argument("--out-prefix", default="compare")
-    p.add_argument("--blend", type=_UNIT_CLOSED, default=DEFAULT_BLEND)
+    p.add_argument("--blend", type=float, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="derivative and divergence self-checks")
@@ -215,13 +199,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if "parser" in args:   # refuse a request before any file is read
+    if "parser" in args:   # refuse a bad value before any file is read
         try:
             args.request = cam.CamRequest(
                 args.method, smooth=args.smooth, bias=args.bias,
                 layers=tuple(args.layers) if args.layers else None,
                 n=args.n_perturb, alpha=args.alpha, seed=args.seed,
                 threshold=args.threshold)
+            if "blend" in args:
+                render.check_blend(args.blend)
+            if "iou_threshold_frac" in args:
+                metrics.check_frac(args.iou_threshold_frac)
         except ValueError as exc:
             args.parser.error(str(exc))
     try:

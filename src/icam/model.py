@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class ForwardTrace:
 
 class NonFiniteImageError(ValueError):
     """An input image holds a NaN or infinite pixel."""
+
+
+def is_integer(v) -> bool:   # an int or a numpy integer, not a bool
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def build_fixture_model(seed: int) -> Model:
@@ -193,6 +198,8 @@ def forward_trace(model: Model, image: np.ndarray,
     input. Every matmul is per row, so a row's values do not depend on the
     other rows.
     """
+    if class_index is not None and not is_integer(class_index):
+        raise ValueError(f"class_index must be an integer, got {class_index!r}")
     images = check_images(model, image)
     batch = images.ndim == 4
     images = images if batch else images[None]

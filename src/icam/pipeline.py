@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cam, layerscore, metrics
-from .model import ForwardTrace, Model, check_images, forward, forward_trace
+from .model import (ForwardTrace, Model, check_images, forward, forward_trace,
+                    is_integer)
 from .perturb import generate_set
 from .render import read_ppm
 from .tensor import ShapeError
@@ -31,6 +32,15 @@ class ExplainResult:
 def image_from_rgb(rgb: np.ndarray) -> np.ndarray:
     """uint8 [H,W,3] -> float64 [3,H,W] in [0,1]."""
     return np.transpose(rgb.astype(np.float64) / 255.0, (2, 0, 1))
+
+
+def read_image(model: Model, path):
+    """A PPM as (uint8 [H,W,3], [C,H,W] image checked against `model`)."""
+    rgb = read_ppm(path)
+    try:
+        return rgb, check_images(model, image_from_rgb(rgb), ndims=(3,))
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
 
 
 class UnknownLayerError(ValueError):
@@ -148,10 +158,10 @@ def parse_manifest(path, input_shape, num_classes) -> list:
             if not isinstance(image, str) or not image:
                 raise ManifestError(
                     f"{bad}: image {image!r} is not a non-empty path string")
-            if not cam.is_integer(label):
+            if not is_integer(label):
                 raise ManifestError(f"{bad}: label {label!r} is not an integer")
             if not (isinstance(bbox, list) and len(bbox) == 4
-                    and all(cam.is_integer(v) for v in bbox)):
+                    and all(is_integer(v) for v in bbox)):
                 raise ManifestError(
                     f"{bad}: bbox {bbox!r} is not a list of 4 integers")
             x0, y0, x1, y1 = bbox
@@ -161,8 +171,6 @@ def parse_manifest(path, input_shape, num_classes) -> list:
                 raise ManifestError(f"{bad}: label {label} out of range")
             records.append({"image": image, "bbox": (x0, y0, x1, y1),
                             "label": label})
-    if not records:
-        raise ManifestError("empty manifest")
     return records
 
 
@@ -171,14 +179,6 @@ def bbox_mask(bbox, h, w) -> np.ndarray:
     mask = np.zeros((h, w), dtype=np.uint8)
     mask[y0:y1 + 1, x0:x1 + 1] = 1
     return mask
-
-
-def _record_image(model: Model, path) -> np.ndarray:
-    """A manifest record's PPM as a [C,H,W] image, checked as it is read."""
-    try:
-        return check_images(model, image_from_rgb(read_ppm(path)), ndims=(3,))
-    except ShapeError as exc:
-        raise ShapeError(f"{path}: {exc}") from None
 
 
 # records predicted by one forward in evaluate_manifest: the forward's heap
@@ -205,7 +205,7 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     zero_heatmaps = 0
     for start in range(0, len(records), PREDICT_ROWS):
         chunk = records[start:start + PREDICT_ROWS]
-        images = np.stack([_record_image(model, rec["image"]) for rec in chunk])
+        images = np.stack([read_image(model, rec["image"])[1] for rec in chunk])
         # one forward over [R,C,H,W]; each row's logits are those of its
         # own one-image forward, since every matmul runs per row
         preds = np.argmax(forward(model, images), axis=-1).tolist()

@@ -146,6 +146,11 @@ def colormap(h: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * frac[..., None]
 
 
+def check_blend(blend: float):
+    if not 0.0 <= blend <= 1.0:
+        raise ValueError(f"blend must be in [0,1], got {blend}")
+
+
 def overlay(image: np.ndarray, heatmap: np.ndarray, blend: float) -> np.ndarray:
     """Blend a normalized heatmap rendering over an RGB image.
 
@@ -155,7 +160,6 @@ def overlay(image: np.ndarray, heatmap: np.ndarray, blend: float) -> np.ndarray:
     if image.shape[:2] != heatmap.shape:
         raise ValueError(
             f"resolution mismatch: image {image.shape[:2]} vs heatmap {heatmap.shape}")
-    if not 0.0 <= blend <= 1.0:
-        raise ValueError(f"blend must be in [0,1], got {blend}")
+    check_blend(blend)
     out = (1.0 - blend) * image + blend * colormap(heatmap)
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)

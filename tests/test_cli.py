@@ -433,7 +433,7 @@ class TestArgumentErrors:
         assert exc.value.code == 2   # argparse's usage error
         err = capsys.readouterr().err
         assert err.startswith("usage: icam explain ")
-        # argparse converts each flag; the request checks the scorer's ranges
+        # argparse converts each flag; its owner checks the value's range
         assert {("--n-perturb", "0"): "error: n must be an integer >= 1, got 0",
                 ("--n-perturb", "1.5"):
                     "error: argument --n-perturb: invalid int value: '1.5'",
@@ -443,8 +443,8 @@ class TestArgumentErrors:
                     "error: threshold must be in (0,1], got 0.0",
                 ("--threshold", "1.01"):
                     "error: threshold must be in (0,1], got 1.01",
-                ("--blend", "3"): "error: argument --blend: must be in [0,1], "
-                                  "got 3"}[flag, value] in err
+                ("--blend", "3"): "error: blend must be in [0,1], got 3.0",
+                }[flag, value] in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, args, name", [
@@ -502,7 +502,44 @@ class TestArgumentErrors:
             main(["eval", "--model", model_path, "--manifest", "none.jsonl",
                   "--iou-threshold-frac", value])
         assert exc.value.code == 2
-        assert "argument --iou-threshold-frac" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith({
+            "0": "error: frac must be in (0,1), got 0.0\n",
+            "1": "error: frac must be in (0,1), got 1.0\n",
+            "x": "error: argument --iou-threshold-frac: invalid float value: "
+                 "'x'\n"}[value])
+
+    @pytest.mark.parametrize("model", ["fixture", "missing"])
+    @pytest.mark.parametrize("command, flag, value, message", [
+        *(pytest.param(command, "--blend", value,
+                       f"blend must be in [0,1], got {shown}",
+                       id=f"{command}-blend-{value}")
+          for command in ("explain", "compare")
+          for value, shown in (("3", "3.0"), ("-0.1", "-0.1"), ("nan", "nan"))),
+        *(pytest.param("eval", "--iou-threshold-frac", value,
+                       f"frac must be in (0,1), got {shown}",
+                       id=f"eval-frac-{value}")
+          for value, shown in (("0", "0.0"), ("1", "1.0"), ("nan", "nan")))])
+    def test_range_checked_by_its_owner_before_any_file_is_read(
+            self, workspace, tmp_path, capsys, model, command, flag, value,
+            message):
+        # render.check_blend and metrics.check_frac refuse the value under the
+        # subcommand's usage line; a model file that does not exist is never
+        # opened
+        _, model_path, image_path = workspace
+        if model == "missing":
+            model_path = str(tmp_path / "missing.icamw")
+        out = tmp_path / "out"
+        out.mkdir()
+        io = (("--manifest", str(tmp_path / "none.jsonl"),
+               "--out", str(out / "x.json")) if command == "eval" else
+              ("--image", image_path, "--out-prefix", str(out / "x")))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_path, *io, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: icam {command} ")
+        assert err.endswith(f"icam {command}: error: {message}\n")
+        assert list(out.iterdir()) == []
 
 
 def _resaved_model(path, mutate_header):
@@ -578,6 +615,20 @@ class TestUserErrors:
         write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
         assert "(3, 40, 48)" in self._explain_fails(workspace, tmp_path,
                                                     image=str(wrong))
+
+    @pytest.mark.parametrize("command", ["explain", "compare", "score-layers"])
+    def test_image_size_names_file(self, workspace, tmp_path, command):
+        # every command reads its image through pipeline.read_image
+        wrong = tmp_path / "wide.ppm"
+        write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
+        out = ("--out", str(tmp_path / "out.json")) if command == "score-layers" \
+            else ("--out-prefix", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", workspace[1], "--image", str(wrong),
+                  "--n-perturb", "2", *out])
+        assert exc.value.code == (f"error: {wrong}: image shape (3, 40, 48) "
+                                  f"!= model input (3, 32, 32)")
+        assert not list(tmp_path.glob("out*"))
 
     def test_non_finite_image_error(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "image_from_rgb",
@@ -668,7 +719,8 @@ class TestUserErrors:
         write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
         proc = self._run_explain(workspace, tmp_path, "--image", str(wrong))
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: image shape (3, 40, 48)")
+        assert proc.stderr == (f"error: {wrong}: image shape (3, 40, 48) != "
+                               f"model input (3, 32, 32)\n")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [(), ("--layer", "7")],

@@ -73,6 +73,21 @@ class TestForwardTrace:
         with pytest.raises(IndexError):
             forward_trace(fixture_model, np.zeros((3, 32, 32)), class_index=5)
 
+    @pytest.mark.parametrize("class_index", [
+        2.7, 2.0, True, np.bool_(True), "3", np.float64(2.0)],
+        ids=["float", "whole-float", "bool", "numpy-bool", "str",
+             "numpy-float"])
+    def test_class_index_must_be_an_integer(self, fixture_model, class_index):
+        with pytest.raises(ValueError, match="^class_index must be an integer"):
+            forward_trace(fixture_model, np.zeros((3, 32, 32)),
+                          class_index=class_index)
+
+    @pytest.mark.parametrize("class_index", [np.int64(2), np.uint8(2), 2])
+    def test_numpy_integer_class_index(self, fixture_model, class_index):
+        tr = forward_trace(fixture_model, np.zeros((3, 32, 32)),
+                           class_index=class_index)
+        assert type(tr.class_index) is int and tr.class_index == 2
+
     def test_bad_image_shape(self, fixture_model):
         with pytest.raises(ShapeError):
             forward_trace(fixture_model, np.zeros((3, 16, 16)))

@@ -41,6 +41,22 @@ class TestImageFromRgb:
         assert abs(img[2, 1, 2] - 51 / 255) < 1e-15
 
 
+class TestReadImage:
+    def test_pixels_and_checked_image(self, model, tmp_path):
+        rgb = np.random.default_rng(1).integers(0, 256, (32, 32, 3),
+                                                dtype=np.uint8)
+        write_ppm(rgb, tmp_path / "x.ppm")
+        got_rgb, got = pipeline.read_image(model, tmp_path / "x.ppm")
+        assert np.array_equal(got_rgb, rgb)
+        assert np.array_equal(got, pipeline.image_from_rgb(rgb))
+
+    def test_wrong_size_names_the_file(self, model, tmp_path):
+        path = tmp_path / "small.ppm"
+        write_ppm(np.zeros((16, 16, 3), dtype=np.uint8), path)
+        with pytest.raises(ShapeError, match=f"^{path}: image shape "):
+            pipeline.read_image(model, path)
+
+
 class TestExplain:
     def test_icam_automatic_pipeline(self, model, image):
         result = pipeline.explain(model, image, small())
@@ -144,6 +160,15 @@ class TestExplain:
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"),
                                   class_index=3)
         assert result.class_index == 3
+
+    @pytest.mark.parametrize("request_", [cam.CamRequest("gradcam"), small()],
+                             ids=["gradcam", "icam"])
+    @pytest.mark.parametrize("class_index", [2.7, True, "3"])
+    def test_class_index_must_be_an_integer(self, model, image, request_,
+                                            class_index):
+        with pytest.raises(ValueError, match=f"^class_index must be an integer, "
+                                             f"got {class_index!r}$"):
+            pipeline.explain(model, image, request_, class_index)
 
 
 @pytest.fixture
@@ -388,9 +413,11 @@ class TestManifest:
         assert recs[1]["bbox"] == (4, 2, 10, 9)
 
     def test_empty_manifest(self, tmp_path):
-        p = self._write(tmp_path, [""])
-        with pytest.raises(pipeline.ManifestError, match="empty manifest"):
-            pipeline.parse_manifest(p, (3, 32, 32), 5)
+        # a blank file holds no records; evaluate_manifest refuses an empty list
+        p = self._write(tmp_path, ["", " "])
+        assert pipeline.parse_manifest(p, (3, 32, 32), 5) == []
+        p.write_bytes(b"")
+        assert pipeline.parse_manifest(p, (3, 32, 32), 5) == []
 
     def test_malformed_line_names_line_number(self, tmp_path):
         p = self._write(tmp_path, [

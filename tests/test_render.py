@@ -256,3 +256,17 @@ class TestOverlay:
             overlay(img, np.zeros((3, 3)), 0.5)
         with pytest.raises(ValueError):
             overlay(img, np.zeros((2, 2)), 1.5)
+
+    @pytest.mark.parametrize("blend, ok", [
+        (0.0, True), (1.0, True), (-0.1, False), (1.5, False),
+        (float("nan"), False)])
+    def test_check_blend_is_overlays_range(self, blend, ok):
+        img = np.zeros((1, 1, 3), dtype=np.uint8)
+        for check in (render.check_blend,
+                      lambda b: overlay(img, np.zeros((1, 1)), b)):
+            if ok:
+                check(blend)
+            else:
+                with pytest.raises(ValueError, match=r"^blend must be in "
+                                   rf"\[0,1\], got {blend}$"):
+                    check(blend)
