@@ -19,19 +19,14 @@ import sys
 import numpy as np
 
 from . import cam, metrics, pipeline, render
-from .layerscore import NoInformativeLayersError
-from .model import (ModelFormatError, NonFiniteImageError, build_fixture_model,
-                    load_model, save_model)
-from .tensor import ShapeError
+from .model import build_fixture_model, load_model, save_model
 
 DEFAULT_BLEND = 0.5
 _BIAS_HELP = f"I-CAM's bias term (default {cam.ICAM_DEFAULTS['bias']})"
 
-# what main() reports as "error: ..." with exit status 1, without a traceback
-_USER_ERRORS = (OSError, ModelFormatError, render.ImageFormatError,
-               pipeline.ManifestError, pipeline.UnknownLayerError, ShapeError,
-               NonFiniteImageError, cam.SmoothOverflowError,
-               NoInformativeLayersError)
+# what main() reports as "error: ..." with exit status 1, without a
+# traceback: every named icam error subclasses ValueError or OverflowError
+_USER_ERRORS = (OSError, ValueError, OverflowError, MemoryError)
 
 
 def _add_common(p, with_method=True):

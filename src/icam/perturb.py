@@ -29,8 +29,12 @@ def _draws(seed: int, n: int, shape: tuple) -> tuple:
     """
     c, h, w = shape
     rng = SplitMix64(seed)
-    noise = np.empty((n, c, h, w))
-    uniforms = np.empty((n, h, w))
+    try:
+        noise = np.empty((n, c, h, w))
+        uniforms = np.empty((n, h, w))
+    except (ValueError, MemoryError):   # numpy's "too big" is a ValueError
+        raise MemoryError(f"n = {n} perturbations of a {c}x{h}x{w} image "
+                          f"do not fit in memory") from None
     for i in range(n):
         noise[i] = rng.gaussian_array(c * h * w).reshape(c, h, w)
         uniforms[i] = rng.uniform_array(h * w).reshape(h, w)

@@ -63,15 +63,17 @@ def _resolve_layers(points, layers):
     return resolved
 
 
-def score(model: Model, image: np.ndarray,
-          request: cam.CamRequest = cam.CamRequest(), class_index=None):
-    """I-CAM's first stage in one engine run: perturb, weigh, score layers,
-    all set by a `request` that scores layers. Returns the trace of
-    [image; perturbations] and the layer-score report."""
-    if not request.scores_layers:
-        raise ValueError(f"only automatic icam scores layers, not method "
-                         f"{request.method!r} with layers {request.layers!r}")
+def score(model: Model, image: np.ndarray, request: cam.CamRequest,
+          class_index=None):
+    """The one engine run of an explain, set by `request`; an unknown layer
+    fails before it. Automatic I-CAM perturbs, traces [image;
+    perturbations], weighs and scores layers, and returns the trace and the
+    layer-score report; any other request traces the image alone and
+    returns (trace, None)."""
+    _resolve_layers(model.spec.scoring_points, request.layers)
     image = check_images(model, image, ndims=(3,))
+    if not request.scores_layers:
+        return forward_trace(model, image, class_index=class_index), None
     perturbed = generate_set(image, request)
     # row 0 is the image, rows 1..n its perturbations
     trace = forward_trace(model, np.concatenate([image[None], perturbed]),
@@ -83,16 +85,10 @@ def score(model: Model, image: np.ndarray,
 
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             class_index=None) -> ExplainResult:
-    """The normalized input-resolution heatmap for one image, from one engine
-    run: `score` for automatic I-CAM, else the image alone. An unknown layer
-    fails before the engine runs."""
-    _resolve_layers(model.spec.scoring_points, request.layers)
-    if request.scores_layers:
-        trace, report = score(model, image, request, class_index)
-        return explain_trace(trace, request, report)
-    image = check_images(model, image, ndims=(3,))
-    trace = forward_trace(model, image, class_index=class_index)
-    return explain_trace(trace, request)
+    """The normalized input-resolution heatmap for one image: `score`, then
+    `explain_trace`."""
+    trace, report = score(model, image, request, class_index)
+    return explain_trace(trace, request, report)
 
 
 def explain_trace(trace: ForwardTrace, request: cam.CamRequest,

@@ -668,6 +668,26 @@ class TestUserErrors:
         assert exc.value.code.startswith("error: no informative layers")
         assert not list(tmp_path.glob("cmp*"))
 
+    @pytest.mark.parametrize("error", [ValueError, OverflowError,
+                                       MemoryError])
+    def test_standard_error_class_is_a_user_error(self, workspace, tmp_path,
+                                                   monkeypatch, error):
+        def fails(*args):
+            raise error("raised inside the command")
+        monkeypatch.setattr(pipeline, "explain", fails)
+        assert self._explain_fails(workspace, tmp_path) \
+            == "error: raised inside the command"
+
+    @pytest.mark.parametrize("error", [RuntimeError, TypeError, ImportError])
+    def test_bug_class_still_raises(self, workspace, tmp_path, monkeypatch,
+                                    error):
+        def fails(*args):
+            raise error("a bug")
+        monkeypatch.setattr(pipeline, "explain", fails)
+        with pytest.raises(error, match="a bug"):
+            main(["explain", "--model", workspace[1], "--image", workspace[2],
+                  "--out-prefix", str(tmp_path / "out")])
+
     def test_eval_record_image_missing(self, workspace, tmp_path):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(json.dumps({"image": str(tmp_path / "gone.ppm"),
@@ -749,6 +769,18 @@ class TestUserErrors:
         assert proc.returncode == 1
         assert proc.stderr == ("error: unknown scoring point 'block9' "
                                "(available: block1, block2, block3)\n")
+        assert not list(tmp_path.glob("out*"))
+
+    def test_process_too_many_perturbations_without_traceback(
+            self, workspace, tmp_path):
+        # numpy refuses this shape before it allocates anything
+        n = 10**30
+        proc = self._run_explain(workspace, tmp_path, "--image", workspace[2],
+                                 "--n-perturb", str(n))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: n = {n} perturbations of a 3x32x32 "
+                               f"image do not fit in memory\n")
+        assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 
     def test_process_removed_bias_mode_is_a_usage_error(self, workspace,

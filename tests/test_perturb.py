@@ -157,6 +157,24 @@ def test_writing_into_a_set_leaves_the_next_call_unchanged():
         _scalar_perturbations(img, 2, 0.4, 3).tobytes()
 
 
+def test_draws_that_cannot_be_allocated_name_n(monkeypatch):
+    def out_of_memory(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+    monkeypatch.setattr(perturb.np, "empty", out_of_memory)
+    with pytest.raises(MemoryError) as exc:
+        perturb._draws(42, 10**12, (3, 32, 32))
+    assert str(exc.value) == ("n = 1000000000000 perturbations of a 3x32x32 "
+                              "image do not fit in memory")
+
+
+def test_draws_of_a_shape_numpy_refuses_name_n():
+    # numpy refuses this shape before it allocates anything
+    with pytest.raises(MemoryError) as exc:
+        perturb._draws(42, 10**30, (3, 2, 2))
+    assert str(exc.value) == (f"n = {10**30} perturbations of a 3x2x2 image "
+                              f"do not fit in memory")
+
+
 def test_no_clamping():
     # noise can legitimately push values outside [0,1]
     img = np.ones((1, 50, 50))

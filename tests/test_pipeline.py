@@ -124,9 +124,20 @@ class TestExplain:
         *(cam.CamRequest(m) for m in ("gradcam", "gradcampp", "layercam")),
         cam.CamRequest("icam", layers=("block1",))],
         ids=["gradcam", "gradcampp", "layercam", "icam-named"])
-    def test_score_refuses_a_request_that_scores_no_layers(
+    def test_score_traces_a_request_that_scores_no_layers_on_the_image(
             self, model, image, req, engine_calls):
-        with pytest.raises(ValueError, match="only automatic icam scores"):
+        trace, report = pipeline.score(model, image, req)
+        assert engine_calls == [(3, 32, 32)]
+        assert report is None
+        got = pipeline.explain_trace(trace, req, None).heatmap.values
+        want = pipeline.explain(model, image, req).heatmap.values
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", cam.METHODS)
+    def test_score_fails_on_an_unknown_layer_before_the_engine(
+            self, model, image, method, engine_calls):
+        req = cam.CamRequest(method, layers=("block1", "block7"))
+        with pytest.raises(pipeline.UnknownLayerError):
             pipeline.score(model, image, req)
         assert engine_calls == []
 

@@ -80,3 +80,32 @@ def test_icam_pinned(samples, gain, bias):
     pinned_errors, pinned_iou = ICAM_PINS[gain, bias]
     assert errors == pinned_errors
     assert abs(sum(ious) / len(ious) - pinned_iou) < 1e-9
+
+
+# gain 60: each block holds the same evidence, blurred more at each block,
+# so block1's Grad-CAM map alone finds every square
+LAYER_IOU_PINS = {"block1": 1.0, "block2": 0.6955268113263995,
+                  "block3": 0.5840883046097485}
+
+
+def test_scorer_ranking_against_per_layer_faithfulness(samples):
+    """Each block's single-layer Grad-CAM IoU, and how often the default
+    scorer's top-scored layer is a block with the best of them. Pinned as
+    they come out today: block2 tops the scores on 29 images, and its map
+    is never the best, so the top layer is a best one on 21 of 50."""
+    model = planted_model(60)
+    ious = {name: [] for name in LAYER_IOU_PINS}
+    tops, hits = [], 0
+    for image, _, mask in samples:
+        for name in LAYER_IOU_PINS:
+            request = cam.CamRequest("gradcam", layers=(name,))
+            heat = pipeline.explain(model, image, request).heatmap.values
+            ious[name].append(_iou(heat, mask))
+        _, report = pipeline.score(model, image, cam.CamRequest("icam"))
+        top = max(report.scores, key=report.scores.get)
+        tops.append(top)
+        hits += ious[top][-1] == max(v[-1] for v in ious.values())
+    for name, pinned in LAYER_IOU_PINS.items():
+        assert abs(np.mean(ious[name]) - pinned) < 1e-9
+    assert hits == 21
+    assert tops.count("block2") == 29
