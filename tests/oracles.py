@@ -6,17 +6,25 @@ shares the library stream's state, so block and scalar draws can be
 interleaved. `four_corner_bilinear` is vectorized, because it pins the
 library's resize bit for bit, not to a tolerance.
 
+The softmax-polynomial and MDD suites hold two more oracles: 60-digit
+`decimal` finite differences and the independent KL `kl`. They test pure
+library functions, so they give the same result for every model and run
+here, not in `icam verify`. They report through verify's `CheckResult`.
+
 The planted-evidence model and samples at the end are a known answer, not
 a re-implementation: they use the library's `Model`, the fixture's spec
 and `SplitMix64`, and test the CAM methods, not those.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
+from icam import cam, metrics, tensor
 from icam.model import Model, build_fixture_model
 from icam.prng import SplitMix64
+from icam.verify import CheckResult, _central_diff
 
 
 def naive_conv2d(x, kernel, bias, stride=1, padding=0):
@@ -257,6 +265,89 @@ class ScalarSplitMix64(SplitMix64):
     def bernoulli(self, p: float) -> int:
         """One draw in {0, 1} with P(1) = p."""
         return 1 if self.uniform() < p else 0
+
+
+# ---------------------------------------------------------------------------
+# library self-checks: the same result for every model
+# ---------------------------------------------------------------------------
+
+def central_diff(f, x, order, h):
+    """Central difference of order 1, 2 or 3; 2 and 3 are verify's stencils."""
+    if order == 1:
+        return (f(x + h) - f(x - h)) / (2 * h)
+    return _central_diff(f, x, order, h)
+
+
+def softmax_polynomial_suite(trials=100, table_fn=cam.smooth_table):
+    """f', f'', f''' polynomials vs high-precision finite differences.
+
+    The oracle differentiates the frozen-logit scalar softmax in decimal
+    at 60 significant digits (Decimal.exp is correctly rounded), so the
+    comparison is limited only by the float64 analytic evaluation. The
+    caller's decimal context is left as it was. Includes the Y = 0.5 spot
+    values (0.25, 0, -0.125).
+    """
+    classes = 5
+    rng = SplitMix64(99)
+    worst = [0.0, 0.0, 0.0]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal("1e-10")
+        for _ in range(trials):
+            logits = 2.0 * rng.gaussian_array(classes)
+            c = rng.next_u64() % classes
+            _, f1, f2, f3 = table_fn("softmax", float(logits[c]),
+                                     float(tensor.softmax(logits)[c]))
+            k = sum(Decimal(float(v)).exp()
+                    for i, v in enumerate(logits) if i != c)
+
+            def f(s):
+                e = s.exp()
+                return e / (e + k)
+
+            s0 = Decimal(float(logits[c]))
+            for order, analytic in ((1, f1), (2, f2), (3, f3)):
+                fd = float(central_diff(f, s0, order, h))
+                rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
+                worst[order - 1] = max(worst[order - 1], rel)
+
+    out = [CheckResult("softmax-polynomials", f"f^({o}) finite differences",
+                       worst[o - 1], 1e-5, worst[o - 1] < 1e-5)
+           for o in (1, 2, 3)]
+
+    y, f1, f2, f3 = table_fn("softmax", 0.0, 0.5)
+    spot = max(abs(y - 0.5), abs(f1 - 0.25), abs(f2 - 0.0), abs(f3 + 0.125))
+    out.append(CheckResult("softmax-polynomials", "Y=0.5 spot values",
+                           spot, 1e-12, spot < 1e-12))
+    return out
+
+
+def _random_dist(rng, size):
+    v = rng.uniform_array(size) + 1e-3
+    return v / v.sum()
+
+
+def mdd_symmetric_kl_suite():
+    """MDD(X,Y) vs (kl(X,Y) + kl(Y,X)) / 2 on 1000 random distribution pairs."""
+    rng = SplitMix64(5)
+    worst = 0.0
+    for _ in range(1000):
+        size = 2 + rng.next_u64() % 9
+        x = _random_dist(rng, size)
+        y = _random_dist(rng, size)
+        sym = 0.5 * (kl(x, y) + kl(y, x))
+        worst = max(worst, abs(metrics.mdd(x, y) - sym))
+    checks = [CheckResult("mdd-symmetric-kl", "MDD vs symmetric KL",
+                          worst, 1e-12, worst < 1e-12)]
+
+    self_err = abs(metrics.mdd(np.array([0.3, 0.7]), np.array([0.3, 0.7])))
+    checks.append(CheckResult("mdd-symmetric-kl", "MDD(X,X) = 0",
+                              self_err, 0.0, self_err == 0.0))
+    worked = abs(metrics.mdd(np.array([0.7, 0.3]), np.array([0.5, 0.5]))
+                 - 0.1 * np.log(7.0 / 3.0))
+    checks.append(CheckResult("mdd-symmetric-kl", "worked value (0.7,0.3)",
+                              worked, 1e-12, worked < 1e-12))
+    return checks
 
 
 # ---------------------------------------------------------------------------

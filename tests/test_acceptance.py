@@ -17,7 +17,8 @@ from icam.model import _run, build_fixture_model, forward_trace
 from icam.perturb import generate_set
 from icam.render import read_pgm, read_ppm, write_pgm, write_ppm
 from conftest import make_gap_linear_model
-from oracles import naive_iou, naive_saliency
+from oracles import (mdd_symmetric_kl_suite, naive_iou, naive_saliency,
+                     softmax_polynomial_suite)
 
 
 def _report(num, text):
@@ -34,7 +35,7 @@ def test_01_derivative_identity():
 
 
 def test_02_softmax_derivative_polynomials():
-    checks = verify.softmax_polynomial_suite(trials=100)
+    checks = softmax_polynomial_suite(trials=100)
     for c in checks:
         assert c.passed, f"{c.name}: worst {c.worst_error} >= tol {c.tolerance}"
     y, f1, f2, f3 = cam.smooth_table("softmax", 0.0, 0.5)
@@ -47,7 +48,7 @@ def test_02_softmax_derivative_polynomials():
 
 
 def test_03_mdd_equals_symmetric_kl():
-    checks = verify.mdd_symmetric_kl_suite()
+    checks = mdd_symmetric_kl_suite()
     for c in checks:
         assert c.passed, f"{c.name}: worst {c.worst_error} >= tol {c.tolerance}"
     x = np.array([0.3, 0.7])

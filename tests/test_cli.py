@@ -112,6 +112,8 @@ class TestExplain:
         sidecar = json.loads(Path(prefix + ".json").read_text())
         assert "layer_scores" not in sidecar
         assert sidecar["layers"] == ["block3"]
+        # the sidecar names only settings that ran: gradcam takes neither
+        assert sidecar["smooth"] is None and sidecar["bias"] is None
 
     def test_matches_library_result(self, workspace, tmp_path):
         prefix = self._run(workspace, tmp_path)
@@ -163,7 +165,12 @@ class TestScoreLayers:
         main(["explain", "--model", model_path, "--image", image_path,
               "--out-prefix", str(tmp_path / "ex"), *flags])
         sidecar = json.loads((tmp_path / "ex.json").read_text())
-        assert json.loads(out.read_text()) == sidecar["layer_scores"]
+        report = json.loads(out.read_text())
+        assert report == sidecar["layer_scores"]
+        # one request carries all four flags, or all four defaults, to both
+        expected = (dict(n=3, alpha=0.6, seed=5, threshold=0.5) if flags
+                    else cam.SCORER_DEFAULTS)
+        assert {k: report[k] for k in cam.SCORER_DEFAULTS} == expected
 
     def test_threshold_one_selects_all_informative(self, workspace, tmp_path):
         _, model_path, image_path = workspace
@@ -266,6 +273,7 @@ class TestEval:
         assert abs(summary["accuracy"] - 2 / 3) < 1e-12
         assert 0.0 <= summary["mean_iou"] <= 1.0
         assert 0.0 < summary["mean_saliency"] <= 1.0
+        assert 0 <= summary["zero_heatmaps"] <= summary["correct"]
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
 
@@ -287,16 +295,37 @@ class TestEval:
 class TestVerify:
     def test_passes_and_prints_every_check(self, capsys):
         rc = main(["verify"])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert "[PASS]" in out and "[FAIL]" not in out
-        for suite in ("derivative-identity", "softmax-polynomials",
-                      "mdd-symmetric-kl"):
-            assert suite in out
+        # the model's four checks alone: the library's suites run in tests/
+        assert [line.split("  ")[0] for line in lines[:-1]] == [
+            f"[PASS] derivative-identity: {s} n={n}"
+            for s in ("exp", "softmax") for n in (2, 3)]
+        assert lines[-1] == "4/4 checks passed"
+
+    def test_default_fixture_seed_is_7(self, capsys):
+        assert main(["verify"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["verify", "--seed", "3"]) == 0
+        assert capsys.readouterr().out != default
+
+    @pytest.mark.parametrize("seed", ["3", "7"])
+    def test_seed_with_model_is_a_usage_error(self, workspace, capsys, seed):
+        # --seed picks the fixture, so beside --model it would not run
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", workspace[1], "--seed", seed])
+        assert exc.value.code == 2   # argparse's usage error
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: icam verify ")
+        assert captured.err.endswith("icam verify: error: argument --seed: "
+                                     "not allowed with argument --model\n")
 
     def test_zero_head_fails_derivative_identity(self, workspace, tmp_path,
                                                  capsys):
-        # no final-layer gradient: no trial reaches the identity, so its
+        # no final-layer gradient: no trial reaches the identity, so all
         # four checks fail instead of passing at worst = 0
         model = load_model(workspace[1])
         model.weights["head.weight"][:] = 0.0
@@ -308,7 +337,7 @@ class TestVerify:
         assert [line.split("  ")[0] for line in failed] == [
             f"[FAIL] derivative-identity: {s} n={n}"
             for s in ("exp", "softmax") for n in (2, 3)]
-        assert lines[-1] == "7/11 checks passed"
+        assert lines[-1] == "0/4 checks passed"
 
     @pytest.mark.parametrize("scale", [100.0, 2000.0])
     def test_saturated_head(self, workspace, tmp_path, capsys, scale):
@@ -322,15 +351,14 @@ class TestVerify:
         save_model(model, saturated)
         assert main(["verify", "--model", saturated]) == 1
         lines = capsys.readouterr().out.splitlines()
-        identity = [line.split(" tol=")[0] for line in lines
-                    if "derivative-identity" in line]
+        identity = [line.split(" tol=")[0] for line in lines[:-1]]
         assert [line.split("  ")[0] for line in identity] == [
             "[PASS] derivative-identity: exp n=2",
             "[PASS] derivative-identity: exp n=3",
             "[FAIL] derivative-identity: softmax n=2",
             "[FAIL] derivative-identity: softmax n=3"]
         assert all(line.endswith("worst=nan") for line in identity[2:])
-        assert lines[-1] == "9/11 checks passed"
+        assert lines[-1] == "2/4 checks passed"
 
 
 class _BlockMpmath:
@@ -354,14 +382,14 @@ def _run_python(code):
 
 
 class TestImportGraph:
-    """Only `icam verify` imports icam.verify, and with it decimal; no
-    command needs mpmath."""
+    """No command, verify included, loads decimal or needs mpmath: the
+    60-digit decimal oracle is a test's."""
 
-    def test_importing_cli_loads_neither_verify_nor_mpmath(self):
+    def test_importing_cli_loads_neither_decimal_nor_mpmath(self):
         proc = _run_python(
             "import sys\n"
             "import icam.cli\n"
-            "print(sorted(m for m in ('mpmath', 'icam.verify', 'decimal')"
+            "print(sorted(m for m in ('mpmath', 'decimal')"
             " if m in sys.modules))\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
@@ -384,6 +412,8 @@ class TestImportGraph:
              "--out-prefix", str(tmp_path / "cmp")],
             ["eval", "--model", str(model), "--manifest", str(manifest),
              "--out", str(tmp_path / "eval.json")],
+            ["verify"],
+            ["verify", "--model", str(model)],
         ]
         proc = _run_python(
             "import sys\n"
@@ -392,10 +422,10 @@ class TestImportGraph:
             "from icam.cli import main\n"
             f"for argv in {commands!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            "assert main(['verify']) == 0\n"
-            "assert 'mpmath' not in sys.modules\n")
+            "assert 'mpmath' not in sys.modules\n"
+            "assert 'decimal' not in sys.modules\n")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("\n11/11 checks passed\n")
+        assert proc.stdout.endswith("\n4/4 checks passed\n")
         for name in ("ex.pgm", "ex.json", "scores.json", "cmp_strip.ppm",
                      "eval.json"):
             assert (tmp_path / name).is_file()
@@ -742,6 +772,18 @@ class TestUserErrors:
         assert proc.stderr == (f"error: {wrong}: image shape (3, 40, 48) != "
                                f"model input (3, 32, 32)\n")
         assert "Traceback" not in proc.stderr
+
+    def test_process_underscore_header_field_without_traceback(
+            self, workspace, tmp_path):
+        # int() would read "3_2" as 32; a PPM header field is ASCII digits
+        bad = tmp_path / "underscore.ppm"
+        bad.write_bytes(b"P6 3_2 32 255\n" + bytes(3072))
+        proc = self._run_explain(workspace, tmp_path, "--image", str(bad))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {bad}: non-numeric header field "
+                               f"b'3_2': must be ASCII decimal digits\n")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("args", [(), ("--layer", "7")],
                              ids=["automatic", "named"])
