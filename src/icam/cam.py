@@ -109,7 +109,7 @@ class CamRequest:
 # ---------------------------------------------------------------------------
 
 class SmoothOverflowError(OverflowError):
-    """The exp smooth's e^(S^c) exceeds the float64 range."""
+    """An exp-smooth map leaves the float64 range, in e^(S^c) or after."""
 
 
 def smooth_table(name: str, s_c: float, y: float):
@@ -123,12 +123,7 @@ def smooth_table(name: str, s_c: float, y: float):
       f''' = Y(1 - 7Y + 12Y^2 - 6Y^3)
     """
     if name == "exp":
-        try:
-            e = math.exp(s_c)
-        except OverflowError:
-            raise SmoothOverflowError(
-                f"exp smooth overflows at logit S^c = {s_c:.6g}; use the "
-                f"softmax smooth") from None
+        e = math.exp(s_c)
         return (e, e, e, e)
     if name == "softmax":
         f1 = y * (1.0 - y)
@@ -173,25 +168,34 @@ def single_layer_map(trace: ForwardTrace, request: CamRequest,
                      layer: str) -> np.ndarray:
     """relu(sum_k w_k A_k + b) at one layer, w by request.method.
 
-    Returns the raw [H,W] map at the layer's own resolution.
+    Returns the raw [H,W] map at the layer's own resolution. Under the exp
+    smooth, any overflow raises SmoothOverflowError: e^(S^c) can fit a
+    float64 while f'' g^2, a sum over it or the channel bias does not.
     """
     a, g = trace.activations[layer][0], trace.gradients[layer][0]
     c = trace.class_index
     s_c = float(trace.logits[0, c])
-    if request.method == "gradcam":
-        w = g.mean(axis=(1, 2), keepdims=True)
-    elif request.method == "layercam":
-        w = np.maximum(g, 0.0)
-    elif request.method == "gradcampp":
-        w = (generalized_alpha(1.0, 1.0, g, a) * np.maximum(g, 0.0)
-             ).sum(axis=(1, 2), keepdims=True)
-    else:
-        _, f1, f2, f3 = smooth_table(request.smooth, s_c,
-                                     float(trace.probabilities[0, c]))
-        w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
-    raw = (w * a).sum(axis=0)
-    if request.bias == "channel":
-        raw = raw + bias_term(s_c, w, a).sum()
+    mode = "raise" if request.smooth == "exp" else None   # None keeps numpy's
+    try:
+        with np.errstate(over=mode, invalid=mode):
+            if request.method == "gradcam":
+                w = g.mean(axis=(1, 2), keepdims=True)
+            elif request.method == "layercam":
+                w = np.maximum(g, 0.0)
+            elif request.method == "gradcampp":
+                w = (generalized_alpha(1.0, 1.0, g, a) * np.maximum(g, 0.0)
+                     ).sum(axis=(1, 2), keepdims=True)
+            else:
+                _, f1, f2, f3 = smooth_table(request.smooth, s_c,
+                                             float(trace.probabilities[0, c]))
+                w = icam_weights(generalized_alpha(f2, f3, g, a), f1, g)
+            raw = (w * a).sum(axis=0)
+            if request.bias == "channel":
+                raw = raw + bias_term(s_c, w, a).sum()
+    except (OverflowError, FloatingPointError):   # math.exp's, or numpy's
+        raise SmoothOverflowError(
+            f"exp smooth overflows at logit S^c = {s_c:.6g}; use the "
+            f"softmax smooth") from None
     return np.maximum(raw, 0.0)
 
 

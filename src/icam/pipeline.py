@@ -177,11 +177,6 @@ def bbox_mask(bbox, h, w) -> np.ndarray:
     return mask
 
 
-# records predicted by one forward in evaluate_manifest: the forward's heap
-# grows by ~0.43 MB a row, so 16 rows (~7 MB) stay near an icam explain's
-PREDICT_ROWS = 16
-
-
 def evaluate_manifest(model: Model, records, request: cam.CamRequest,
                       iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC,
                       ) -> dict:
@@ -199,21 +194,17 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     _resolve_layers(model.spec.scoring_points, request.layers)
     ious, saliencies = [], []   # one entry per correct prediction
     zero_heatmaps = 0
-    for start in range(0, len(records), PREDICT_ROWS):
-        chunk = records[start:start + PREDICT_ROWS]
-        images = np.stack([read_image(model, rec["image"])[1] for rec in chunk])
-        # one forward over [R,C,H,W]; each row's logits are those of its
-        # own one-image forward, since every matmul runs per row
-        preds = np.argmax(forward(model, images), axis=-1).tolist()
-        for rec, image, pred in zip(chunk, images, preds):
-            if pred != rec["label"]:
-                continue
-            heat = explain(model, image, request, pred).heatmap.values
-            zero_heatmaps += not heat.any()
-            truth = bbox_mask(rec["bbox"], in_h, in_w)
-            ious.append(metrics.iou(
-                metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
-            saliencies.append(metrics.saliency_score(heat, truth))
+    for rec in records:
+        image = read_image(model, rec["image"])[1]
+        pred = int(np.argmax(forward(model, image)))
+        if pred != rec["label"]:
+            continue
+        heat = explain(model, image, request, pred).heatmap.values
+        zero_heatmaps += not heat.any()
+        truth = bbox_mask(rec["bbox"], in_h, in_w)
+        ious.append(metrics.iou(
+            metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
+        saliencies.append(metrics.saliency_score(heat, truth))
 
     n_correct = len(ious)
     return {

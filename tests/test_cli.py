@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -903,6 +904,28 @@ class TestUserErrors:
         assert proc.stderr.startswith(message)
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
+    def test_process_exp_map_overflow_below_the_exp_limit(self, workspace,
+                                                          tmp_path):
+        # head x945 on this image: S^c ~705.9, so e^(S^c) fits a float64,
+        # but f'' g^2 and the sums built on it do not
+        model = load_model(workspace[1])
+        for name in ("head.weight", "head.bias"):
+            model.weights[name] = 945.0 * model.weights[name]
+        saturated = tmp_path / "saturated.icamw"
+        save_model(model, saturated)
+        image = np.random.default_rng(0).random((3, 32, 32))
+        rgb = np.round(np.transpose(image, (1, 2, 0)) * 255).astype(np.uint8)
+        write_ppm(rgb, tmp_path / "image.ppm")
+        proc = self._run_explain(workspace, tmp_path, "--image",
+                                 str(tmp_path / "image.ppm"), "--smooth",
+                                 "exp", "--bias", "none", "--layer", "block3",
+                                 model=str(saturated))
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: exp smooth overflows at logit "
+                            r"S\^c = 705\.\d+; use the softmax smooth\n",
+                            proc.stderr)
         assert not list(tmp_path.glob("out*"))
 
 

@@ -268,12 +268,14 @@ def _head_scaled_model(scale):
     return m
 
 
-@pytest.fixture(scope="module")
-def saturated_model():
-    """The seed-42 fixture with its head scaled by 2000: on the `image`
-    fixture the top logit is ~1494, so e^(S^c) overflows and the softmax
-    saturates to exactly one-hot."""
-    return _head_scaled_model(2000.0)
+@pytest.fixture(scope="module", params=[2000.0, 945.0],
+                ids=["head2000", "head945"])
+def saturated_model(request):
+    """The seed-42 fixture with its head scaled by 2000 or 945: on the
+    `image` fixture the top logit is ~1494 or ~705.9, and the softmax
+    saturates to exactly one-hot. At 2000 e^(S^c) overflows; at 945 it
+    fits a float64, but the exp map's f'' g^2 and sums do not."""
+    return _head_scaled_model(request.param)
 
 
 # only icam takes a smooth and a bias; the Grad-CAM family runs its fixed
@@ -284,18 +286,19 @@ FAMILY = [m for m in cam.METHODS if m != "icam"]
 class TestSaturatedHead:
     @pytest.mark.parametrize("layers", [None, ("block1", "block2", "block3")],
                              ids=["auto", "explicit"])
-    @pytest.mark.parametrize("method, smooth", [
-        *(pytest.param(m, None, id=m) for m in FAMILY),
-        *(pytest.param("icam", s, id=f"icam-{s}") for s in cam.SMOOTHS)])
+    @pytest.mark.parametrize("method, bias, smooth", [
+        *(pytest.param(m, None, None, id=m) for m in FAMILY),
+        *(pytest.param("icam", b, s, id=f"icam-{b}-{s}")
+          for b in cam.BIAS_MODES for s in cam.SMOOTHS)])
     def test_finite_map_or_named_error(self, saturated_model, image, method,
-                                       smooth, layers):
+                                       bias, smooth, layers):
         if method == "icam" and layers is None:
             expected = layerscore.NoInformativeLayersError
         elif method == "icam" and smooth == "exp":
             expected = cam.SmoothOverflowError   # the others are scale-free
         else:
             expected = None
-        req = small(method, smooth=smooth, layers=layers)
+        req = small(method, smooth=smooth, bias=bias, layers=layers)
         if expected is not None:
             with pytest.raises(expected):
                 pipeline.explain(saturated_model, image, req)
@@ -307,7 +310,10 @@ class TestSaturatedHead:
 
 class TestHeadScale:
     """Every head scale 10^-3..10^4 gives a finite heatmap in [0,1] or a
-    named error, and only icam can overflow the exp smooth."""
+    named error, and only icam can overflow the exp smooth. The 10^k sweep
+    steps over the window, head x938.5..x950.2 on `image`, where e^(S^c)
+    fits a float64 but the exp map does not; TestSaturatedHead's x945
+    covers it."""
 
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-3, 5)],
                              ids=[f"1e{k}" for k in range(-3, 5)])
@@ -578,24 +584,21 @@ class TestEvaluateManifest:
                 "mean_saliency": sum(sals) / n if n else 0.0,
                 "iou_threshold_frac": frac, "zero_heatmaps": zeros}
 
-    @pytest.mark.parametrize("predict_rows", [pipeline.PREDICT_ROWS, 3, 1])
     @pytest.mark.parametrize("method", ["icam", "gradcam"])
-    def test_batched_prediction_matches_per_record_loop(
-            self, tmp_path, model, monkeypatch, predict_rows, method):
+    def test_prediction_matches_per_record_loop(
+            self, tmp_path, model, monkeypatch, method):
         records, _ = self._setup(tmp_path, model, n_images=7)
         forwards = []
 
-        def counted(m, images):
-            forwards.append(images.shape)
-            return forward(m, images)
+        def counted(m, image):
+            forwards.append(image.shape)
+            return forward(m, image)
 
-        monkeypatch.setattr(pipeline, "PREDICT_ROWS", predict_rows)
         monkeypatch.setattr(pipeline, "forward", counted)
         req = small(method)
         summary = pipeline.evaluate_manifest(model, records, req,
                                              iou_threshold_frac=0.3)
-        rows = [min(predict_rows, 7 - i) for i in range(0, 7, predict_rows)]
-        assert forwards == [(r, 3, 32, 32) for r in rows]
+        assert forwards == [(3, 32, 32)] * 7   # one forward per record
         expected = self._per_record_summary(model, records, req, 0.3)
         assert summary["correct"] == 4
         assert summary == expected   # exact float equality
