@@ -3,8 +3,8 @@
 A layer's score is the perturbation-weighted L2 distance between the
 input-gradient saliency magnitude map and the layer's gradient-weighted
 activation magnitude map (upsampled to input resolution). Scoring reads
-one trace of [image; perturbations]: the image's input gradient and the
-probability gradients of rows 1..n.
+the image's trace, for its input gradient, and each perturbation's map,
+made from its block's trace as the block is traced.
 """
 
 from __future__ import annotations
@@ -50,22 +50,32 @@ def channel_norm_map(t: np.ndarray) -> np.ndarray:
     return np.sqrt((t * t).sum(axis=-3))
 
 
-def layer_importance(trace: ForwardTrace, weights) -> dict:
+def perturbation_maps(trace: ForwardTrace) -> dict:
+    """The [B,H_l,W_l] channel magnitude of phi at every scoring point of a
+    block of perturbation rows."""
+    return {layer: channel_norm_map(phi(trace, layer))
+            for layer in trace.activations}
+
+
+def layer_importance(trace: ForwardTrace, maps: dict, weights) -> dict:
     """Importance score per scoring point.
 
     S_l = sum_i w_i * || R - up(P_{i,l}) ||_2 over pixels, where R is the
-    channel magnitude of I * dY^c/dI for the image (row 0) and P_{i,l} the
-    channel magnitude of phi for perturbation row i (i = 1..n) at layer l.
+    channel magnitude of I * dY^c/dI for the image's `trace` and maps[l]
+    stacks the [n,H_l,W_l] maps P_{i,l} of the perturbations i = 1..n. Each
+    layer's distances are summed over the whole stack in one call, so the
+    scores do not depend on how the perturbations were traced.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) < 1 or len(weights) != len(trace.image) - 1:
+    rows = {len(p) for p in maps.values()}
+    if len(weights) < 1 or rows != {len(weights)}:
         raise ValueError(f"need one weight per perturbed row, at least one: "
-                         f"got {len(trace.image) - 1} rows, {len(weights)} weights")
+                         f"got {sorted(rows)} rows, {len(weights)} weights")
 
     ref = channel_norm_map(trace.image[0] * trace.input_gradient)
     scores = {}
-    for layer in trace.activations:
-        p = bilinear_resize(channel_norm_map(phi(trace, layer)[1:]), *ref.shape)
+    for layer, p in maps.items():
+        p = bilinear_resize(p, *ref.shape)
         scores[layer] = float(weights @ np.sqrt(((ref - p) ** 2).sum(axis=(1, 2))))
     return scores
 
@@ -90,16 +100,17 @@ def select_layers(scores: dict, threshold: float) -> dict:
     return {n: scores[n] / cum for n in selected}
 
 
-def score_layers(trace: ForwardTrace, weights,
+def score_layers(trace: ForwardTrace, maps: dict, weights,
                  request: CamRequest) -> LayerScoreReport:
-    """Score, select and weigh the layers of an image's perturbation trace,
-    made with the scoring `request`, at its threshold."""
+    """Score, select and weigh the layers of an image's `trace` and its
+    perturbations' stacked `maps`, made with the scoring `request`, at its
+    threshold."""
     if not np.any(weights):   # every score would be zero: score nothing
         raise NoInformativeLayersError(
             "no informative layers: every perturbation weight is zero (MDS "
             "clamps to 0 once a perturbation moves the prediction by >= 1 "
             "nat); name the layers to map")
-    scores = layer_importance(trace, weights)
+    scores = layer_importance(trace, maps, weights)
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),

@@ -79,13 +79,15 @@ class Model:
 
 @dataclass
 class ForwardTrace:
-    """One forward and its reverse walks over the rows [image; perturbations].
+    """One forward and its reverse walk over a stack of input rows.
 
-    Every array keeps the leading row axis N (N = 1 for a lone image).
-    Row 0 of `gradients` is the logit gradient dS^c/dA of the image; rows
-    1..N-1 are the probability gradients dY^c/dA of the perturbations.
-    `input_gradient` is the image's probability gradient dY^c/dI, or None
-    for a lone image. One class index holds for every row.
+    Every array keeps the leading row axis N. `forward_trace` traces one
+    image (N = 1): `gradients` holds its logit gradient dS^c/dA, and
+    `input_gradient` its probability gradient dY^c/dI when asked for (else
+    None). `trace_perturbations` traces a block of perturbation rows:
+    `gradients` holds each row's probability gradient dY^c/dA for the
+    image's class, and `input_gradient` is None. One class index holds for
+    every row.
     """
 
     image: np.ndarray                 # [N,C,H,W] input rows
@@ -163,11 +165,10 @@ def forward(model: Model, image: np.ndarray) -> np.ndarray:
 
 def _backward(model: Model, images: np.ndarray, acts: list, seeds: np.ndarray,
               to_input: bool):
-    """Walk [R,K] seeds dScalar/dLogits on rows 0..R-1 from the head back.
+    """Walk [R,K] seeds dScalar/dLogits on the R rows from the head back.
 
     Returns each block output's [R,...] gradient and, when `to_input`, the
-    input's [R,C,H,W] gradient (else None). Each block's relu is masked by
-    the first R rows of its activations.
+    input's [R,C,H,W] gradient (else None).
     """
     blocks = model.spec.blocks
     g = T.linear_grad(seeds, model.weights["head.weight"])
@@ -177,7 +178,7 @@ def _backward(model: Model, images: np.ndarray, acts: list, seeds: np.ndarray,
         grads[i] = g
         if i == 0 and not to_input:
             return grads, None
-        g = T.relu_grad(g, acts[i][:len(g)])
+        g = T.relu_grad(g, acts[i])
         x = images if i == 0 else acts[i - 1]
         g = T.conv2d_input_grad(g, model.weights[f"{blocks[i].name}.weight"],
                                 x.shape[-2:], stride=blocks[i].stride,
@@ -185,24 +186,18 @@ def _backward(model: Model, images: np.ndarray, acts: list, seeds: np.ndarray,
     return grads, g
 
 
-def forward_trace(model: Model, image: np.ndarray,
-                  class_index=None) -> ForwardTrace:
-    """Run the rows forward once and walk them back to the blocks.
+def forward_trace(model: Model, image: np.ndarray, class_index=None,
+                  input_gradient=False) -> ForwardTrace:
+    """Run one [C,H,W] image forward and walk its logit seed e_c back to the
+    blocks.
 
-    `image` is one [C,H,W] image, or an [1+n,C,H,W] batch: the image, then
-    its n perturbations. class_index defaults to row 0's argmax logit (ties
-    break to the lowest index) and holds for every row. One reverse walk
-    starts from seeds dScalar/dLogits stacked per row, e_c on row 0 and
-    y * (e_c - y_c) on rows 1..n, and stops at the first block's output.
-    For a batch, a second walk takes row 0's probability seed on to the
-    input. Every matmul is per row, so a row's values do not depend on the
-    other rows.
+    class_index defaults to the argmax logit (ties break to the lowest
+    index). With `input_gradient`, a second walk takes the probability seed
+    y * (e_c - y_c) on to the input, for the layer scorer's saliency map.
     """
     if class_index is not None and not is_integer(class_index):
         raise ValueError(f"class_index must be an integer, got {class_index!r}")
-    images = check_images(model, image)
-    batch = images.ndim == 4
-    images = images if batch else images[None]
+    images = check_images(model, image, ndims=(3,))[None]
     acts, logits = _run(model, images, model.spec.blocks)
     probs = T.softmax(logits)
 
@@ -211,24 +206,33 @@ def forward_trace(model: Model, image: np.ndarray,
         raise IndexError(f"class_index {c} out of range "
                          f"[0, {model.spec.num_classes})")
     e_c = np.eye(model.spec.num_classes)[c]
-    seeds = np.concatenate([e_c[None], T.softmax_grad(e_c, probs[1:])])
-    grads, _ = _backward(model, images, acts, seeds, to_input=False)
-    input_gradient = None
-    if batch:
-        _, g = _backward(model, images, acts, T.softmax_grad(e_c, probs[:1]),
+    grads, _ = _backward(model, images, acts, e_c[None], to_input=False)
+    g = None
+    if input_gradient:
+        _, g = _backward(model, images, acts, T.softmax_grad(e_c, probs),
                          to_input=True)
-        input_gradient = g[0]
-
+        g = g[0]
     names = model.spec.scoring_points
-    return ForwardTrace(
-        image=images,
-        activations=dict(zip(names, acts)),
-        gradients=dict(zip(names, grads)),
-        logits=logits,
-        probabilities=probs,
-        input_gradient=input_gradient,
-        class_index=c,
-    )
+    return ForwardTrace(images, dict(zip(names, acts)), dict(zip(names, grads)),
+                        logits, probs, g, c)
+
+
+def trace_perturbations(model: Model, rows: np.ndarray,
+                        class_index: int) -> ForwardTrace:
+    """Run a [B,C,H,W] block of perturbation rows forward and walk each
+    row's probability seed y * (e_c - y_c) back to the blocks, for the
+    image's class c. Every matmul is per row, so a row's values do not
+    depend on the other rows, nor on how the perturbations are split into
+    blocks."""
+    rows = check_images(model, rows, ndims=(4,))
+    acts, logits = _run(model, rows, model.spec.blocks)
+    probs = T.softmax(logits)
+    e_c = np.eye(model.spec.num_classes)[class_index]
+    grads, _ = _backward(model, rows, acts, T.softmax_grad(e_c, probs),
+                         to_input=False)
+    names = model.spec.scoring_points
+    return ForwardTrace(rows, dict(zip(names, acts)), dict(zip(names, grads)),
+                        logits, probs, None, class_index)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ The softmax-polynomial and MDD suites hold two more oracles: 60-digit
 library functions, so they give the same result for every model and run
 here, not in `icam verify`. They report through verify's `CheckResult`.
 
+`one_batch_explain` is the engine's own recipe from before perturbations
+were traced in blocks, one trace of [image; n perturbations]. It shares
+the library's kernels and scorer, and pins that the blocks change no bit.
+
 The planted-evidence model and samples at the end are a known answer, not
 a re-implementation: they use the library's `Model`, the fixture's spec
 and `SplitMix64`, and test the CAM methods, not those.
@@ -21,8 +25,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from icam import cam, metrics, tensor
-from icam.model import Model, build_fixture_model
+from icam import cam, layerscore, metrics, pipeline, tensor
+from icam.model import ForwardTrace, Model, _backward, _run, build_fixture_model
+from icam.perturb import generate_set
 from icam.prng import SplitMix64
 from icam.verify import CheckResult, _central_diff
 
@@ -348,6 +353,34 @@ def mdd_symmetric_kl_suite():
     checks.append(CheckResult("mdd-symmetric-kl", "worked value (0.7,0.3)",
                               worked, 1e-12, worked < 1e-12))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# one trace of [image; perturbations]: the engine before it traced blocks
+# ---------------------------------------------------------------------------
+
+def one_batch_explain(model, image, request):
+    """Automatic I-CAM's ExplainResult from one trace of the 1+n rows
+    [image; perturbations]: one forward, one reverse walk of e_c on row 0
+    and y * (e_c - y_c) on rows 1..n, a walk of row 0's probability seed to
+    the input, phi over rows 1..n and one layer_importance."""
+    rows = np.concatenate([image[None], generate_set(image, request)])
+    acts, logits = _run(model, rows, model.spec.blocks)
+    probs = tensor.softmax(logits)
+    c = int(np.argmax(logits[0]))
+    e_c = np.eye(model.spec.num_classes)[c]
+    seeds = np.concatenate([e_c[None], tensor.softmax_grad(e_c, probs[1:])])
+    grads, _ = _backward(model, rows, acts, seeds, to_input=False)
+    _, g = _backward(model, rows[:1], [a[:1] for a in acts],
+                     tensor.softmax_grad(e_c, probs[:1]), to_input=True)
+    names = model.spec.scoring_points
+    trace = ForwardTrace(rows, dict(zip(names, acts)), dict(zip(names, grads)),
+                         logits, probs, g[0], c)
+    maps = {name: layerscore.channel_norm_map(layerscore.phi(trace, name)[1:])
+            for name in names}
+    weights = metrics.perturbation_weight(image, rows[1:], probs[0], probs[1:])
+    report = layerscore.score_layers(trace, maps, weights, request)
+    return pipeline.explain_trace(trace, request, report)
 
 
 # ---------------------------------------------------------------------------

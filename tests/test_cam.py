@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from icam import cam
+from icam import cam, pipeline
 from icam import tensor as T
 from icam.model import build_fixture_model, forward_trace
 from icam.render import normalize_minmax
@@ -93,14 +93,16 @@ class TestSmoothTables:
 
     @pytest.mark.parametrize("rows", [1, 9])
     def test_trace_probability_is_the_lone_softmax(self, rows):
-        # I-CAM reads Y from the trace: bit for bit the softmax of row 0's
-        # logits alone, for a lone image and for row 0 of [1+8] rows
+        # I-CAM reads Y from the trace: bit for bit the softmax of the
+        # image's logits alone, for a lone image and for the trace that
+        # automatic I-CAM scores with its 8 perturbations
         rng = np.random.default_rng(rows)
         for seed in (42, 7, 3):
             model = build_fixture_model(seed)
             for _ in range(5):
-                images = rng.random((rows, 3, 32, 32))
-                tr = forward_trace(model, images if rows > 1 else images[0])
+                image = rng.random((3, 32, 32))
+                tr = forward_trace(model, image) if rows == 1 else \
+                    pipeline.score(model, image, cam.CamRequest(n=rows - 1))[0]
                 e = np.exp(tr.logits[0] - tr.logits[0].max())
                 c = tr.class_index
                 assert tr.probabilities[0, c] == e[c] / e.sum()

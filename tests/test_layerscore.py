@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from icam import layerscore, metrics
-from icam.model import ForwardTrace, build_fixture_model, forward_trace
+from icam.model import (ForwardTrace, build_fixture_model, forward_trace,
+                        trace_perturbations)
 from icam.cam import CamRequest
 from icam.perturb import generate_set
 from oracles import naive_bilinear_resize, naive_channel_norm
@@ -18,6 +19,14 @@ def make_trace(image, input_gradient, activations, gradients, classes=2):
         input_gradient=np.asarray(input_gradient, dtype=float),
         class_index=0,
     )
+
+
+def image_and_maps(model, img, perturbed, class_index=None):
+    """The image's trace and its perturbations' stacked maps, traced as one
+    block."""
+    tr = forward_trace(model, img, class_index, input_gradient=True)
+    block = trace_perturbations(model, perturbed, tr.class_index)
+    return tr, layerscore.perturbation_maps(block)
 
 
 class TestPhi:
@@ -71,20 +80,22 @@ class TestChannelNormMap:
 class TestLayerImportance:
     def test_zero_weights_zero_scores(self, fixture_model):
         img = np.random.default_rng(2).random((3, 32, 32))
-        tr = forward_trace(fixture_model, np.stack([img, img, img]))
-        scores = layerscore.layer_importance(tr, [0.0, 0.0])
+        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
+        scores = layerscore.layer_importance(tr, maps, [0.0, 0.0])
         assert all(v == 0.0 for v in scores.values())
 
     def test_constructed_zero_distance(self):
-        # row 1's phi map engineered to equal row 0's input-saliency map R
+        # a perturbation's phi map engineered to equal the image's
+        # input-saliency map R
         img = np.random.default_rng(3).random((2, 4, 4))
         grad = np.random.default_rng(4).normal(size=(2, 4, 4))
         ref = layerscore.channel_norm_map(img * grad)
-        tr = make_trace(np.stack([img, img]), grad,
-                        {"L": np.stack([np.zeros((1, 4, 4)), ref[None]])},
-                        {"L": np.stack([np.zeros((1, 4, 4)),
-                                        np.ones((1, 4, 4))])})
-        scores = layerscore.layer_importance(tr, [1.0])
+        tr = make_trace(img[None], grad, {"L": np.zeros((1, 1, 4, 4))},
+                        {"L": np.zeros((1, 1, 4, 4))})
+        block = make_trace(img[None], grad, {"L": ref[None, None]},
+                           {"L": np.ones((1, 1, 4, 4))})
+        scores = layerscore.layer_importance(
+            tr, layerscore.perturbation_maps(block), [1.0])
         assert scores["L"] == 0.0
 
     def test_matches_naive_pipeline_oracle(self):
@@ -93,23 +104,23 @@ class TestLayerImportance:
         c = forward_trace(model, img).class_index
         perturbed = generate_set(img, CamRequest(n=2, alpha=0.4,
                                                          seed=42))
-        tr = forward_trace(model, np.concatenate([img[None], perturbed]),
-                           class_index=c)
+        tr = forward_trace(model, img, c, input_gradient=True)
+        block = trace_perturbations(model, perturbed, c)
         weights = [metrics.perturbation_weight(img, p, tr.probabilities[0], q)
-                   for p, q in zip(perturbed, tr.probabilities[1:])]
-        got = layerscore.layer_importance(tr, weights)
+                   for p, q in zip(perturbed, block.probabilities)]
+        got = layerscore.layer_importance(
+            tr, layerscore.perturbation_maps(block), weights)
 
         # the oracle runs the image, and each perturbation after it, through
         # the engine on its own
-        orig = forward_trace(model, img[None])
-        traces = [forward_trace(model, np.stack([img, p]), class_index=c)
-                  for p in perturbed]
+        orig = forward_trace(model, img, input_gradient=True)
+        traces = [trace_perturbations(model, p[None], c) for p in perturbed]
         ref_map = naive_channel_norm(img * orig.input_gradient)
         for layer in model.spec.scoring_points:
             expected = 0.0
             for w, t in zip(weights, traces):
                 p = naive_channel_norm(
-                    np.maximum(t.activations[layer][1] * t.gradients[layer][1],
+                    np.maximum(t.activations[layer][0] * t.gradients[layer][0],
                                0.0))
                 if p.shape != ref_map.shape:
                     p = naive_bilinear_resize(p, 32, 32)
@@ -122,14 +133,16 @@ class TestLayerImportance:
 
     def test_length_mismatch(self, fixture_model):
         img = np.zeros((3, 32, 32))
-        tr = forward_trace(fixture_model, np.stack([img, img]))
+        tr, maps = image_and_maps(fixture_model, img, img[None])
         with pytest.raises(ValueError):
-            layerscore.layer_importance(tr, [1.0, 2.0])
+            layerscore.layer_importance(tr, maps, [1.0, 2.0])
 
     def test_no_perturbed_rows_rejected(self, fixture_model):
-        tr = forward_trace(fixture_model, np.zeros((1, 3, 32, 32)))
+        img = np.zeros((3, 32, 32))
+        tr, maps = image_and_maps(fixture_model, img, img[None])
         with pytest.raises(ValueError, match="at least one"):
-            layerscore.layer_importance(tr, [])
+            layerscore.layer_importance(
+                tr, {k: v[:0] for k, v in maps.items()}, [])
 
 
 def selected(scores, threshold=CamRequest().threshold):
@@ -233,11 +246,11 @@ class TestNoInformativeLayers:
 
     def test_zero_perturbation_weights(self, fixture_model):
         img = np.random.default_rng(9).random((3, 32, 32))
-        tr = forward_trace(fixture_model, np.stack([img, img, img]))
+        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: every perturbation "
                                  "weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2), CamRequest(n=2))
+            layerscore.score_layers(tr, maps, np.zeros(2), CamRequest(n=2))
 
     def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
                                                       monkeypatch):
@@ -251,12 +264,12 @@ class TestNoInformativeLayers:
 
         monkeypatch.setattr(layerscore, "layer_importance", counting)
         img = np.random.default_rng(9).random((3, 32, 32))
-        tr = forward_trace(fixture_model, np.stack([img, img, img]))
+        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="every perturbation weight is zero"):
-            layerscore.score_layers(tr, np.zeros(2), CamRequest(n=2))
+            layerscore.score_layers(tr, maps, np.zeros(2), CamRequest(n=2))
         assert len(calls) == 0
-        layerscore.score_layers(tr, np.array([0.0, 0.5]),
+        layerscore.score_layers(tr, maps, np.array([0.0, 0.5]),
                                 CamRequest(n=2))
         assert len(calls) == 1
 
@@ -267,22 +280,25 @@ class TestNoInformativeLayers:
             model.weights[name] = 1e3 * model.weights[name]
         img = np.random.default_rng(0).random((3, 32, 32))
         perturbed = generate_set(img, CamRequest())
-        tr = forward_trace(model, np.concatenate([img[None], perturbed]))
-        y = tr.probabilities
-        weights = metrics.perturbation_weight(img, perturbed, y[0], y[1:])
+        tr = forward_trace(model, img, input_gradient=True)
+        block = trace_perturbations(model, perturbed, tr.class_index)
+        weights = metrics.perturbation_weight(img, perturbed,
+                                              tr.probabilities[0],
+                                              block.probabilities)
         assert weights.all()
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: all scores are "
                                  "zero"):
-            layerscore.score_layers(tr, weights, CamRequest())
+            layerscore.score_layers(tr, layerscore.perturbation_maps(block),
+                                    weights, CamRequest())
 
 
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
-    tr = forward_trace(fixture_model, np.stack([img, img]))
+    tr, maps = image_and_maps(fixture_model, img, img[None])
     config = CamRequest(n=1, alpha=0.4, seed=9, threshold=0.5)
-    report = layerscore.score_layers(tr, [0.5], config)
+    report = layerscore.score_layers(tr, maps, [0.5], config)
     parsed = json.loads(json.dumps(report.to_json_dict()))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}

@@ -1,11 +1,11 @@
 """The allocator policy set on import: freed heap stays in the process.
 
-Each case runs a fresh interpreter that imports icam, frees one array the
-size of block3's columns in a default icam explain (which raises glibc's
-dynamic thresholds to that size), then makes rounds of three 2 MiB arrays
-alive at once, as an explain's temporaries are. Without the policy glibc
-trims the freed heap and every round faults it in again (~1,500 minor
-faults); with it a round reuses the heap and faults nothing.
+Each case runs a fresh interpreter that imports icam, frees one 2.6 MB
+array (which raises glibc's dynamic thresholds to that size), then makes
+rounds of three 2 MiB arrays alive at once and frees them, as an explain
+frees its temporaries. Without the policy glibc trims the freed heap and
+every round faults it in again (~1,500 minor faults); with it a round
+reuses the heap and faults nothing.
 """
 
 import json

@@ -3,7 +3,7 @@ import pytest
 
 from icam.model import (Model, ModelFormatError, NonFiniteImageError, _run,
                         build_fixture_model, forward, forward_trace,
-                        load_model, save_model)
+                        load_model, save_model, trace_perturbations)
 from icam.tensor import ShapeError
 from oracles import central_diff_grad
 
@@ -51,23 +51,26 @@ class TestForwardTrace:
     def test_deterministic(self, fixture_model):
         rng = np.random.default_rng(2)
         imgs = rng.random((3, 3, 32, 32))
-        t1 = forward_trace(fixture_model, imgs)
-        t2 = forward_trace(fixture_model, imgs)
+        t1 = forward_trace(fixture_model, imgs[0], input_gradient=True)
+        t2 = forward_trace(fixture_model, imgs[0], input_gradient=True)
         assert np.array_equal(t1.input_gradient, t2.input_gradient)
-        for name in t1.gradients:
-            assert np.array_equal(t1.gradients[name], t2.gradients[name])
         assert t1.class_index == t2.class_index
+        p1, p2 = (trace_perturbations(fixture_model, imgs[1:], t.class_index)
+                  for t in (t1, t2))
+        for a, b in ((t1, t2), (p1, p2)):
+            for name in a.gradients:
+                assert np.array_equal(a.gradients[name], b.gradients[name])
 
     def test_class_is_row0_argmax(self, fixture_model):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            imgs = rng.random((3, 3, 32, 32))
-            batch = forward_trace(fixture_model, imgs)
-            lone = forward_trace(fixture_model, imgs[0])
-            assert type(batch.class_index) is int
-            assert batch.class_index == lone.class_index \
-                == int(np.argmax(batch.logits[0])) \
-                == int(np.argmax(batch.probabilities[0]))
+            img = rng.random((3, 32, 32))
+            saliency = forward_trace(fixture_model, img, input_gradient=True)
+            lone = forward_trace(fixture_model, img)
+            assert type(saliency.class_index) is int
+            assert saliency.class_index == lone.class_index \
+                == int(np.argmax(saliency.logits[0])) \
+                == int(np.argmax(saliency.probabilities[0]))
 
     def test_class_index_out_of_range(self, fixture_model):
         with pytest.raises(IndexError):
@@ -93,10 +96,13 @@ class TestForwardTrace:
             forward_trace(fixture_model, np.zeros((3, 16, 16)))
 
     def test_logit_and_probability_gradients_differ(self, fixture_model):
-        # the same image as row 0 (logit seed) and row 1 (probability seed)
+        # the same image traced (logit seed) and as a perturbation row
+        # (probability seed)
         img = np.random.default_rng(4).random((3, 32, 32))
-        g = forward_trace(fixture_model, np.stack([img, img])).gradients
-        assert not np.allclose(g["block3"][0], g["block3"][1])
+        tr = forward_trace(fixture_model, img)
+        pert = trace_perturbations(fixture_model, img[None], tr.class_index)
+        assert not np.allclose(tr.gradients["block3"][0],
+                               pert.gradients["block3"][0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_rejected(self, fixture_model, bad):
@@ -105,15 +111,18 @@ class TestForwardTrace:
         with pytest.raises(NonFiniteImageError, match="non-finite"):
             forward_trace(fixture_model, img)
         with pytest.raises(NonFiniteImageError):
-            forward_trace(fixture_model, np.stack([np.zeros_like(img), img]))
+            trace_perturbations(fixture_model,
+                                np.stack([np.zeros_like(img), img]), 0)
         with pytest.raises(NonFiniteImageError):
             forward(fixture_model, img)
 
     def test_logit_trace_has_no_input_gradient(self, fixture_model):
         img = np.random.default_rng(4).random((3, 32, 32))
         assert forward_trace(fixture_model, img).input_gradient is None
-        assert forward_trace(fixture_model, img[None]).input_gradient.shape \
-            == img.shape
+        assert forward_trace(fixture_model, img, input_gradient=True
+                             ).input_gradient.shape == img.shape
+        assert trace_perturbations(fixture_model, img[None], 0
+                                   ).input_gradient is None
 
     def test_forward_matches_trace_logits(self, fixture_model):
         imgs = np.random.default_rng(9).random((3, 3, 32, 32))
@@ -129,9 +138,9 @@ def _close(got, want):
 
 
 class TestBatchedTrace:
-    """Row r of a trace equals that row in a smaller trace of the same image:
-    row 0 (logit seed) against a lone image, rows 1..n (probability seed)
-    against the two-row trace [image; row r]."""
+    """A trace's rows do not depend on each other: the image's trace with
+    its input gradient equals its logit trace ("logit"), and row r of a
+    block of perturbation rows equals row r traced alone ("probability")."""
 
     @pytest.mark.parametrize("part", ["logit", "probability"])
     @pytest.mark.parametrize("class_index", [None, 2])
@@ -141,18 +150,18 @@ class TestBatchedTrace:
         imgs = np.stack([rng.random((3, 32, 32)), np.zeros((3, 32, 32)),
                          3.0 * rng.random((3, 32, 32)) - 1.0,
                          rng.random((3, 32, 32))])
-        batch = forward_trace(fixture_model, imgs, class_index=class_index)
-        assert batch.logits.shape == (len(imgs), 5)
         if part == "logit":
+            batch = forward_trace(fixture_model, imgs[0], class_index,
+                                  input_gradient=True)
             pairs = [(0, forward_trace(fixture_model, imgs[0],
                                        class_index=class_index), 0)]
             assert pairs[0][1].input_gradient is None
         else:
-            pairs = [(r, forward_trace(fixture_model, imgs[[0, r]],
-                                       class_index=class_index), 1)
-                     for r in range(1, len(imgs))]
-            pairs.append((0, forward_trace(fixture_model, imgs[:1],
-                                           class_index=class_index), 0))
+            c = forward_trace(fixture_model, imgs[0], class_index).class_index
+            batch = trace_perturbations(fixture_model, imgs, c)
+            assert batch.logits.shape == (len(imgs), 5)
+            pairs = [(r, trace_perturbations(fixture_model, imgs[r:r + 1], c),
+                      0) for r in range(len(imgs))]
         for r, small, s in pairs:
             assert small.class_index == batch.class_index
             _close(batch.image[r], small.image[s])
@@ -161,30 +170,27 @@ class TestBatchedTrace:
             for n in small.activations:
                 _close(batch.activations[n][r], small.activations[n][s])
                 _close(batch.gradients[n][r], small.gradients[n][s])
-            if part == "probability":
-                _close(batch.input_gradient, small.input_gradient)
 
-    def test_input_gradient_depends_on_row0_alone(self, fixture_model):
-        # the same image with different perturbations: the input gradient
-        # and the shared rows' block gradients are bitwise equal
+    def test_a_row_does_not_depend_on_its_block(self, fixture_model):
+        # the same row in two blocks of other rows: its probabilities and
+        # block gradients are bitwise equal, so any split of the
+        # perturbations into blocks gives the same bits
         rng = np.random.default_rng(10)
         img, shared = rng.random((3, 32, 32)), rng.random((3, 32, 32))
-        a = forward_trace(fixture_model,
-                          np.stack([img, rng.random((3, 32, 32)), shared]))
-        b = forward_trace(fixture_model, np.stack(
-            [img, shared, np.zeros((3, 32, 32)), rng.random((3, 32, 32))]))
-        assert a.class_index == b.class_index
-        assert a.input_gradient.tobytes() == b.input_gradient.tobytes()
+        c = forward_trace(fixture_model, img).class_index
+        a = trace_perturbations(fixture_model,
+                                np.stack([rng.random((3, 32, 32)), shared]), c)
+        b = trace_perturbations(fixture_model, np.stack(
+            [shared, np.zeros((3, 32, 32)), rng.random((3, 32, 32))]), c)
+        assert a.probabilities[1].tobytes() == b.probabilities[0].tobytes()
         for n in a.gradients:
-            for ra, rb in ((0, 0), (2, 1)):
-                assert a.gradients[n][ra].tobytes() \
-                    == b.gradients[n][rb].tobytes()
+            assert a.gradients[n][1].tobytes() == b.gradients[n][0].tobytes()
 
 
 class TestEngineFiniteDifferences:
-    """forward_trace gradients vs central differences through the real
-    network: row 0's logit gradients at every scoring point ("logit"), and
-    a perturbation row's probability gradients at every scoring point plus
+    """Trace gradients vs central differences through the real network: the
+    image's logit gradients at every scoring point ("logit"), and a
+    perturbation row's probability gradients at every scoring point plus
     the image's input gradient ("probability")."""
 
     @pytest.mark.parametrize("part", ["logit", "probability"])
@@ -192,9 +198,10 @@ class TestEngineFiniteDifferences:
         model = fixture_model
         rng = np.random.default_rng(6)
         img, pert = rng.random((3, 32, 32)), rng.random((3, 32, 32))
-        tr = forward_trace(model, np.stack([img, pert]))
-        c = tr.class_index
-        row = 0 if part == "logit" else 1
+        image_trace = forward_trace(model, img, input_gradient=True)
+        c = image_trace.class_index
+        tr = image_trace if part == "logit" \
+            else trace_perturbations(model, pert[None], c)
 
         def scalar(logits):
             if part == "logit":
@@ -203,11 +210,11 @@ class TestEngineFiniteDifferences:
             return float(e[c] / e.sum())
 
         blocks = model.spec.blocks
-        points = [(tr.activations[b.name][row], tr.gradients[b.name][row],
+        points = [(tr.activations[b.name][0], tr.gradients[b.name][0],
                    lambda a, i=i: scalar(_run(model, a, blocks[i + 1:])[1]))
                   for i, b in enumerate(blocks)]
         if part == "probability":
-            points.append((img, tr.input_gradient,
+            points.append((img, image_trace.input_gradient,
                            lambda v: scalar(forward(model, v))))
         rng = np.random.default_rng(7)
         for x, g, f in points:

@@ -11,6 +11,7 @@ from icam.model import (NonFiniteImageError, build_fixture_model, forward,
 from icam.perturb import _draws
 from icam.render import read_ppm, write_ppm
 from icam.tensor import ShapeError
+from oracles import one_batch_explain
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,8 @@ class TestExplain:
     def test_score_reads_the_request_settings(self, model, image):
         req = cam.CamRequest("icam", n=3, alpha=0.6, seed=5, threshold=0.5)
         trace, report = pipeline.score(model, image, req)
-        assert len(trace.image) == 4 and report.request is req
+        assert len(trace.image) == 1 and report.request is req
+        assert len(report.perturbation_weights) == 3
         assert report.to_json_dict()["n"] == 3
         assert pipeline.explain(model, image, req).report.scores \
             == report.scores
@@ -184,22 +186,35 @@ class TestExplain:
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts the engine calls made through pipeline.forward_trace."""
+    """The input shape of each engine call made through
+    pipeline.forward_trace and pipeline.trace_perturbations."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].shape)
-        return forward_trace(*args, **kwargs)
+    def counting(trace):
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return trace(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(pipeline, "forward_trace", counted)
+    for name in ("forward_trace", "trace_perturbations"):
+        monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
     return calls
 
 
+# automatic I-CAM's engine calls at n = 5: the image, then the perturbations
+# in blocks of at most BLOCK_ROWS (2) rows
+IMAGE_THEN_5_PERTURBATIONS = [(3, 32, 32), (2, 3, 32, 32), (2, 3, 32, 32),
+                              (1, 3, 32, 32)]
+
+
 class TestEngineCalls:
-    def test_icam_automatic_is_one_call_over_image_and_perturbations(
+    def test_icam_automatic_traces_the_image_then_perturbation_blocks(
             self, model, image, engine_calls):
         pipeline.explain(model, image, small())
-        assert engine_calls == [(3, 3, 32, 32)]
+        assert engine_calls == [(3, 32, 32), (2, 3, 32, 32)]
+        del engine_calls[:]
+        pipeline.explain(model, image, cam.CamRequest(n=5))
+        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
 
     @pytest.mark.parametrize("method", cam.METHODS)
     def test_single_layer_method_is_one_call(self, model, image, method,
@@ -208,7 +223,7 @@ class TestEngineCalls:
         pipeline.explain(model, image, req)
         assert engine_calls == [(3, 32, 32)]
 
-    def test_compare_is_one_call_over_image_and_perturbations(
+    def test_compare_traces_the_image_then_perturbation_blocks(
             self, model, tmp_path, engine_calls):
         model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
         save_model(model, model_path)
@@ -217,7 +232,7 @@ class TestEngineCalls:
         assert main(["compare", "--model", model_path, "--image", image_path,
                      "--n-perturb", "5", "--out-prefix",
                      str(tmp_path / "cmp")]) == 0
-        assert engine_calls == [(6, 3, 32, 32)]
+        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
 
     @pytest.mark.parametrize("method", cam.METHODS)
     def test_unknown_layer_fails_before_the_engine(self, model, image, method,
@@ -227,7 +242,7 @@ class TestEngineCalls:
             pipeline.explain(model, image, req)
         assert engine_calls == []
 
-    def test_score_layers_is_one_call_and_maps_nothing(
+    def test_score_layers_traces_the_image_then_blocks_and_maps_nothing(
             self, model, tmp_path, engine_calls, monkeypatch):
         maps = []
         monkeypatch.setattr(cam, "single_layer_map",
@@ -239,12 +254,50 @@ class TestEngineCalls:
         assert main(["score-layers", "--model", model_path, "--image",
                      image_path, "--n-perturb", "5", "--out",
                      str(tmp_path / "scores.json")]) == 0
-        assert engine_calls == [(6, 3, 32, 32)]
+        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
         assert maps == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("image_seed", [0, 1])
+def test_blocks_equal_one_trace_of_all_rows(n, image_seed):
+    # the image and its perturbations traced as one [1+n]-row batch give the
+    # same scores, weights and heatmap, bit for bit, as blocks of 2 rows
+    model = build_fixture_model(42)
+    img = np.random.default_rng(image_seed).random((3, 32, 32))
+    req = cam.CamRequest(n=n)
+    got, want = pipeline.explain(model, img, req), one_batch_explain(model,
+                                                                     img, req)
+    assert got.report.scores == want.report.scores
+    assert got.report.layer_weights == want.report.layer_weights
+    assert got.report.perturbation_weights.tobytes() \
+        == want.report.perturbation_weights.tobytes()
+    assert got.heatmap.values.tobytes() == want.heatmap.values.tobytes()
+    assert (got.class_index, got.probability, got.layers, got.zero_maps) \
+        == (want.class_index, want.probability, want.layers, want.zero_maps)
+
+
+@pytest.mark.parametrize("n, limit_mib", [(8, 2.5), (32, 4.5)])
+def test_explain_peak_memory(model, image, n, limit_mib):
+    # perturbations are traced 2 rows at a time and reduced to their maps,
+    # so the peak grows by the maps alone: ~1.6 / ~3.0 MiB at n = 8 / 32,
+    # where one trace of all 1+n rows peaked at 5.0 / 18.3 MiB
+    import gc
+    import tracemalloc
+    req = cam.CamRequest("icam", n=n)
+    pipeline.explain(model, image, req)   # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pipeline.explain(model, image, req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * (1 << 20), peak
+
+
 def test_kept_results_do_not_hold_their_trace(model, image):
-    # each default icam trace holds ~2.5 MB of activations and gradients
+    # each image trace holds ~0.26 MB of activations and gradients
     import gc
     import tracemalloc
     pipeline.explain(model, image, cam.CamRequest("icam"))   # warm caches
@@ -554,12 +607,30 @@ class TestEvaluateManifest:
         assert summary["correct"] == 0
         assert summary["mean_iou"] == 0.0 and summary["mean_saliency"] == 0.0
 
-    def test_one_engine_call_per_correct_record(self, tmp_path, model,
-                                                engine_calls):
+    def test_one_engine_run_per_correct_record(self, tmp_path, model,
+                                               engine_calls):
         records, _ = self._setup(tmp_path, model)
         summary = pipeline.evaluate_manifest(model, records, small())
         assert summary["correct"] == 2 and summary["records"] == 4
-        assert engine_calls == [(3, 3, 32, 32)] * 2
+        assert engine_calls == [(3, 32, 32), (2, 3, 32, 32)] * 2
+
+    @pytest.mark.parametrize("fault", ["missing", "wrong-size"])
+    def test_every_image_checked_before_the_first_forward(
+            self, tmp_path, model, engine_calls, monkeypatch, fault):
+        records, _ = self._setup(tmp_path, model)
+        last = tmp_path / "last.ppm"
+        if fault == "wrong-size":
+            write_ppm(np.zeros((16, 16, 3), dtype=np.uint8), last)
+        records.append({"image": str(last), "bbox": (4, 4, 20, 20),
+                        "label": 0})
+        forwards = []
+        monkeypatch.setattr(pipeline, "forward",
+                            lambda *args: forwards.append(args))
+        error, match = ((FileNotFoundError, "last.ppm") if fault == "missing"
+                        else (ShapeError, f"^{last}: image shape "))
+        with pytest.raises(error, match=match):
+            pipeline.evaluate_manifest(model, records, small())
+        assert forwards == [] and engine_calls == []
 
     @staticmethod
     def _per_record_summary(model, records, request, frac):

@@ -318,21 +318,30 @@ class TestBackwardFiniteDifferenceProperty:
                         lambda v: float(w[1] @ v + b[1]), x)
 
 
+def _image_and_perturbation_traces(model, imgs):
+    """Row 0 traced with its input gradient, the other rows as one block of
+    perturbations, as pipeline.score traces them."""
+    from icam.model import forward_trace, trace_perturbations
+    tr = forward_trace(model, imgs[0], input_gradient=True)
+    return tr, trace_perturbations(model, imgs[1:], tr.class_index)
+
+
 def test_forward_backward_deterministic(fixture_model):
-    from icam.model import forward_trace
     img = np.random.default_rng(20).random((3, 3, 32, 32))
-    t1 = forward_trace(fixture_model, img)
-    t2 = forward_trace(fixture_model, img)
-    assert np.array_equal(t1.logits, t2.logits)
-    assert np.array_equal(t1.input_gradient, t2.input_gradient)
-    for name in t1.gradients:
-        assert np.array_equal(t1.gradients[name], t2.gradients[name])
+    t1 = _image_and_perturbation_traces(fixture_model, img)
+    t2 = _image_and_perturbation_traces(fixture_model, img)
+    assert np.array_equal(t1[0].input_gradient, t2[0].input_gradient)
+    for a, b in zip(t1, t2):
+        assert np.array_equal(a.logits, b.logits)
+        for name in a.gradients:
+            assert np.array_equal(a.gradients[name], b.gradients[name])
 
 
 def test_forward_values_finite(fixture_model):
-    from icam.model import forward_trace
     img = np.random.default_rng(21).random((3, 3, 32, 32))
-    tr = forward_trace(fixture_model, img)
-    for arr in [tr.logits, tr.probabilities, tr.input_gradient,
-                *tr.activations.values(), *tr.gradients.values()]:
-        assert np.all(np.isfinite(arr))
+    for tr in _image_and_perturbation_traces(fixture_model, img):
+        for arr in [tr.logits, tr.probabilities,
+                    *tr.activations.values(), *tr.gradients.values()]:
+            assert np.all(np.isfinite(arr))
+        if tr.input_gradient is not None:
+            assert np.all(np.isfinite(tr.input_gradient))
