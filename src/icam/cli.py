@@ -122,9 +122,7 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
-    model = load_model(args.model) if args.model else build_fixture_model(
-        verify.FIXTURE_SEED if args.seed is None else args.seed)
-    checks = verify.derivative_identity_suite(model)
+    checks = verify.derivative_identity_suite(load_model(args.model))
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -179,12 +177,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="derivative-identity checks of a model")
-    # a --seed beside --model would go unused: argparse refuses the pair
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--model", default=None, help="optional ICAMW001 file; "
-                   "defaults to the built-in fixture")
-    g.add_argument("--seed", type=int, default=None,
-                   help=f"fixture seed (default {verify.FIXTURE_SEED})")
+    p.add_argument("--model", required=True, help="ICAMW001 weight file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("make-fixture", help="write the fixture model file")

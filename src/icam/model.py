@@ -186,6 +186,17 @@ def _backward(model: Model, images: np.ndarray, acts: list, seeds: np.ndarray,
     return grads, g
 
 
+def _class_seed(model: Model, class_index):
+    """(int c, one-hot seed e_c) of a class index: every trace's one rule."""
+    if not is_integer(class_index):
+        raise ValueError(f"class_index must be an integer, got {class_index!r}")
+    c = int(class_index)
+    if not 0 <= c < model.spec.num_classes:
+        raise IndexError(f"class_index {c} out of range "
+                         f"[0, {model.spec.num_classes})")
+    return c, np.eye(model.spec.num_classes)[c]
+
+
 def forward_trace(model: Model, image: np.ndarray, class_index=None,
                   input_gradient=False) -> ForwardTrace:
     """Run one [C,H,W] image forward and walk its logit seed e_c back to the
@@ -195,17 +206,12 @@ def forward_trace(model: Model, image: np.ndarray, class_index=None,
     index). With `input_gradient`, a second walk takes the probability seed
     y * (e_c - y_c) on to the input, for the layer scorer's saliency map.
     """
-    if class_index is not None and not is_integer(class_index):
-        raise ValueError(f"class_index must be an integer, got {class_index!r}")
+    seed = None if class_index is None else _class_seed(model, class_index)
     images = check_images(model, image, ndims=(3,))[None]
     acts, logits = _run(model, images, model.spec.blocks)
     probs = T.softmax(logits)
 
-    c = int(np.argmax(logits[0]) if class_index is None else class_index)
-    if not 0 <= c < model.spec.num_classes:
-        raise IndexError(f"class_index {c} out of range "
-                         f"[0, {model.spec.num_classes})")
-    e_c = np.eye(model.spec.num_classes)[c]
+    c, e_c = seed or _class_seed(model, np.argmax(logits[0]))
     grads, _ = _backward(model, images, acts, e_c[None], to_input=False)
     g = None
     if input_gradient:
@@ -224,15 +230,15 @@ def trace_perturbations(model: Model, rows: np.ndarray,
     image's class c. Every matmul is per row, so a row's values do not
     depend on the other rows, nor on how the perturbations are split into
     blocks."""
+    c, e_c = _class_seed(model, class_index)
     rows = check_images(model, rows, ndims=(4,))
     acts, logits = _run(model, rows, model.spec.blocks)
     probs = T.softmax(logits)
-    e_c = np.eye(model.spec.num_classes)[class_index]
     grads, _ = _backward(model, rows, acts, T.softmax_grad(e_c, probs),
                          to_input=False)
     names = model.spec.scoring_points
     return ForwardTrace(rows, dict(zip(names, acts)), dict(zip(names, grads)),
-                        logits, probs, None, class_index)
+                        logits, probs, None, c)
 
 
 # ---------------------------------------------------------------------------

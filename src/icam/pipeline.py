@@ -75,10 +75,11 @@ def score(model: Model, image: np.ndarray, request: cam.CamRequest,
     trace and the layer-score report. Any other request traces the image
     alone and returns (trace, None)."""
     _resolve_layers(model.spec.scoring_points, request.layers)
-    image = check_images(model, image, ndims=(3,))
+    trace = forward_trace(model, image, class_index,
+                          input_gradient=request.scores_layers)
     if not request.scores_layers:
-        return forward_trace(model, image, class_index=class_index), None
-    trace = forward_trace(model, image, class_index, input_gradient=True)
+        return trace, None
+    image = trace.image[0]   # the image as forward_trace checked it
     perturbed = generate_set(image, request)
     maps, probs = [], []
     for i in range(0, len(perturbed), BLOCK_ROWS):

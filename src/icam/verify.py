@@ -1,11 +1,12 @@
 """The derivative-identity checks behind the `verify` CLI command.
 
 Analytic f^(n)(S^c) g^n vs nested central finite differences through the
-given model's own tail, for n = 2, 3 and the exp and softmax smooths. Each
-check reports its worst error so a failure is diagnosable from the printed
-report alone. The checks of pure library functions (softmax polynomials,
-MDD against symmetric KL) give the same result for every model; they live
-with the test oracles.
+given model's own tail, for n = 2, 3 and the exp and softmax smooths. The
+CLI reads the model from `--model` (`icam make-fixture` writes a fixture).
+Each check reports its worst error so a failure is diagnosable from the
+printed report alone. The checks of pure library functions (softmax
+polynomials, MDD against symmetric KL) give the same result for every
+model; they live with the test oracles.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cam
-from .model import Model, _run, build_fixture_model, forward_trace
+from .model import Model, _run, forward_trace
 from .prng import SplitMix64
-
-FIXTURE_SEED = 7   # the fixture model checked when none is given
 
 
 @dataclass
@@ -57,7 +56,7 @@ def _random_image(rng: SplitMix64, shape):
     return rng.uniform_array(c * h * w).reshape(c, h, w)
 
 
-def derivative_identity_suite(model: Model = None, trials: int = 20,
+def derivative_identity_suite(model: Model, trials: int = 20,
                               table_fn=cam.smooth_table) -> list:
     """Eq-style identity d^n Y^c / dA^n = f^(n)(S^c) g^n at the final
     scoring point, checked against nested central finite differences.
@@ -68,8 +67,6 @@ def derivative_identity_suite(model: Model = None, trials: int = 20,
     trial reached reports worst = nan, so FAIL. Tolerances: rel err < 1e-4
     for n = 2, < 1e-3 for n = 3.
     """
-    if model is None:
-        model = build_fixture_model(FIXTURE_SEED)
     layer = model.spec.scoring_points[-1]
     rng = SplitMix64(1234)
     errors = {(smooth, order): [] for smooth in ("exp", "softmax")

@@ -26,7 +26,8 @@ def _report(num, text):
 
 
 def test_01_derivative_identity():
-    checks = verify.derivative_identity_suite(trials=20)
+    checks = verify.derivative_identity_suite(build_fixture_model(7),
+                                              trials=20)
     for c in checks:
         assert c.passed, f"{c.name}: worst {c.worst_error} >= tol {c.tolerance}"
     worst = max(c.worst_error for c in checks)

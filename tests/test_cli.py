@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,23 @@ class TestParser:
         third = build_parser().parse_args(common)
         assert (first.layers, second.layers, third.layers) \
             == (["block1"], ["block2"], None)
+
+    def test_readme_cli_block_parses(self, capsys):
+        # every documented command line names only flags the CLI still has;
+        # it is parsed, not run
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1] \
+            .split("```sh\n", 1)[1].split("\n```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("icam ")]
+        assert len(lines) >= 6
+        for line in lines:
+            try:
+                cli.build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}\n"
+                            f"{capsys.readouterr().err}")
 
 
 class TestMakeFixture:
@@ -294,8 +312,11 @@ class TestEval:
 
 
 class TestVerify:
-    def test_passes_and_prints_every_check(self, capsys):
-        rc = main(["verify"])
+    def test_passes_and_prints_every_check(self, tmp_path, capsys):
+        seed7 = str(tmp_path / "seed7.icamw")
+        assert main(["make-fixture", "--seed", "7", "--out", seed7]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--model", seed7])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
         # the model's four checks alone: the library's suites run in tests/
@@ -304,25 +325,25 @@ class TestVerify:
             for s in ("exp", "softmax") for n in (2, 3)]
         assert lines[-1] == "4/4 checks passed"
 
-    def test_default_fixture_seed_is_7(self, capsys):
-        assert main(["verify"]) == 0
-        default = capsys.readouterr().out
-        assert main(["verify", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(["verify", "--seed", "3"]) == 0
-        assert capsys.readouterr().out != default
-
-    @pytest.mark.parametrize("seed", ["3", "7"])
-    def test_seed_with_model_is_a_usage_error(self, workspace, capsys, seed):
-        # --seed picks the fixture, so beside --model it would not run
+    def test_model_is_required(self, capsys):
+        # make-fixture is the one way to build a fixture to check
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--model", workspace[1], "--seed", seed])
+            main(["verify"])
         assert exc.value.code == 2   # argparse's usage error
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: icam verify ")
-        assert captured.err.endswith("icam verify: error: argument --seed: "
-                                     "not allowed with argument --model\n")
+        assert captured.err.endswith("icam verify: error: the following "
+                                     "arguments are required: --model\n")
+
+    def test_seed_is_an_unrecognized_argument(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", workspace[1], "--seed", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("icam: error: unrecognized arguments: "
+                                     "--seed 3\n")
 
     def test_zero_head_fails_derivative_identity(self, workspace, tmp_path,
                                                  capsys):
@@ -413,7 +434,6 @@ class TestImportGraph:
              "--out-prefix", str(tmp_path / "cmp")],
             ["eval", "--model", str(model), "--manifest", str(manifest),
              "--out", str(tmp_path / "eval.json")],
-            ["verify"],
             ["verify", "--model", str(model)],
         ]
         proc = _run_python(

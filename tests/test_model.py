@@ -91,6 +91,28 @@ class TestForwardTrace:
                            class_index=class_index)
         assert type(tr.class_index) is int and tr.class_index == 2
 
+    @pytest.mark.parametrize("class_index, error", [
+        (-1, IndexError), (5, IndexError), (2.0, ValueError),
+        (2.7, ValueError), (True, ValueError), (np.int64(1), None)],
+        ids=["negative", "past-the-end", "whole-float", "float", "bool",
+             "numpy-int"])
+    def test_perturbation_trace_checks_the_class_by_the_same_rule(
+            self, fixture_model, class_index, error):
+        # one rule for both traces: a bad class fails the same way in each
+        img = np.random.default_rng(4).random((3, 32, 32))
+        if error is None:
+            block = trace_perturbations(fixture_model, img[None], class_index)
+            assert type(block.class_index) is int and block.class_index == 1
+            assert forward_trace(fixture_model, img, class_index
+                                 ).class_index == 1
+            return
+        with pytest.raises(error) as image_exc:
+            forward_trace(fixture_model, img, class_index)
+        with pytest.raises(error) as block_exc:
+            trace_perturbations(fixture_model, img[None], class_index)
+        assert type(block_exc.value) is type(image_exc.value) is error
+        assert str(block_exc.value) == str(image_exc.value)
+
     def test_bad_image_shape(self, fixture_model):
         with pytest.raises(ShapeError):
             forward_trace(fixture_model, np.zeros((3, 16, 16)))

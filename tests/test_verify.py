@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from icam import cam, verify
+from icam.model import build_fixture_model
 import oracles
 
 
 @pytest.fixture(scope="module")
 def all_checks():
-    # what `icam verify` runs on the default fixture
-    return verify.derivative_identity_suite()
+    # what `icam verify --model` runs on a seed-7 fixture file, before the
+    # file rounds its weights to float32
+    return verify.derivative_identity_suite(build_fixture_model(7))
 
 
 def test_every_check_passes(all_checks):
@@ -44,7 +46,7 @@ class TestNegativeControl:
 
     def test_flipped_f2_fails_derivative_identity(self):
         checks = verify.derivative_identity_suite(
-            trials=5, table_fn=self._broken_table)
+            build_fixture_model(7), trials=5, table_fn=self._broken_table)
         by_name = {c.name: c for c in checks}
         assert not by_name["softmax n=2"].passed
         assert by_name["exp n=2"].passed  # untouched smooth still passes
