@@ -2,7 +2,6 @@
 
 Subcommands:
   explain       heatmap + overlay + JSON sidecar for one image
-  score-layers  per-layer importance report
   eval          IoU / saliency metrics over a JSON-lines manifest
   compare       all four CAM methods side by side
   verify        derivative-identity checks of a model
@@ -40,7 +39,7 @@ def _add_common(p, with_method=True):
                        help=_BIAS_HELP)
         p.add_argument("--layer", action="append", dest="layers", default=None,
                        help="explicit scoring point ('final' = last); repeatable")
-    else:   # score-layers, compare: the request is automatic icam
+    else:   # compare: the request is automatic icam
         p.set_defaults(method="icam", smooth=None, bias=None, layers=None)
     p.set_defaults(parser=p)   # main reports a refused request with it
     p.add_argument("--n-perturb", type=int, default=None)
@@ -75,22 +74,6 @@ def cmd_explain(args):
                 f"{args.out_prefix}.json")
     print(f"class {result.class_index}  probability {result.probability:.6f}  "
           f"layers {','.join(result.layers)}")
-    return 0
-
-
-def cmd_score_layers(args):
-    model = load_model(args.model)
-    _, image = pipeline.read_image(model, args.image)
-    _, report = pipeline.score(model, image, args.request)
-    _write_json(report.to_json_dict(), args.out)
-
-    print(f"{'layer':<12}{'score':>14}{'selected':>10}{'weight':>12}")
-    ranked = sorted(report.scores, key=lambda n: -report.scores[n])
-    for name in ranked:
-        sel = name in report.layer_weights
-        w = f"{report.layer_weights[name]:.6f}" if sel else "-"
-        print(f"{name:<12}{report.scores[name]:>14.6f}"
-              f"{'yes' if sel else 'no':>10}{w:>12}")
     return 0
 
 
@@ -152,12 +135,6 @@ def build_parser():
     p.add_argument("--out-prefix", default="explain")
     p.add_argument("--blend", type=float, default=DEFAULT_BLEND)
     p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("score-layers", help="per-layer importance report")
-    _add_common(p, with_method=False)
-    p.add_argument("--image", required=True)
-    p.add_argument("--out", default="layer_scores.json")
-    p.set_defaults(func=cmd_score_layers)
 
     p = sub.add_parser("eval", help="IoU/saliency metrics over a manifest")
     _add_common(p)

@@ -15,9 +15,11 @@ here, not in `icam verify`. They report through verify's `CheckResult`.
 were traced in blocks, one trace of [image; n perturbations]. It shares
 the library's kernels and scorer, and pins that the blocks change no bit.
 
-The planted-evidence model and samples at the end are a known answer, not
-a re-implementation: they use the library's `Model`, the fixture's spec
-and `SplitMix64`, and test the CAM methods, not those.
+The planted-evidence and conjunction models and samples at the end are
+known answers, not re-implementations: they use the library's `Model`, the
+fixture's spec and `SplitMix64`, and test the CAM methods, not those. On
+the planted model block1 is the best layer by construction; on the
+conjunction model it is the worst.
 """
 
 import math
@@ -384,7 +386,7 @@ def one_batch_explain(model, image, request):
 
 
 # ---------------------------------------------------------------------------
-# planted evidence: a model and samples whose right answer is known
+# planted evidence: models and samples whose right answer is known
 # ---------------------------------------------------------------------------
 
 # class k's color: red, green, blue, yellow, magenta
@@ -432,4 +434,59 @@ def planted_samples(seed, count):
         mask = np.zeros((32, 32), dtype=np.uint8)
         mask[square] = 1
         out.append((image, label, mask))
+    return out
+
+
+def conjunction_model(gain):
+    """`planted_model`'s block1, but class k reads color k directly left of
+    color j = (k + 1) mod 5, so only block2 and deeper can see its evidence.
+
+    block2 channel k reads block1's channel k on its left tap column and
+    channel j on its right, 1/3 per tap, with bias -0.75: it fires (0.25)
+    only where both colors meet, and is <= 0 where either is alone. block3
+    passes channel k on through a 1/9 box kernel, and head.weight[k, k] =
+    gain. Every other weight is 0.
+    """
+    model = planted_model(gain)
+    weights, n = model.weights, len(PLANTED_COLORS)
+    weights["block2.weight"][:] = 0.0
+    for k in range(n):
+        weights["block2.weight"][k, k, :, 0] = 1.0 / 3.0
+        weights["block2.weight"][k, (k + 1) % n, :, 2] = 1.0 / 3.0
+        weights["block2.bias"][k] = -0.75
+    return model
+
+
+def conjunction_samples(seed, count):
+    """`count` (image, label, strip mask) triples from one SplitMix64(seed).
+
+    Sample i has label k = i mod 5 and j = (k + 1) mod 5. On a 0.4 * uniform
+    background it holds three 8x8 squares: one of color k in its left half
+    and color j in its right, one of color k alone and one of color j alone.
+    Each corner is (x0, y0) = (next_u64() % 25, next_u64() % 25), drawn again
+    until the square lies at least 2 px from each square placed before it.
+    The mask is the two-color square's columns x0 + 2 to x0 + 5, the strip
+    where both colors lie within one block2 window.
+    """
+    rng = SplitMix64(seed)
+    side, half, reach = PLANTED_SIDE, PLANTED_SIDE // 2, PLANTED_SIDE + 2
+    out = []
+    for i in range(count):
+        image = 0.4 * rng.uniform_array(3 * 32 * 32).reshape(3, 32, 32)
+        k = i % len(PLANTED_COLORS)
+        j = (k + 1) % len(PLANTED_COLORS)
+        corners = []
+        while len(corners) < 3:
+            x, y = rng.next_u64() % 25, rng.next_u64() % 25
+            if all(abs(x - cx) >= reach or abs(y - cy) >= reach
+                   for cx, cy in corners):
+                corners.append((x, y))
+        for (x, y), (left, right) in zip(corners, ((k, j), (k, k), (j, j))):
+            image[:, y:y + side, x:x + half] = PLANTED_COLORS[left][:, None, None]
+            image[:, y:y + side, x + half:x + side] = \
+                PLANTED_COLORS[right][:, None, None]
+        x0, y0 = corners[0]
+        mask = np.zeros((32, 32), dtype=np.uint8)
+        mask[y0:y0 + side, x0 + 2:x0 + 6] = 1
+        out.append((image, k, mask))
     return out

@@ -145,27 +145,24 @@ class TestExplain:
         assert np.array_equal(read_pgm(prefix + ".pgm"), expected)
 
 
-class TestScoreLayers:
-    def test_report_and_table(self, workspace, tmp_path, capsys):
+class TestLayerReport:
+    """The layer scorer's report is the `layer_scores` of explain's sidecar."""
+
+    def _layer_scores(self, workspace, tmp_path, *flags):
         _, model_path, image_path = workspace
-        out = str(tmp_path / "scores.json")
-        rc = main(["score-layers", "--model", model_path, "--image", image_path,
-                   "--n-perturb", "1", "--out", out])
-        assert rc == 0
-        table = capsys.readouterr().out
-        blob = json.loads(Path(out).read_text())
+        prefix = str(tmp_path / "ex")
+        assert main(["explain", "--model", model_path, "--image", image_path,
+                     "--out-prefix", prefix, *flags]) == 0
+        return json.loads(Path(prefix + ".json").read_text())["layer_scores"]
+
+    def test_scores_every_block(self, workspace, tmp_path):
+        blob = self._layer_scores(workspace, tmp_path, "--n-perturb", "1")
         assert set(blob["scores"]) == {"block1", "block2", "block3"}
-        for name in blob["selected"]:
-            assert name in table
         assert blob["n"] == 1
 
     def test_matches_library_scores(self, workspace, tmp_path):
+        blob = self._layer_scores(workspace, tmp_path, "--n-perturb", "1")
         _, model_path, image_path = workspace
-        out = str(tmp_path / "scores.json")
-        main(["score-layers", "--model", model_path, "--image", image_path,
-              "--n-perturb", "1", "--out", out])
-        blob = json.loads(Path(out).read_text())
-
         model = load_model(model_path)
         image = pipeline.image_from_rgb(read_ppm(image_path))
         result = pipeline.explain(model, image, cam.CamRequest("icam", n=1))
@@ -176,29 +173,29 @@ class TestScoreLayers:
                                             "0.6", "--seed", "5",
                                             "--threshold", "0.5")],
                              ids=["defaults", "custom"])
-    def test_equals_explain_sidecar(self, workspace, tmp_path, flags):
-        _, model_path, image_path = workspace
-        out = tmp_path / "scores.json"
-        main(["score-layers", "--model", model_path, "--image", image_path,
-              "--out", str(out), *flags])
-        main(["explain", "--model", model_path, "--image", image_path,
-              "--out-prefix", str(tmp_path / "ex"), *flags])
-        sidecar = json.loads((tmp_path / "ex.json").read_text())
-        report = json.loads(out.read_text())
-        assert report == sidecar["layer_scores"]
-        # one request carries all four flags, or all four defaults, to both
+    def test_carries_the_scorer_flags(self, workspace, tmp_path, flags):
+        # one request carries all four flags, or all four defaults
+        blob = self._layer_scores(workspace, tmp_path, *flags)
         expected = (dict(n=3, alpha=0.6, seed=5, threshold=0.5) if flags
                     else cam.SCORER_DEFAULTS)
-        assert {k: report[k] for k in cam.SCORER_DEFAULTS} == expected
+        assert {k: blob[k] for k in cam.SCORER_DEFAULTS} == expected
 
     def test_threshold_one_selects_all_informative(self, workspace, tmp_path):
-        _, model_path, image_path = workspace
-        out = str(tmp_path / "scores.json")
-        main(["score-layers", "--model", model_path, "--image", image_path,
-              "--n-perturb", "1", "--threshold", "1.0", "--out", out])
-        blob = json.loads(Path(out).read_text())
+        blob = self._layer_scores(workspace, tmp_path, "--n-perturb", "1",
+                                  "--threshold", "1.0")
         informative = [n for n, s in blob["scores"].items() if s > 0]
         assert sorted(blob["selected"]) == sorted(informative)
+
+    def test_score_layers_is_not_a_command(self, workspace, tmp_path, capsys,
+                                           monkeypatch):
+        # explain's sidecar is the one door to the report
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["score-layers", "--model", workspace[1],
+                  "--image", workspace[2]])
+        assert exc.value.code == 2
+        assert "invalid choice: 'score-layers'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
@@ -428,8 +425,6 @@ class TestImportGraph:
             ["make-fixture", "--out", str(model)],
             ["explain", "--model", str(model), "--image", str(image),
              "--out-prefix", str(tmp_path / "ex")],
-            ["score-layers", "--model", str(model), "--image", str(image),
-             "--out", str(tmp_path / "scores.json")],
             ["compare", "--model", str(model), "--image", str(image),
              "--out-prefix", str(tmp_path / "cmp")],
             ["eval", "--model", str(model), "--manifest", str(manifest),
@@ -447,8 +442,7 @@ class TestImportGraph:
             "assert 'decimal' not in sys.modules\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith("\n4/4 checks passed\n")
-        for name in ("ex.pgm", "ex.json", "scores.json", "cmp_strip.ppm",
-                     "eval.json"):
+        for name in ("ex.pgm", "ex.json", "cmp_strip.ppm", "eval.json"):
             assert (tmp_path / name).is_file()
 
 
@@ -529,21 +523,17 @@ class TestArgumentErrors:
                             f"named)\n")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["score-layers", "compare"])
-    def test_scoring_commands_check_the_scorer_ranges(
-            self, workspace, tmp_path, capsys, command):
+    def test_compare_checks_the_scorer_ranges(self, workspace, tmp_path,
+                                              capsys):
         _, model_path, image_path = workspace
         with pytest.raises(SystemExit) as exc:
-            main([command, "--model", model_path, "--image", image_path,
-                  "--n-perturb", "0", "--out", str(tmp_path / "x")]
-                 if command == "score-layers" else
-                 [command, "--model", model_path, "--image", image_path,
+            main(["compare", "--model", model_path, "--image", image_path,
                   "--n-perturb", "0", "--out-prefix", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: icam {command} ")
-        assert err.endswith(f"icam {command}: error: n must be an integer "
-                            f">= 1, got 0\n")
+        assert err.startswith("usage: icam compare ")
+        assert err.endswith("icam compare: error: n must be an integer "
+                            ">= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "1", "x"])
@@ -667,16 +657,14 @@ class TestUserErrors:
         assert "(3, 40, 48)" in self._explain_fails(workspace, tmp_path,
                                                     image=str(wrong))
 
-    @pytest.mark.parametrize("command", ["explain", "compare", "score-layers"])
+    @pytest.mark.parametrize("command", ["explain", "compare"])
     def test_image_size_names_file(self, workspace, tmp_path, command):
         # every command reads its image through pipeline.read_image
         wrong = tmp_path / "wide.ppm"
         write_ppm(np.zeros((40, 48, 3), dtype=np.uint8), wrong)
-        out = ("--out", str(tmp_path / "out.json")) if command == "score-layers" \
-            else ("--out-prefix", str(tmp_path / "out"))
         with pytest.raises(SystemExit) as exc:
             main([command, "--model", workspace[1], "--image", str(wrong),
-                  "--n-perturb", "2", *out])
+                  "--n-perturb", "2", "--out-prefix", str(tmp_path / "out")])
         assert exc.value.code == (f"error: {wrong}: image shape (3, 40, 48) "
                                   f"!= model input (3, 32, 32)")
         assert not list(tmp_path.glob("out*"))

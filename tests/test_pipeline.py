@@ -242,18 +242,12 @@ class TestEngineCalls:
             pipeline.explain(model, image, req)
         assert engine_calls == []
 
-    def test_score_layers_traces_the_image_then_blocks_and_maps_nothing(
-            self, model, tmp_path, engine_calls, monkeypatch):
+    def test_score_traces_the_image_then_blocks_and_maps_nothing(
+            self, model, image, engine_calls, monkeypatch):
         maps = []
         monkeypatch.setattr(cam, "single_layer_map",
                             lambda *args: maps.append(args[2]))
-        model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
-        save_model(model, model_path)
-        write_ppm(np.random.default_rng(0).integers(0, 256, size=(32, 32, 3),
-                                                    dtype=np.uint8), image_path)
-        assert main(["score-layers", "--model", model_path, "--image",
-                     image_path, "--n-perturb", "5", "--out",
-                     str(tmp_path / "scores.json")]) == 0
+        pipeline.score(model, image, cam.CamRequest("icam", n=5))
         assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
         assert maps == []
 
