@@ -98,7 +98,7 @@ class CamRequest:
                 ("seed", is_integer(seed), "an integer"),
                 ("threshold", isinstance(threshold, Real) and 0 < threshold <= 1,
                  "in (0,1]")):
-            if not ok:
+            if not ok or isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         for name, default in SCORER_DEFAULTS.items():   # as Python numbers, for JSON
             object.__setattr__(self, name, type(default)(getattr(self, name)))

@@ -91,7 +91,8 @@ def cmd_eval(args):
 def cmd_compare(args):
     model = load_model(args.model)
     rgb, image = pipeline.read_image(model, args.image)
-    trace, report = pipeline.score(model, image, args.request)
+    trace = pipeline.forward_trace(model, image)
+    report = pipeline.score(model, trace, args.request)
     requests = [args.request if m == "icam" else cam.CamRequest(m)
                 for m in cam.METHODS]
     heatmaps = [pipeline.explain_trace(trace, r, report).heatmap

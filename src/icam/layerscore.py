@@ -3,8 +3,9 @@
 A layer's score is the perturbation-weighted L2 distance between the
 input-gradient saliency magnitude map and the layer's gradient-weighted
 activation magnitude map (upsampled to input resolution). Scoring reads
-the image's trace, for its input gradient, and each perturbation's map,
-made from its block's trace as the block is traced.
+the image's saliency I * dY^c/dI, which the pipeline walks from the
+image's trace, and each perturbation's map, made from its block's trace as
+the block is traced.
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ def perturbation_maps(trace: ForwardTrace) -> dict:
             for layer in trace.activations}
 
 
-def layer_importance(trace: ForwardTrace, maps: dict, weights) -> dict:
+def layer_importance(saliency: np.ndarray, maps: dict, weights) -> dict:
     """Importance score per scoring point.
 
     S_l = sum_i w_i * || R - up(P_{i,l}) ||_2 over pixels, where R is the
-    channel magnitude of I * dY^c/dI for the image's `trace` and maps[l]
-    stacks the [n,H_l,W_l] maps P_{i,l} of the perturbations i = 1..n. Each
-    layer's distances are summed over the whole stack in one call, so the
-    scores do not depend on how the perturbations were traced.
+    channel magnitude of the image's [C,H,W] `saliency` I * dY^c/dI and
+    maps[l] stacks the [n,H_l,W_l] maps P_{i,l} of the perturbations
+    i = 1..n. Each layer's distances are summed over the whole stack in one
+    call, so the scores do not depend on how the perturbations were traced.
     """
     weights = np.asarray(weights, dtype=np.float64)
     rows = {len(p) for p in maps.values()}
@@ -72,7 +73,7 @@ def layer_importance(trace: ForwardTrace, maps: dict, weights) -> dict:
         raise ValueError(f"need one weight per perturbed row, at least one: "
                          f"got {sorted(rows)} rows, {len(weights)} weights")
 
-    ref = channel_norm_map(trace.image[0] * trace.input_gradient)
+    ref = channel_norm_map(saliency)
     scores = {}
     for layer, p in maps.items():
         p = bilinear_resize(p, *ref.shape)
@@ -100,9 +101,9 @@ def select_layers(scores: dict, threshold: float) -> dict:
     return {n: scores[n] / cum for n in selected}
 
 
-def score_layers(trace: ForwardTrace, maps: dict, weights,
+def score_layers(saliency: np.ndarray, maps: dict, weights,
                  request: CamRequest) -> LayerScoreReport:
-    """Score, select and weigh the layers of an image's `trace` and its
+    """Score, select and weigh the layers from an image's `saliency` and its
     perturbations' stacked `maps`, made with the scoring `request`, at its
     threshold."""
     if not np.any(weights):   # every score would be zero: score nothing
@@ -110,7 +111,7 @@ def score_layers(trace: ForwardTrace, maps: dict, weights,
             "no informative layers: every perturbation weight is zero (MDS "
             "clamps to 0 once a perturbation moves the prediction by >= 1 "
             "nat); name the layers to map")
-    scores = layer_importance(trace, maps, weights)
+    scores = layer_importance(saliency, maps, weights)
     return LayerScoreReport(
         scores=scores,
         perturbation_weights=np.asarray(weights, dtype=np.float64),

@@ -82,12 +82,11 @@ class ForwardTrace:
     """One forward and its reverse walk over a stack of input rows.
 
     Every array keeps the leading row axis N. `forward_trace` traces one
-    image (N = 1): `gradients` holds its logit gradient dS^c/dA, and
-    `input_gradient` its probability gradient dY^c/dI when asked for (else
-    None). `trace_perturbations` traces a block of perturbation rows:
-    `gradients` holds each row's probability gradient dY^c/dA for the
-    image's class, and `input_gradient` is None. One class index holds for
-    every row.
+    image (N = 1): `gradients` holds its logit gradient dS^c/dA.
+    `trace_perturbations` traces a block of perturbation rows: `gradients`
+    holds each row's probability gradient dY^c/dA for the image's class.
+    One class index holds for every row. No trace holds the input gradient
+    dY^c/dI: `input_gradient` walks it from an image's trace.
     """
 
     image: np.ndarray                 # [N,C,H,W] input rows
@@ -95,7 +94,6 @@ class ForwardTrace:
     gradients: dict                   # scoring point -> same shape
     logits: np.ndarray                # [N,C_cls]
     probabilities: np.ndarray         # [N,C_cls]
-    input_gradient: np.ndarray        # [C,H,W], or None
     class_index: int
 
 
@@ -197,30 +195,28 @@ def _class_seed(model: Model, class_index):
     return c, np.eye(model.spec.num_classes)[c]
 
 
-def forward_trace(model: Model, image: np.ndarray, class_index=None,
-                  input_gradient=False) -> ForwardTrace:
+def forward_trace(model: Model, image: np.ndarray,
+                  class_index=None) -> ForwardTrace:
     """Run one [C,H,W] image forward and walk its logit seed e_c back to the
-    blocks.
-
-    class_index defaults to the argmax logit (ties break to the lowest
-    index). With `input_gradient`, a second walk takes the probability seed
-    y * (e_c - y_c) on to the input, for the layer scorer's saliency map.
-    """
+    blocks. class_index defaults to the argmax logit (ties to the lowest)."""
     seed = None if class_index is None else _class_seed(model, class_index)
     images = check_images(model, image, ndims=(3,))[None]
     acts, logits = _run(model, images, model.spec.blocks)
-    probs = T.softmax(logits)
-
     c, e_c = seed or _class_seed(model, np.argmax(logits[0]))
     grads, _ = _backward(model, images, acts, e_c[None], to_input=False)
-    g = None
-    if input_gradient:
-        _, g = _backward(model, images, acts, T.softmax_grad(e_c, probs),
-                         to_input=True)
-        g = g[0]
     names = model.spec.scoring_points
     return ForwardTrace(images, dict(zip(names, acts)), dict(zip(names, grads)),
-                        logits, probs, g, c)
+                        logits, T.softmax(logits), c)
+
+
+def input_gradient(model: Model, trace: ForwardTrace) -> np.ndarray:
+    """The [C,H,W] probability gradient dY^c/dI of an image's `trace`: its
+    seed y * (e_c - y_c) walked back through the trace's own activations to
+    the input, for the layer scorer's saliency map."""
+    _, e_c = _class_seed(model, trace.class_index)
+    _, g = _backward(model, trace.image, list(trace.activations.values()),
+                     T.softmax_grad(e_c, trace.probabilities), to_input=True)
+    return g[0]
 
 
 def trace_perturbations(model: Model, rows: np.ndarray,
@@ -238,7 +234,7 @@ def trace_perturbations(model: Model, rows: np.ndarray,
                          to_input=False)
     names = model.spec.scoring_points
     return ForwardTrace(rows, dict(zip(names, acts)), dict(zip(names, grads)),
-                        logits, probs, None, c)
+                        logits, probs, c)
 
 
 # ---------------------------------------------------------------------------

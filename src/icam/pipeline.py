@@ -1,7 +1,9 @@
 """End-to-end orchestration: explain one image, evaluate a manifest.
 
-This is the glue the CLI calls; everything here is a thin composition of
-the model, perturbation, scoring, and CAM modules.
+The glue the CLI calls. An explain is the image's one trace
+(`forward_trace`), then `score`, which for automatic I-CAM walks the
+image's input gradient from that trace and traces its perturbations,
+then `explain_trace`, which maps and fuses the layers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import cam, layerscore, metrics
 from .model import (ForwardTrace, Model, check_images, forward, forward_trace,
-                    is_integer, trace_perturbations)
+                    input_gradient, is_integer, trace_perturbations)
 from .perturb import generate_set
 from .render import read_ppm
 from .tensor import ShapeError
@@ -66,20 +68,16 @@ def _resolve_layers(points, layers):
 BLOCK_ROWS = 2   # perturbations traced at once: 1 is ~20% slower, 4 holds more
 
 
-def score(model: Model, image: np.ndarray, request: cam.CamRequest,
-          class_index=None):
-    """The one engine run of an explain, set by `request`; an unknown layer
-    fails before it. Automatic I-CAM traces the image, then its
-    perturbations BLOCK_ROWS at a time, keeping only each block's maps and
-    probabilities; it weighs and scores the layers and returns the image's
-    trace and the layer-score report. Any other request traces the image
-    alone and returns (trace, None)."""
-    _resolve_layers(model.spec.scoring_points, request.layers)
-    trace = forward_trace(model, image, class_index,
-                          input_gradient=request.scores_layers)
+def score(model: Model, trace: ForwardTrace, request: cam.CamRequest):
+    """Automatic I-CAM's layer-score report for the image's `trace`, or None
+    for any other request. It walks the image's input gradient for the
+    saliency I * dY^c/dI, then traces the perturbations BLOCK_ROWS at a
+    time, keeping only each block's maps and probabilities, and weighs and
+    scores the layers."""
     if not request.scores_layers:
-        return trace, None
+        return None
     image = trace.image[0]   # the image as forward_trace checked it
+    saliency = image * input_gradient(model, trace)
     perturbed = generate_set(image, request)
     maps, probs = [], []
     for i in range(0, len(perturbed), BLOCK_ROWS):
@@ -92,15 +90,16 @@ def score(model: Model, image: np.ndarray, request: cam.CamRequest,
             for layer in maps[0]}
     weights = metrics.perturbation_weight(
         image, perturbed, trace.probabilities[0], np.concatenate(probs))
-    return trace, layerscore.score_layers(trace, maps, weights, request)
+    return layerscore.score_layers(saliency, maps, weights, request)
 
 
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             class_index=None) -> ExplainResult:
-    """The normalized input-resolution heatmap for one image: `score`, then
-    `explain_trace`."""
-    trace, report = score(model, image, request, class_index)
-    return explain_trace(trace, request, report)
+    """The normalized input-resolution heatmap for one image: the layers are
+    checked before `forward_trace`, then `score` and `explain_trace` run."""
+    _resolve_layers(model.spec.scoring_points, request.layers)
+    trace = forward_trace(model, image, class_index)
+    return explain_trace(trace, request, score(model, trace, request))
 
 
 def explain_trace(trace: ForwardTrace, request: cam.CamRequest,

@@ -377,11 +377,11 @@ def one_batch_explain(model, image, request):
                      tensor.softmax_grad(e_c, probs[:1]), to_input=True)
     names = model.spec.scoring_points
     trace = ForwardTrace(rows, dict(zip(names, acts)), dict(zip(names, grads)),
-                         logits, probs, g[0], c)
+                         logits, probs, c)
     maps = {name: layerscore.channel_norm_map(layerscore.phi(trace, name)[1:])
             for name in names}
     weights = metrics.perturbation_weight(image, rows[1:], probs[0], probs[1:])
-    report = layerscore.score_layers(trace, maps, weights, request)
+    report = layerscore.score_layers(rows[0] * g[0], maps, weights, request)
     return pipeline.explain_trace(trace, request, report)
 
 

@@ -94,15 +94,16 @@ class TestSmoothTables:
     @pytest.mark.parametrize("rows", [1, 9])
     def test_trace_probability_is_the_lone_softmax(self, rows):
         # I-CAM reads Y from the trace: bit for bit the softmax of the
-        # image's logits alone, for a lone image and for the trace that
-        # automatic I-CAM scores with its 8 perturbations
+        # image's logits alone, for a lone image and after automatic I-CAM
+        # scores its trace with 8 perturbations
         rng = np.random.default_rng(rows)
         for seed in (42, 7, 3):
             model = build_fixture_model(seed)
             for _ in range(5):
                 image = rng.random((3, 32, 32))
-                tr = forward_trace(model, image) if rows == 1 else \
-                    pipeline.score(model, image, cam.CamRequest(n=rows - 1))[0]
+                tr = forward_trace(model, image)
+                if rows > 1:
+                    pipeline.score(model, tr, cam.CamRequest(n=rows - 1))
                 e = np.exp(tr.logits[0] - tr.logits[0].max())
                 c = tr.class_index
                 assert tr.probabilities[0, c] == e[c] / e.sum()
@@ -123,8 +124,7 @@ class TestGradCam:
         tr = logit_trace
         zeroed = type(tr)(tr.image, tr.activations,
                           {k: np.zeros_like(v) for k, v in tr.gradients.items()},
-                          tr.logits, tr.probabilities, tr.input_gradient,
-                          tr.class_index)
+                          tr.logits, tr.probabilities, tr.class_index)
         out = layer_map(zeroed, "block2", "gradcam")
         assert np.array_equal(out, np.zeros_like(out))
 
@@ -168,7 +168,7 @@ class TestLayerCam:
         g = np.abs(np.random.default_rng(5).normal(size=(2, 3, 3)))
         tr = ForwardTrace(np.zeros((1, 1, 3, 3)), {"L": a[None]},
                           {"L": g[None]}, np.zeros((1, 2)),
-                          np.full((1, 2), 0.5), None, 0)
+                          np.full((1, 2), 0.5), 0)
         got = layer_map(tr, "L", "layercam")
         assert np.max(np.abs(got - (g * a).sum(axis=0))) < 1e-14
 
@@ -291,7 +291,7 @@ class TestIcamLayerMap:
         g = rng.normal(size=(2, 4, 4))
         tr = ForwardTrace(np.zeros((1, 1, 4, 4)), {"L": a[None]},
                           {"L": g[None]}, np.array([[2.0, -1.0]]),
-                          np.array([[0.95, 0.05]]), None, 0)
+                          np.array([[0.95, 0.05]]), 0)
         none = layer_map(tr, "L", "icam", bias="none")
         chan = layer_map(tr, "L", "icam", bias="channel")
         assert not np.array_equal(none, chan)
@@ -452,11 +452,13 @@ class TestScorerSettings:
         ({"alpha": -0.1}, "alpha must be in [0,1], got -0.1"),
         ({"alpha": float("nan")}, "alpha must be in [0,1], got nan"),
         ({"alpha": "x"}, "alpha must be in [0,1], got 'x'"),
+        ({"alpha": True}, "alpha must be in [0,1], got True"),
         ({"threshold": 0.0}, "threshold must be in (0,1], got 0.0"),
-        ({"threshold": 1.01}, "threshold must be in (0,1], got 1.01")],
+        ({"threshold": 1.01}, "threshold must be in (0,1], got 1.01"),
+        ({"threshold": True}, "threshold must be in (0,1], got True")],
         ids=["n-0", "n-float", "n-bool", "n-str", "seed-float", "seed-bool",
-             "alpha-negative", "alpha-nan", "alpha-str", "threshold-0",
-             "threshold-above-1"])
+             "alpha-negative", "alpha-nan", "alpha-str", "alpha-bool",
+             "threshold-0", "threshold-above-1", "threshold-bool"])
     def test_ill_typed_or_out_of_range_values_name_the_field(self, kwargs,
                                                              message):
         with pytest.raises(ValueError) as exc:

@@ -29,6 +29,14 @@ def workspace(tmp_path_factory):
     return d, model_path, image_path
 
 
+def _readme_block(heading, lang):
+    """The first `lang` code block under README.md's `## heading`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md"
+              ).read_text(encoding="utf-8")
+    return readme.split(f"\n## {heading}\n", 1)[1] \
+        .split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
 def test_console_script_is_cli_main():
     # `pip install .` puts an `icam` command on PATH that calls this target
     import importlib
@@ -67,10 +75,7 @@ class TestParser:
     def test_readme_cli_block_parses(self, capsys):
         # every documented command line names only flags the CLI still has;
         # it is parsed, not run
-        readme = (Path(__file__).resolve().parents[1] / "README.md"
-                  ).read_text(encoding="utf-8")
-        block = readme.split("\n## CLI\n", 1)[1] \
-            .split("```sh\n", 1)[1].split("\n```", 1)[0]
+        block = _readme_block("CLI", "sh")
         lines = [line for line in block.replace("\\\n", " ").splitlines()
                  if line.startswith("icam ")]
         assert len(lines) >= 6
@@ -80,6 +85,11 @@ class TestParser:
             except SystemExit:
                 pytest.fail(f"README line does not parse: {line}\n"
                             f"{capsys.readouterr().err}")
+
+    def test_readme_library_block_runs(self):
+        # the documented library use runs as written, in a fresh process
+        proc = _run_python(_readme_block("Library use", "python"))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMakeFixture:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from icam import cam, layerscore, metrics, pipeline
-from icam.model import forward, forward_trace
+from icam.model import forward, forward_trace, input_gradient
 from icam.prng import SplitMix64
 from oracles import conjunction_model, conjunction_samples
 
@@ -50,7 +50,7 @@ def test_every_sample_is_classified(samples, gain):
 def test_input_gradient_lies_in_the_strip(samples, gain):
     model = conjunction_model(gain)
     for image, _, mask in samples:
-        grad = forward_trace(model, image, input_gradient=True).input_gradient
+        grad = input_gradient(model, forward_trace(model, image))
         support = np.abs(grad).sum(axis=0) > 0
         assert support.any()
         assert not (support & (mask == 0)).any()

@@ -3,51 +3,48 @@ import pytest
 
 from icam import layerscore, metrics
 from icam.model import (ForwardTrace, build_fixture_model, forward_trace,
-                        trace_perturbations)
+                        input_gradient, trace_perturbations)
 from icam.cam import CamRequest
 from icam.perturb import generate_set
 from oracles import naive_bilinear_resize, naive_channel_norm
 
 
-def make_trace(image, input_gradient, activations, gradients, classes=2):
+def make_trace(image, activations, gradients, classes=2):
     return ForwardTrace(
         image=np.asarray(image, dtype=float),
         activations={k: np.asarray(v, dtype=float) for k, v in activations.items()},
         gradients={k: np.asarray(v, dtype=float) for k, v in gradients.items()},
         logits=np.zeros(classes),
         probabilities=np.full(classes, 1.0 / classes),
-        input_gradient=np.asarray(input_gradient, dtype=float),
         class_index=0,
     )
 
 
-def image_and_maps(model, img, perturbed, class_index=None):
-    """The image's trace and its perturbations' stacked maps, traced as one
-    block."""
-    tr = forward_trace(model, img, class_index, input_gradient=True)
+def saliency_and_maps(model, img, perturbed):
+    """The image's saliency I * dY^c/dI and its perturbations' stacked maps,
+    traced as one block."""
+    tr = forward_trace(model, img)
     block = trace_perturbations(model, perturbed, tr.class_index)
-    return tr, layerscore.perturbation_maps(block)
+    return img * input_gradient(model, tr), layerscore.perturbation_maps(block)
 
 
 class TestPhi:
     def test_zero_gradients(self):
-        tr = make_trace(np.ones((1, 2, 2)), np.zeros((1, 2, 2)),
-                        {"L": np.ones((1, 2, 2))}, {"L": np.zeros((1, 2, 2))})
+        tr = make_trace(np.ones((1, 2, 2)), {"L": np.ones((1, 2, 2))},
+                        {"L": np.zeros((1, 2, 2))})
         assert np.array_equal(layerscore.phi(tr, "L"), np.zeros((1, 2, 2)))
 
     def test_elementwise_product_then_relu(self):
         a = [[[1.0, -1.0], [2.0, 0.0]]]
         g = [[[1.0, 1.0], [-1.0, 1.0]]]
-        tr = make_trace(np.ones((1, 2, 2)), np.zeros((1, 2, 2)),
-                        {"L": a}, {"L": g})
+        tr = make_trace(np.ones((1, 2, 2)), {"L": a}, {"L": g})
         assert np.array_equal(layerscore.phi(tr, "L"),
                               [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(0)
         a, g = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-        tr = make_trace(np.ones((1, 4, 4)), np.zeros((1, 4, 4)),
-                        {"L": a}, {"L": g})
+        tr = make_trace(np.ones((1, 4, 4)), {"L": a}, {"L": g})
         got = layerscore.phi(tr, "L")
         for k in range(3):
             for i in range(4):
@@ -55,8 +52,8 @@ class TestPhi:
                     assert got[k, i, j] == max(a[k, i, j] * g[k, i, j], 0.0)
 
     def test_unknown_layer(self):
-        tr = make_trace(np.ones((1, 2, 2)), np.zeros((1, 2, 2)),
-                        {"L": np.ones((1, 2, 2))}, {"L": np.ones((1, 2, 2))})
+        tr = make_trace(np.ones((1, 2, 2)), {"L": np.ones((1, 2, 2))},
+                        {"L": np.ones((1, 2, 2))})
         with pytest.raises(KeyError):
             layerscore.phi(tr, "missing")
 
@@ -80,8 +77,9 @@ class TestChannelNormMap:
 class TestLayerImportance:
     def test_zero_weights_zero_scores(self, fixture_model):
         img = np.random.default_rng(2).random((3, 32, 32))
-        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
-        scores = layerscore.layer_importance(tr, maps, [0.0, 0.0])
+        saliency, maps = saliency_and_maps(fixture_model, img,
+                                           np.stack([img, img]))
+        scores = layerscore.layer_importance(saliency, maps, [0.0, 0.0])
         assert all(v == 0.0 for v in scores.values())
 
     def test_constructed_zero_distance(self):
@@ -90,12 +88,10 @@ class TestLayerImportance:
         img = np.random.default_rng(3).random((2, 4, 4))
         grad = np.random.default_rng(4).normal(size=(2, 4, 4))
         ref = layerscore.channel_norm_map(img * grad)
-        tr = make_trace(img[None], grad, {"L": np.zeros((1, 1, 4, 4))},
-                        {"L": np.zeros((1, 1, 4, 4))})
-        block = make_trace(img[None], grad, {"L": ref[None, None]},
+        block = make_trace(img[None], {"L": ref[None, None]},
                            {"L": np.ones((1, 1, 4, 4))})
         scores = layerscore.layer_importance(
-            tr, layerscore.perturbation_maps(block), [1.0])
+            img * grad, layerscore.perturbation_maps(block), [1.0])
         assert scores["L"] == 0.0
 
     def test_matches_naive_pipeline_oracle(self):
@@ -104,18 +100,19 @@ class TestLayerImportance:
         c = forward_trace(model, img).class_index
         perturbed = generate_set(img, CamRequest(n=2, alpha=0.4,
                                                          seed=42))
-        tr = forward_trace(model, img, c, input_gradient=True)
+        tr = forward_trace(model, img, c)
         block = trace_perturbations(model, perturbed, c)
         weights = [metrics.perturbation_weight(img, p, tr.probabilities[0], q)
                    for p, q in zip(perturbed, block.probabilities)]
         got = layerscore.layer_importance(
-            tr, layerscore.perturbation_maps(block), weights)
+            img * input_gradient(model, tr),
+            layerscore.perturbation_maps(block), weights)
 
         # the oracle runs the image, and each perturbation after it, through
         # the engine on its own
-        orig = forward_trace(model, img, input_gradient=True)
+        orig = forward_trace(model, img)
         traces = [trace_perturbations(model, p[None], c) for p in perturbed]
-        ref_map = naive_channel_norm(img * orig.input_gradient)
+        ref_map = naive_channel_norm(img * input_gradient(model, orig))
         for layer in model.spec.scoring_points:
             expected = 0.0
             for w, t in zip(weights, traces):
@@ -133,16 +130,16 @@ class TestLayerImportance:
 
     def test_length_mismatch(self, fixture_model):
         img = np.zeros((3, 32, 32))
-        tr, maps = image_and_maps(fixture_model, img, img[None])
+        saliency, maps = saliency_and_maps(fixture_model, img, img[None])
         with pytest.raises(ValueError):
-            layerscore.layer_importance(tr, maps, [1.0, 2.0])
+            layerscore.layer_importance(saliency, maps, [1.0, 2.0])
 
     def test_no_perturbed_rows_rejected(self, fixture_model):
         img = np.zeros((3, 32, 32))
-        tr, maps = image_and_maps(fixture_model, img, img[None])
+        saliency, maps = saliency_and_maps(fixture_model, img, img[None])
         with pytest.raises(ValueError, match="at least one"):
             layerscore.layer_importance(
-                tr, {k: v[:0] for k, v in maps.items()}, [])
+                saliency, {k: v[:0] for k, v in maps.items()}, [])
 
 
 def selected(scores, threshold=CamRequest().threshold):
@@ -246,11 +243,13 @@ class TestNoInformativeLayers:
 
     def test_zero_perturbation_weights(self, fixture_model):
         img = np.random.default_rng(9).random((3, 32, 32))
-        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
+        saliency, maps = saliency_and_maps(fixture_model, img,
+                                           np.stack([img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: every perturbation "
                                  "weight is zero"):
-            layerscore.score_layers(tr, maps, np.zeros(2), CamRequest(n=2))
+            layerscore.score_layers(saliency, maps, np.zeros(2),
+                                    CamRequest(n=2))
 
     def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
                                                       monkeypatch):
@@ -264,12 +263,14 @@ class TestNoInformativeLayers:
 
         monkeypatch.setattr(layerscore, "layer_importance", counting)
         img = np.random.default_rng(9).random((3, 32, 32))
-        tr, maps = image_and_maps(fixture_model, img, np.stack([img, img]))
+        saliency, maps = saliency_and_maps(fixture_model, img,
+                                           np.stack([img, img]))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="every perturbation weight is zero"):
-            layerscore.score_layers(tr, maps, np.zeros(2), CamRequest(n=2))
+            layerscore.score_layers(saliency, maps, np.zeros(2),
+                                    CamRequest(n=2))
         assert len(calls) == 0
-        layerscore.score_layers(tr, maps, np.array([0.0, 0.5]),
+        layerscore.score_layers(saliency, maps, np.array([0.0, 0.5]),
                                 CamRequest(n=2))
         assert len(calls) == 1
 
@@ -280,7 +281,7 @@ class TestNoInformativeLayers:
             model.weights[name] = 1e3 * model.weights[name]
         img = np.random.default_rng(0).random((3, 32, 32))
         perturbed = generate_set(img, CamRequest())
-        tr = forward_trace(model, img, input_gradient=True)
+        tr = forward_trace(model, img)
         block = trace_perturbations(model, perturbed, tr.class_index)
         weights = metrics.perturbation_weight(img, perturbed,
                                               tr.probabilities[0],
@@ -289,16 +290,17 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: all scores are "
                                  "zero"):
-            layerscore.score_layers(tr, layerscore.perturbation_maps(block),
+            layerscore.score_layers(img * input_gradient(model, tr),
+                                    layerscore.perturbation_maps(block),
                                     weights, CamRequest())
 
 
 def test_report_json_round_trip(fixture_model):
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
-    tr, maps = image_and_maps(fixture_model, img, img[None])
+    saliency, maps = saliency_and_maps(fixture_model, img, img[None])
     config = CamRequest(n=1, alpha=0.4, seed=9, threshold=0.5)
-    report = layerscore.score_layers(tr, maps, [0.5], config)
+    report = layerscore.score_layers(saliency, maps, [0.5], config)
     parsed = json.loads(json.dumps(report.to_json_dict()))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}

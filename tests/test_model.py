@@ -3,7 +3,8 @@ import pytest
 
 from icam.model import (Model, ModelFormatError, NonFiniteImageError, _run,
                         build_fixture_model, forward, forward_trace,
-                        load_model, save_model, trace_perturbations)
+                        input_gradient, load_model, save_model,
+                        trace_perturbations)
 from icam.tensor import ShapeError
 from oracles import central_diff_grad
 
@@ -51,9 +52,10 @@ class TestForwardTrace:
     def test_deterministic(self, fixture_model):
         rng = np.random.default_rng(2)
         imgs = rng.random((3, 3, 32, 32))
-        t1 = forward_trace(fixture_model, imgs[0], input_gradient=True)
-        t2 = forward_trace(fixture_model, imgs[0], input_gradient=True)
-        assert np.array_equal(t1.input_gradient, t2.input_gradient)
+        t1 = forward_trace(fixture_model, imgs[0])
+        t2 = forward_trace(fixture_model, imgs[0])
+        assert np.array_equal(input_gradient(fixture_model, t1),
+                              input_gradient(fixture_model, t2))
         assert t1.class_index == t2.class_index
         p1, p2 = (trace_perturbations(fixture_model, imgs[1:], t.class_index)
                   for t in (t1, t2))
@@ -65,12 +67,10 @@ class TestForwardTrace:
         rng = np.random.default_rng(3)
         for _ in range(10):
             img = rng.random((3, 32, 32))
-            saliency = forward_trace(fixture_model, img, input_gradient=True)
-            lone = forward_trace(fixture_model, img)
-            assert type(saliency.class_index) is int
-            assert saliency.class_index == lone.class_index \
-                == int(np.argmax(saliency.logits[0])) \
-                == int(np.argmax(saliency.probabilities[0]))
+            tr = forward_trace(fixture_model, img)
+            assert type(tr.class_index) is int
+            assert tr.class_index == int(np.argmax(tr.logits[0])) \
+                == int(np.argmax(tr.probabilities[0]))
 
     def test_class_index_out_of_range(self, fixture_model):
         with pytest.raises(IndexError):
@@ -139,12 +139,12 @@ class TestForwardTrace:
             forward(fixture_model, img)
 
     def test_logit_trace_has_no_input_gradient(self, fixture_model):
+        # the scorer walks dY^c/dI from the image's trace; no trace holds it
         img = np.random.default_rng(4).random((3, 32, 32))
-        assert forward_trace(fixture_model, img).input_gradient is None
-        assert forward_trace(fixture_model, img, input_gradient=True
-                             ).input_gradient.shape == img.shape
-        assert trace_perturbations(fixture_model, img[None], 0
-                                   ).input_gradient is None
+        tr = forward_trace(fixture_model, img)
+        for trace in (tr, trace_perturbations(fixture_model, img[None], 0)):
+            assert not hasattr(trace, "input_gradient")
+        assert input_gradient(fixture_model, tr).shape == img.shape
 
     def test_forward_matches_trace_logits(self, fixture_model):
         imgs = np.random.default_rng(9).random((3, 3, 32, 32))
@@ -160,9 +160,10 @@ def _close(got, want):
 
 
 class TestBatchedTrace:
-    """A trace's rows do not depend on each other: the image's trace with
-    its input gradient equals its logit trace ("logit"), and row r of a
-    block of perturbation rows equals row r traced alone ("probability")."""
+    """A trace's rows do not depend on each other, nor on the walks read
+    from it: the image's trace after its input gradient is walked equals a
+    fresh trace ("logit"), and row r of a block of perturbation rows equals
+    row r traced alone ("probability")."""
 
     @pytest.mark.parametrize("part", ["logit", "probability"])
     @pytest.mark.parametrize("class_index", [None, 2])
@@ -173,11 +174,10 @@ class TestBatchedTrace:
                          3.0 * rng.random((3, 32, 32)) - 1.0,
                          rng.random((3, 32, 32))])
         if part == "logit":
-            batch = forward_trace(fixture_model, imgs[0], class_index,
-                                  input_gradient=True)
+            batch = forward_trace(fixture_model, imgs[0], class_index)
+            input_gradient(fixture_model, batch)
             pairs = [(0, forward_trace(fixture_model, imgs[0],
                                        class_index=class_index), 0)]
-            assert pairs[0][1].input_gradient is None
         else:
             c = forward_trace(fixture_model, imgs[0], class_index).class_index
             batch = trace_perturbations(fixture_model, imgs, c)
@@ -213,15 +213,18 @@ class TestEngineFiniteDifferences:
     """Trace gradients vs central differences through the real network: the
     image's logit gradients at every scoring point ("logit"), and a
     perturbation row's probability gradients at every scoring point plus
-    the image's input gradient ("probability")."""
+    the image's input gradient ("probability"), for a forced class that is
+    not the argmax: the walks read the class from the trace."""
 
     @pytest.mark.parametrize("part", ["logit", "probability"])
     def test_gradients_match_central_differences(self, fixture_model, part):
         model = fixture_model
         rng = np.random.default_rng(6)
         img, pert = rng.random((3, 32, 32)), rng.random((3, 32, 32))
-        image_trace = forward_trace(model, img, input_gradient=True)
-        c = image_trace.class_index
+        argmax = forward_trace(model, img).class_index
+        c = argmax if part == "logit" \
+            else (argmax + 1) % model.spec.num_classes
+        image_trace = forward_trace(model, img, c)
         tr = image_trace if part == "logit" \
             else trace_perturbations(model, pert[None], c)
 
@@ -236,7 +239,7 @@ class TestEngineFiniteDifferences:
                    lambda a, i=i: scalar(_run(model, a, blocks[i + 1:])[1]))
                   for i, b in enumerate(blocks)]
         if part == "probability":
-            points.append((img, image_trace.input_gradient,
+            points.append((img, input_gradient(model, image_trace),
                            lambda v: scalar(forward(model, v))))
         rng = np.random.default_rng(7)
         for x, g, f in points:

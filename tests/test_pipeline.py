@@ -121,35 +121,25 @@ class TestExplain:
                                   "(available: block1, block2, block3)")
         assert isinstance(exc.value, ValueError)   # a boundary error like the rest
 
-    @pytest.mark.parametrize("req", [
-        *(cam.CamRequest(m) for m in ("gradcam", "gradcampp", "layercam")),
-        cam.CamRequest("icam", layers=("block1",))],
-        ids=["gradcam", "gradcampp", "layercam", "icam-named"])
-    def test_score_traces_a_request_that_scores_no_layers_on_the_image(
-            self, model, image, req, engine_calls):
-        trace, report = pipeline.score(model, image, req)
-        assert engine_calls == [(3, 32, 32)]
-        assert report is None
-        got = pipeline.explain_trace(trace, req, None).heatmap.values
-        want = pipeline.explain(model, image, req).heatmap.values
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("method", cam.METHODS)
-    def test_score_fails_on_an_unknown_layer_before_the_engine(
-            self, model, image, method, engine_calls):
-        req = cam.CamRequest(method, layers=("block1", "block7"))
-        with pytest.raises(pipeline.UnknownLayerError):
-            pipeline.score(model, image, req)
-        assert engine_calls == []
-
     def test_score_reads_the_request_settings(self, model, image):
         req = cam.CamRequest("icam", n=3, alpha=0.6, seed=5, threshold=0.5)
-        trace, report = pipeline.score(model, image, req)
-        assert len(trace.image) == 1 and report.request is req
+        report = pipeline.score(model, forward_trace(model, image), req)
+        assert report.request is req
         assert len(report.perturbation_weights) == 3
         assert report.to_json_dict()["n"] == 3
         assert pipeline.explain(model, image, req).report.scores \
             == report.scores
+
+    def test_score_reads_the_class_from_the_trace(self, model, image):
+        # a forced class: the walk and the perturbation traces read it from
+        # the trace, so scoring its trace is explaining it
+        req = small()
+        argmax = forward_trace(model, image).class_index
+        forced = (argmax + 1) % model.spec.num_classes
+        report = pipeline.score(model, forward_trace(model, image, forced), req)
+        want = pipeline.explain(model, image, req, forced).report
+        assert report.scores == want.scores
+        assert report.scores != pipeline.explain(model, image, req).report.scores
 
     @pytest.mark.parametrize("method", ["gradcam", "icam"])
     def test_all_nan_image_rejected(self, model, method):
@@ -201,30 +191,46 @@ def engine_calls(monkeypatch):
     return calls
 
 
-# automatic I-CAM's engine calls at n = 5: the image, then the perturbations
-# in blocks of at most BLOCK_ROWS (2) rows
-IMAGE_THEN_5_PERTURBATIONS = [(3, 32, 32), (2, 3, 32, 32), (2, 3, 32, 32),
-                              (1, 3, 32, 32)]
+@pytest.fixture
+def walk_calls(engine_calls, monkeypatch):
+    """engine_calls, with "input_gradient" at each walk of the image's input
+    gradient made through pipeline.input_gradient."""
+    walk = pipeline.input_gradient
+
+    def counted(*args):
+        engine_calls.append("input_gradient")
+        return walk(*args)
+
+    monkeypatch.setattr(pipeline, "input_gradient", counted)
+    return engine_calls
+
+
+# automatic I-CAM's engine calls at n = 5: the image, the scorer's one walk
+# of its input gradient, then the perturbations in blocks of at most
+# BLOCK_ROWS (2) rows
+IMAGE_WALK_THEN_5_PERTURBATIONS = [(3, 32, 32), "input_gradient",
+                                   (2, 3, 32, 32), (2, 3, 32, 32),
+                                   (1, 3, 32, 32)]
 
 
 class TestEngineCalls:
     def test_icam_automatic_traces_the_image_then_perturbation_blocks(
-            self, model, image, engine_calls):
+            self, model, image, walk_calls):
         pipeline.explain(model, image, small())
-        assert engine_calls == [(3, 32, 32), (2, 3, 32, 32)]
-        del engine_calls[:]
+        assert walk_calls == [(3, 32, 32), "input_gradient", (2, 3, 32, 32)]
+        del walk_calls[:]
         pipeline.explain(model, image, cam.CamRequest(n=5))
-        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
+        assert walk_calls == IMAGE_WALK_THEN_5_PERTURBATIONS
 
     @pytest.mark.parametrize("method", cam.METHODS)
     def test_single_layer_method_is_one_call(self, model, image, method,
-                                             engine_calls):
+                                             walk_calls):
         req = cam.CamRequest(method, layers=("block1", "block3"))
         pipeline.explain(model, image, req)
-        assert engine_calls == [(3, 32, 32)]
+        assert walk_calls == [(3, 32, 32)]
 
     def test_compare_traces_the_image_then_perturbation_blocks(
-            self, model, tmp_path, engine_calls):
+            self, model, tmp_path, walk_calls):
         model_path, image_path = str(tmp_path / "m.icamw"), str(tmp_path / "i.ppm")
         save_model(model, model_path)
         write_ppm(np.random.default_rng(0).integers(0, 256, size=(32, 32, 3),
@@ -232,24 +238,39 @@ class TestEngineCalls:
         assert main(["compare", "--model", model_path, "--image", image_path,
                      "--n-perturb", "5", "--out-prefix",
                      str(tmp_path / "cmp")]) == 0
-        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
+        assert walk_calls == IMAGE_WALK_THEN_5_PERTURBATIONS
 
     @pytest.mark.parametrize("method", cam.METHODS)
     def test_unknown_layer_fails_before_the_engine(self, model, image, method,
-                                                   engine_calls):
+                                                   walk_calls):
         req = cam.CamRequest(method, layers=("block1", "block7"))
         with pytest.raises(pipeline.UnknownLayerError):
             pipeline.explain(model, image, req)
-        assert engine_calls == []
+        assert walk_calls == []
 
     def test_score_traces_the_image_then_blocks_and_maps_nothing(
-            self, model, image, engine_calls, monkeypatch):
+            self, model, image, walk_calls, monkeypatch):
         maps = []
         monkeypatch.setattr(cam, "single_layer_map",
                             lambda *args: maps.append(args[2]))
-        pipeline.score(model, image, cam.CamRequest("icam", n=5))
-        assert engine_calls == IMAGE_THEN_5_PERTURBATIONS
+        trace = pipeline.forward_trace(model, image)
+        pipeline.score(model, trace, cam.CamRequest("icam", n=5))
+        assert walk_calls == IMAGE_WALK_THEN_5_PERTURBATIONS
         assert maps == []
+
+    @pytest.mark.parametrize("req", [
+        *(cam.CamRequest(m) for m in ("gradcam", "gradcampp", "layercam")),
+        cam.CamRequest("icam", layers=("block1",))],
+        ids=["gradcam", "gradcampp", "layercam", "icam-named"])
+    def test_a_request_that_scores_no_layers_walks_no_input_gradient(
+            self, model, image, req, walk_calls):
+        want = pipeline.explain(model, image, req).heatmap.values
+        assert walk_calls == [(3, 32, 32)]
+        trace = pipeline.forward_trace(model, image)
+        assert pipeline.score(model, trace, req) is None
+        assert walk_calls == [(3, 32, 32)] * 2
+        got = pipeline.explain_trace(trace, req, None).heatmap.values
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

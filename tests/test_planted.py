@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from icam import cam, layerscore, metrics, pipeline
-from icam.model import forward
+from icam.model import forward, forward_trace
 from icam.prng import SplitMix64
 from oracles import planted_model, planted_samples
 
@@ -101,7 +101,8 @@ def test_scorer_ranking_against_per_layer_faithfulness(samples):
             request = cam.CamRequest("gradcam", layers=(name,))
             heat = pipeline.explain(model, image, request).heatmap.values
             ious[name].append(_iou(heat, mask))
-        _, report = pipeline.score(model, image, cam.CamRequest("icam"))
+        report = pipeline.score(model, forward_trace(model, image),
+                                cam.CamRequest("icam"))
         top = max(report.scores, key=report.scores.get)
         tops.append(top)
         hits += ious[top][-1] == max(v[-1] for v in ious.values())

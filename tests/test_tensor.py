@@ -320,17 +320,18 @@ class TestBackwardFiniteDifferenceProperty:
 
 def _image_and_perturbation_traces(model, imgs):
     """Row 0 traced with its input gradient, the other rows as one block of
-    perturbations, as pipeline.score traces them."""
-    from icam.model import forward_trace, trace_perturbations
-    tr = forward_trace(model, imgs[0], input_gradient=True)
-    return tr, trace_perturbations(model, imgs[1:], tr.class_index)
+    perturbations, as an explain and pipeline.score trace them."""
+    from icam.model import forward_trace, input_gradient, trace_perturbations
+    tr = forward_trace(model, imgs[0])
+    return (tr, trace_perturbations(model, imgs[1:], tr.class_index),
+            input_gradient(model, tr))
 
 
 def test_forward_backward_deterministic(fixture_model):
     img = np.random.default_rng(20).random((3, 3, 32, 32))
-    t1 = _image_and_perturbation_traces(fixture_model, img)
-    t2 = _image_and_perturbation_traces(fixture_model, img)
-    assert np.array_equal(t1[0].input_gradient, t2[0].input_gradient)
+    *t1, grad1 = _image_and_perturbation_traces(fixture_model, img)
+    *t2, grad2 = _image_and_perturbation_traces(fixture_model, img)
+    assert np.array_equal(grad1, grad2)
     for a, b in zip(t1, t2):
         assert np.array_equal(a.logits, b.logits)
         for name in a.gradients:
@@ -339,9 +340,9 @@ def test_forward_backward_deterministic(fixture_model):
 
 def test_forward_values_finite(fixture_model):
     img = np.random.default_rng(21).random((3, 3, 32, 32))
-    for tr in _image_and_perturbation_traces(fixture_model, img):
+    *traces, grad = _image_and_perturbation_traces(fixture_model, img)
+    for tr in traces:
         for arr in [tr.logits, tr.probabilities,
                     *tr.activations.values(), *tr.gradients.values()]:
             assert np.all(np.isfinite(arr))
-        if tr.input_gradient is not None:
-            assert np.all(np.isfinite(tr.input_gradient))
+    assert np.all(np.isfinite(grad))
