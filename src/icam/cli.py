@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import cam, metrics, pipeline, render, verify
+from . import cam, layerscore, metrics, pipeline, render, verify
 from .model import build_fixture_model, load_model, save_model
 
 DEFAULT_BLEND = 0.5
@@ -92,7 +92,7 @@ def cmd_compare(args):
     model = load_model(args.model)
     rgb, image = pipeline.read_image(model, args.image)
     trace = pipeline.forward_trace(model, image)
-    report = pipeline.score(model, trace, args.request)
+    report = layerscore.score_layers(model, trace, args.request)
     requests = [args.request if m == "icam" else cam.CamRequest(m)
                 for m in cam.METHODS]
     heatmaps = [pipeline.explain_trace(trace, r, report).heatmap

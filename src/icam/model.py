@@ -311,7 +311,7 @@ def load_model(path) -> Model:
         raise ModelFormatError("truncated payload: header extends past end of file")
     try:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # also an integer past the conversion limit
         raise ModelFormatError(f"bad header JSON: {exc}") from exc
     if not isinstance(header, dict) or _META_KEY not in header:
         raise ModelFormatError("bad header: missing __meta__ entry")

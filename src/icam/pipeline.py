@@ -1,9 +1,8 @@
 """End-to-end orchestration: explain one image, evaluate a manifest.
 
 The glue the CLI calls. An explain is the image's one trace
-(`forward_trace`), then `score`, which for automatic I-CAM walks the
-image's input gradient from that trace and traces its perturbations,
-then `explain_trace`, which maps and fuses the layers.
+(`forward_trace`), then `layerscore.score_layers`, which scores the layers
+for automatic I-CAM, then `explain_trace`, which maps and fuses them.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 
 from . import cam, layerscore, metrics
 from .model import (ForwardTrace, Model, check_images, forward, forward_trace,
-                    input_gradient, is_integer, trace_perturbations)
-from .perturb import generate_set
+                    is_integer)
 from .render import read_ppm
 from .tensor import ShapeError
 
@@ -65,41 +63,15 @@ def _resolve_layers(points, layers):
     return resolved
 
 
-BLOCK_ROWS = 2   # perturbations traced at once: 1 is ~20% slower, 4 holds more
-
-
-def score(model: Model, trace: ForwardTrace, request: cam.CamRequest):
-    """Automatic I-CAM's layer-score report for the image's `trace`, or None
-    for any other request. It walks the image's input gradient for the
-    saliency I * dY^c/dI, then traces the perturbations BLOCK_ROWS at a
-    time, keeping only each block's maps and probabilities, and weighs and
-    scores the layers."""
-    if not request.scores_layers:
-        return None
-    image = trace.image[0]   # the image as forward_trace checked it
-    saliency = image * input_gradient(model, trace)
-    perturbed = generate_set(image, request)
-    maps, probs = [], []
-    for i in range(0, len(perturbed), BLOCK_ROWS):
-        block = trace_perturbations(model, perturbed[i:i + BLOCK_ROWS],
-                                    trace.class_index)
-        maps.append(layerscore.perturbation_maps(block))
-        probs.append(block.probabilities)
-        del block   # free its activations before the next block is traced
-    maps = {layer: np.concatenate([m[layer] for m in maps])
-            for layer in maps[0]}
-    weights = metrics.perturbation_weight(
-        image, perturbed, trace.probabilities[0], np.concatenate(probs))
-    return layerscore.score_layers(saliency, maps, weights, request)
-
-
 def explain(model: Model, image: np.ndarray, request: cam.CamRequest,
             class_index=None) -> ExplainResult:
     """The normalized input-resolution heatmap for one image: the layers are
-    checked before `forward_trace`, then `score` and `explain_trace` run."""
+    checked before `forward_trace`, then `layerscore.score_layers` and
+    `explain_trace` run."""
     _resolve_layers(model.spec.scoring_points, request.layers)
     trace = forward_trace(model, image, class_index)
-    return explain_trace(trace, request, score(model, trace, request))
+    return explain_trace(trace, request,
+                         layerscore.score_layers(model, trace, request))
 
 
 def explain_trace(trace: ForwardTrace, request: cam.CamRequest,
@@ -108,6 +80,9 @@ def explain_trace(trace: ForwardTrace, request: cam.CamRequest,
     automatic I-CAM with `report`'s layer weights, else the named layers
     (default: the trace's last scoring point) equally, with no report."""
     if request.scores_layers:
+        if report is None:
+            raise ValueError("automatic I-CAM maps the layers of a report: "
+                             "layerscore.score_layers makes it")
         weights = report.layer_weights
     else:
         points = list(trace.activations)
@@ -132,8 +107,14 @@ def sidecar_dict(result: ExplainResult, request: cam.CamRequest) -> dict:
         "layers": result.layers,
         "zero_maps": result.zero_maps,
     }
-    if result.report is not None:
-        out["layer_scores"] = result.report.to_json_dict()
+    report = result.report
+    if report is not None:
+        out["layer_scores"] = {
+            "scores": {k: float(v) for k, v in report.scores.items()},
+            "selected": list(report.layer_weights),
+            "weights": {k: float(v) for k, v in report.layer_weights.items()},
+            **{k: getattr(request, k) for k in cam.SCORER_DEFAULTS},
+        }
     return out
 
 
@@ -157,8 +138,7 @@ def parse_manifest(path, input_shape, num_classes) -> list:
             try:
                 rec = json.loads(line)
                 image, bbox, label = rec["image"], rec["bbox"], rec["label"]
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                    TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ManifestError(f"{bad}: {exc}") from exc
             if not isinstance(image, str) or not image:
                 raise ManifestError(

@@ -51,7 +51,10 @@ def _parse_netpbm(blob, magic, channels):
         if not field.isdigit():   # bytes.isdigit() is ASCII 0-9 only
             raise ImageFormatError(f"non-numeric header field {field!r}: "
                                    f"must be ASCII decimal digits")
-    width, height, maxval = map(int, header.groups())
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:   # past Python's integer string-conversion limit
+        raise ImageFormatError(f"bad header field: {exc}") from None
     pos = header.end()
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (must be 255)")

@@ -381,7 +381,9 @@ def one_batch_explain(model, image, request):
     maps = {name: layerscore.channel_norm_map(layerscore.phi(trace, name)[1:])
             for name in names}
     weights = metrics.perturbation_weight(image, rows[1:], probs[0], probs[1:])
-    report = layerscore.score_layers(rows[0] * g[0], maps, weights, request)
+    scores = layerscore.layer_importance(rows[0] * g[0], maps, weights)
+    report = layerscore.LayerScoreReport(
+        scores, weights, layerscore.select_layers(scores, request.threshold))
     return pipeline.explain_trace(trace, request, report)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from icam import cam, pipeline
+from icam import cam, layerscore
 from icam import tensor as T
 from icam.model import build_fixture_model, forward_trace
 from icam.render import normalize_minmax
@@ -103,7 +103,8 @@ class TestSmoothTables:
                 image = rng.random((3, 32, 32))
                 tr = forward_trace(model, image)
                 if rows > 1:
-                    pipeline.score(model, tr, cam.CamRequest(n=rows - 1))
+                    layerscore.score_layers(model, tr,
+                                            cam.CamRequest(n=rows - 1))
                 e = np.exp(tr.logits[0] - tr.logits[0].max())
                 c = tr.class_index
                 assert tr.probabilities[0, c] == e[c] / e.sum()

@@ -804,6 +804,18 @@ class TestUserErrors:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("out*"))
 
+    def test_process_header_field_past_the_digit_limit_names_the_file(
+            self, workspace, tmp_path):
+        # int() refuses more than 4,300 digits with a message naming no file
+        bad = tmp_path / "long.ppm"
+        bad.write_bytes(b"P6 " + b"9" * 5000 + b" 32 255\n" + bytes(3072))
+        proc = self._run_explain(workspace, tmp_path, "--image", str(bad))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {bad}: bad header field: "
+                                      f"Exceeds the limit (4300 digits)")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("args", [(), ("--layer", "7")],
                              ids=["automatic", "named"])
     def test_process_integer_block_name_without_traceback(

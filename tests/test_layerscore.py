@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icam import layerscore, metrics
+from icam import layerscore, metrics, pipeline
 from icam.model import (ForwardTrace, build_fixture_model, forward_trace,
                         input_gradient, trace_perturbations)
 from icam.cam import CamRequest
@@ -241,14 +241,20 @@ class TestLayerWeights:
 class TestNoInformativeLayers:
     """The error names which cause emptied the scores."""
 
-    def test_zero_perturbation_weights(self, fixture_model):
+    @staticmethod
+    def weigh_with(monkeypatch, weights):
+        """score_layers reads `weights` as its perturbations' weights."""
+        monkeypatch.setattr(metrics, "perturbation_weight",
+                            lambda *args: np.asarray(weights, dtype=float))
+
+    def test_zero_perturbation_weights(self, fixture_model, monkeypatch):
         img = np.random.default_rng(9).random((3, 32, 32))
-        saliency, maps = saliency_and_maps(fixture_model, img,
-                                           np.stack([img, img]))
+        self.weigh_with(monkeypatch, np.zeros(2))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: every perturbation "
                                  "weight is zero"):
-            layerscore.score_layers(saliency, maps, np.zeros(2),
+            layerscore.score_layers(fixture_model,
+                                    forward_trace(fixture_model, img),
                                     CamRequest(n=2))
 
     def test_zero_perturbation_weights_score_no_layer(self, fixture_model,
@@ -263,15 +269,14 @@ class TestNoInformativeLayers:
 
         monkeypatch.setattr(layerscore, "layer_importance", counting)
         img = np.random.default_rng(9).random((3, 32, 32))
-        saliency, maps = saliency_and_maps(fixture_model, img,
-                                           np.stack([img, img]))
+        tr = forward_trace(fixture_model, img)
+        self.weigh_with(monkeypatch, np.zeros(2))
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="every perturbation weight is zero"):
-            layerscore.score_layers(saliency, maps, np.zeros(2),
-                                    CamRequest(n=2))
+            layerscore.score_layers(fixture_model, tr, CamRequest(n=2))
         assert len(calls) == 0
-        layerscore.score_layers(saliency, maps, np.array([0.0, 0.5]),
-                                CamRequest(n=2))
+        self.weigh_with(monkeypatch, [0.0, 0.5])
+        layerscore.score_layers(fixture_model, tr, CamRequest(n=2))
         assert len(calls) == 1
 
     def test_saturated_head_keeps_the_scores_message(self):
@@ -290,22 +295,21 @@ class TestNoInformativeLayers:
         with pytest.raises(layerscore.NoInformativeLayersError,
                            match="^no informative layers: all scores are "
                                  "zero"):
-            layerscore.score_layers(img * input_gradient(model, tr),
-                                    layerscore.perturbation_maps(block),
-                                    weights, CamRequest())
+            layerscore.score_layers(model, tr, CamRequest())
 
 
 def test_report_json_round_trip(fixture_model):
+    # the sidecar writes the report's layers and the request's settings
     import json
     img = np.random.default_rng(9).random((3, 32, 32))
-    saliency, maps = saliency_and_maps(fixture_model, img, img[None])
     config = CamRequest(n=1, alpha=0.4, seed=9, threshold=0.5)
-    report = layerscore.score_layers(saliency, maps, [0.5], config)
-    parsed = json.loads(json.dumps(report.to_json_dict()))
+    result = pipeline.explain(fixture_model, img, config)
+    parsed = json.loads(json.dumps(
+        pipeline.sidecar_dict(result, config)["layer_scores"]))
     assert set(parsed) == {"scores", "selected", "weights", "threshold",
                            "n", "alpha", "seed"}
     assert (parsed["n"], parsed["alpha"], parsed["seed"],
             parsed["threshold"]) == (1, 0.4, 9, 0.5)
     assert abs(sum(parsed["weights"].values()) - 1.0) < 1e-12
     # the selection in descending-score order, as select_layers made it
-    assert parsed["selected"] == selected(report.scores, 0.5)
+    assert parsed["selected"] == selected(result.report.scores, 0.5)

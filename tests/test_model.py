@@ -314,6 +314,23 @@ class TestWeightFile:
         with pytest.raises(ModelFormatError, match="truncated payload"):
             load_model(p)
 
+    def test_header_integer_past_the_digit_limit(self, tmp_path,
+                                                 fixture_model):
+        # json.loads refuses an integer of more than 4,300 digits with a
+        # bare ValueError
+        p = tmp_path / "m.icamw"
+        save_model(fixture_model, p)
+        blob = p.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        hdr = blob[16:16 + hlen].replace(b'"num_classes":5',
+                                         b'"num_classes":' + b"9" * 5000)
+        assert len(hdr) > hlen
+        p.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr
+                      + blob[16 + hlen:])
+        with pytest.raises(ModelFormatError,
+                           match="^bad header JSON: Exceeds the limit"):
+            load_model(p)
+
     def test_shape_inconsistency(self, tmp_path, fixture_model):
         import json
         p = tmp_path / "m.icamw"

@@ -123,12 +123,14 @@ class TestExplain:
 
     def test_score_reads_the_request_settings(self, model, image):
         req = cam.CamRequest("icam", n=3, alpha=0.6, seed=5, threshold=0.5)
-        report = pipeline.score(model, forward_trace(model, image), req)
-        assert report.request is req
+        report = layerscore.score_layers(model, forward_trace(model, image),
+                                         req)
         assert len(report.perturbation_weights) == 3
-        assert report.to_json_dict()["n"] == 3
-        assert pipeline.explain(model, image, req).report.scores \
-            == report.scores
+        result = pipeline.explain(model, image, req)
+        assert result.report.scores == report.scores
+        sidecar = pipeline.sidecar_dict(result, req)["layer_scores"]
+        assert (sidecar["n"], sidecar["alpha"], sidecar["seed"],
+                sidecar["threshold"]) == (3, 0.6, 5, 0.5)
 
     def test_score_reads_the_class_from_the_trace(self, model, image):
         # a forced class: the walk and the perturbation traces read it from
@@ -136,7 +138,8 @@ class TestExplain:
         req = small()
         argmax = forward_trace(model, image).class_index
         forced = (argmax + 1) % model.spec.num_classes
-        report = pipeline.score(model, forward_trace(model, image, forced), req)
+        report = layerscore.score_layers(
+            model, forward_trace(model, image, forced), req)
         want = pipeline.explain(model, image, req, forced).report
         assert report.scores == want.scores
         assert report.scores != pipeline.explain(model, image, req).report.scores
@@ -159,6 +162,14 @@ class TestExplain:
             pipeline.explain(model, bad, small())
         assert _draws.cache_info() == before
 
+    def test_automatic_icam_trace_needs_the_scorer_report(self, model, image):
+        # a trace alone does not say which layers automatic I-CAM maps
+        trace = forward_trace(model, image)
+        with pytest.raises(ValueError, match="^automatic I-CAM maps the layers "
+                                             "of a report: layerscore.score_"
+                                             "layers makes it$"):
+            pipeline.explain_trace(trace, small())
+
     def test_forced_class_index(self, model, image):
         result = pipeline.explain(model, image, cam.CamRequest("gradcam"),
                                   class_index=3)
@@ -177,7 +188,7 @@ class TestExplain:
 @pytest.fixture
 def engine_calls(monkeypatch):
     """The input shape of each engine call made through
-    pipeline.forward_trace and pipeline.trace_perturbations."""
+    pipeline.forward_trace and layerscore.trace_perturbations."""
     calls = []
 
     def counting(trace):
@@ -186,22 +197,23 @@ def engine_calls(monkeypatch):
             return trace(*args, **kwargs)
         return counted
 
-    for name in ("forward_trace", "trace_perturbations"):
-        monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
+    for module, name in ((pipeline, "forward_trace"),
+                         (layerscore, "trace_perturbations")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls
 
 
 @pytest.fixture
 def walk_calls(engine_calls, monkeypatch):
     """engine_calls, with "input_gradient" at each walk of the image's input
-    gradient made through pipeline.input_gradient."""
-    walk = pipeline.input_gradient
+    gradient made through layerscore.input_gradient."""
+    walk = layerscore.input_gradient
 
     def counted(*args):
         engine_calls.append("input_gradient")
         return walk(*args)
 
-    monkeypatch.setattr(pipeline, "input_gradient", counted)
+    monkeypatch.setattr(layerscore, "input_gradient", counted)
     return engine_calls
 
 
@@ -254,7 +266,7 @@ class TestEngineCalls:
         monkeypatch.setattr(cam, "single_layer_map",
                             lambda *args: maps.append(args[2]))
         trace = pipeline.forward_trace(model, image)
-        pipeline.score(model, trace, cam.CamRequest("icam", n=5))
+        layerscore.score_layers(model, trace, cam.CamRequest("icam", n=5))
         assert walk_calls == IMAGE_WALK_THEN_5_PERTURBATIONS
         assert maps == []
 
@@ -267,7 +279,7 @@ class TestEngineCalls:
         want = pipeline.explain(model, image, req).heatmap.values
         assert walk_calls == [(3, 32, 32)]
         trace = pipeline.forward_trace(model, image)
-        assert pipeline.score(model, trace, req) is None
+        assert layerscore.score_layers(model, trace, req) is None
         assert walk_calls == [(3, 32, 32)] * 2
         got = pipeline.explain_trace(trace, req, None).heatmap.values
         assert got.tobytes() == want.tobytes()
@@ -541,6 +553,17 @@ class TestManifest:
             json.dumps(rec)])
         with pytest.raises(pipeline.ManifestError,
                            match=f"line 2: {match}"):
+            pipeline.parse_manifest(p, (3, 32, 32), 5)
+
+    def test_label_past_the_integer_digit_limit(self, tmp_path):
+        # json.loads refuses an integer of more than 4,300 digits with a
+        # bare ValueError
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"image": "a.ppm", "bbox": [0, 0, 1, 1], "label": '
+                     + "9" * 5000 + "}\n")
+        with pytest.raises(pipeline.ManifestError,
+                           match="^malformed manifest line 1: Exceeds the "
+                                 "limit"):
             pipeline.parse_manifest(p, (3, 32, 32), 5)
 
     def test_non_object_record_rejected(self, tmp_path):

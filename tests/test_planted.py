@@ -101,8 +101,8 @@ def test_scorer_ranking_against_per_layer_faithfulness(samples):
             request = cam.CamRequest("gradcam", layers=(name,))
             heat = pipeline.explain(model, image, request).heatmap.values
             ious[name].append(_iou(heat, mask))
-        report = pipeline.score(model, forward_trace(model, image),
-                                cam.CamRequest("icam"))
+        report = layerscore.score_layers(model, forward_trace(model, image),
+                                         cam.CamRequest("icam"))
         top = max(report.scores, key=report.scores.get)
         tops.append(top)
         hits += ious[top][-1] == max(v[-1] for v in ious.values())

@@ -97,6 +97,16 @@ class TestNetpbmIo:
         with pytest.raises(ImageFormatError, match="non-numeric header field"):
             read_ppm(p)
 
+    def test_header_field_past_the_integer_digit_limit(self, tmp_path):
+        # int() refuses a string of more than 4,300 digits with a bare
+        # ValueError; the reader names the file instead
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6 " + b"9" * 5000 + b" 32 255\n" + b"\x00" * 3072)
+        with pytest.raises(ImageFormatError) as exc:
+            read_ppm(p)
+        assert str(exc.value).startswith(f"{p}: bad header field: Exceeds "
+                                         f"the limit (4300 digits)")
+
     @pytest.mark.parametrize("size", [b"0 0", b"0 3"])
     def test_non_positive_size_rejected(self, tmp_path, size):
         p = tmp_path / "x.ppm"

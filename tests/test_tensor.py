@@ -320,7 +320,7 @@ class TestBackwardFiniteDifferenceProperty:
 
 def _image_and_perturbation_traces(model, imgs):
     """Row 0 traced with its input gradient, the other rows as one block of
-    perturbations, as an explain and pipeline.score trace them."""
+    perturbations, as an explain and layerscore.score_layers trace them."""
     from icam.model import forward_trace, input_gradient, trace_perturbations
     tr = forward_trace(model, imgs[0])
     return (tr, trace_perturbations(model, imgs[1:], tr.class_index),
