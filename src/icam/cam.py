@@ -70,10 +70,15 @@ class CamRequest:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.layers is not None and (isinstance(self.layers, str)
-                                        or len(self.layers) == 0):
-            raise ValueError(f"layers must be None or a non-empty sequence "
-                             f"of layer names, got {self.layers!r}")
+        if self.layers is not None:   # kept as a tuple, so a request hashes
+            try:
+                layers = () if isinstance(self.layers, str) else tuple(self.layers)
+            except TypeError:   # not iterable
+                layers = ()
+            if not layers or not all(isinstance(n, str) for n in layers):
+                raise ValueError(f"layers must be None or a non-empty sequence "
+                                 f"of layer names, got {self.layers!r}")
+            object.__setattr__(self, "layers", layers)
         # refuse what does not run; fill in what does, so readers see what runs
         for defaults, runs, only in (
                 (ICAM_DEFAULTS, self.method == "icam",

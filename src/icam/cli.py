@@ -172,7 +172,7 @@ def main(argv=None):
         try:
             args.request = cam.CamRequest(
                 args.method, smooth=args.smooth, bias=args.bias,
-                layers=tuple(args.layers) if args.layers else None,
+                layers=args.layers,
                 n=args.n_perturb, alpha=args.alpha, seed=args.seed,
                 threshold=args.threshold)
             if "blend" in args:

@@ -244,7 +244,7 @@ def trace_perturbations(model: Model, rows: np.ndarray,
 #   u64 little-endian header length
 #   UTF-8 JSON header: tensor name -> {"shape": [...], "offset": n, "nbytes": n}
 #     plus one reserved "__meta__" entry carrying the architecture
-#   contiguous little-endian float32 payload
+#   little-endian float32 payload: the tensors sorted by name, back to back
 # ---------------------------------------------------------------------------
 
 def _meta_to_spec(meta: dict) -> ModelSpec:
@@ -280,23 +280,29 @@ def _meta_to_spec(meta: dict) -> ModelSpec:
     return spec
 
 
+def _layout(shapes) -> dict:
+    """Tensor name -> its header entry, as the file packs it: sorted by
+    name, float32, back to back from payload offset 0."""
+    layout, offset = {}, 0
+    for name, shape in sorted(shapes.items()):
+        nbytes = 4 * math.prod(shape)
+        layout[name] = {"shape": list(shape), "offset": offset, "nbytes": nbytes}
+        offset += nbytes
+    return layout
+
+
 def save_model(model: Model, path) -> None:
-    names = sorted(model.weights)
-    header = {_META_KEY: asdict(model.spec)}
-    payload = bytearray()
-    offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(model.weights[name], dtype="<f4")
-        header[name] = {"shape": list(arr.shape), "offset": offset,
-                        "nbytes": arr.nbytes}
-        payload += arr.tobytes()
-        offset += arr.nbytes
+    arrays = {name: np.ascontiguousarray(w, dtype="<f4")
+              for name, w in model.weights.items()}
+    layout = _layout({name: a.shape for name, a in arrays.items()})
+    header = {_META_KEY: asdict(model.spec), **layout}
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(hdr).to_bytes(8, "little"))
         f.write(hdr)
-        f.write(payload)
+        for name in layout:
+            f.write(arrays[name].tobytes())
 
 
 def load_model(path) -> Model:
@@ -317,24 +323,18 @@ def load_model(path) -> Model:
         raise ModelFormatError("bad header: missing __meta__ entry")
     spec = _meta_to_spec(header.pop(_META_KEY))
 
+    # the entries save_model writes for __meta__; == alone takes 20.0 or true
+    layout = _layout(spec.weight_shapes())
+    for name in sorted(header.keys() | layout.keys()):
+        got, want = header.get(name), layout.get(name)
+        if got != want or not all(type(v) is int for v in (
+                got["offset"], got["nbytes"], *got["shape"])):
+            raise ModelFormatError(f"bad header: tensor {name!r} is {got}, "
+                                   f"but __meta__ implies {want}")
     body = blob[16 + hlen:]
     weights = {}
-    for name, entry in header.items():
-        try:
-            shape = tuple(entry["shape"])
-            off, nbytes = entry["offset"], entry["nbytes"]
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"bad entry for tensor {name!r}: {exc}") from exc
-        for field, value in (("offset", off), ("nbytes", nbytes)):
-            if type(value) is not int or value < 0:
-                raise ModelFormatError(f"bad entry for tensor {name!r}: {field} "
-                                       f"{value!r} must be an integer >= 0")
-        if not all(type(d) is int and d >= 0 for d in shape) \
-                or nbytes != 4 * math.prod(shape):
-            raise ModelFormatError(
-                f"shape/offset inconsistency: tensor {name!r} shape "
-                f"{list(shape)} must be non-negative integers whose product "
-                f"is nbytes / 4 (nbytes {nbytes})")
+    for name, entry in layout.items():
+        off, nbytes = entry["offset"], entry["nbytes"]
         if off + nbytes > len(body):
             raise ModelFormatError(
                 f"truncated payload: tensor {name!r} at offset {off} "
@@ -343,19 +343,5 @@ def load_model(path) -> Model:
         if not np.isfinite(raw).all():
             raise ModelFormatError(f"tensor {name!r} holds NaN or infinite "
                                    f"values")
-        weights[name] = raw.astype(np.float64).reshape(shape)
-
-    expected = spec.weight_shapes()
-    missing = [n for n in expected if n not in weights]
-    if missing:
-        raise ModelFormatError(f"bad header: missing tensors {missing}")
-    unexpected = [n for n in weights if n not in expected]
-    if unexpected:
-        raise ModelFormatError(f"bad header: tensors {unexpected} are not "
-                               f"named by __meta__")
-    for name, shape in expected.items():
-        if weights[name].shape != shape:
-            raise ModelFormatError(
-                f"tensor {name!r} has shape {weights[name].shape}, "
-                f"but __meta__ implies {shape}")
+        weights[name] = raw.astype(np.float64).reshape(entry["shape"])
     return Model(spec, weights)

@@ -403,10 +403,19 @@ class TestRequestAndDispatch:
             for j in range(i + 1, len(outs)):
                 assert not np.allclose(outs[i], outs[j])
 
-    @pytest.mark.parametrize("layers", [(), [], "block3"])
+    @pytest.mark.parametrize("layers", [(), [], "block3", 5, (None,)])
     def test_layers_must_be_a_nonempty_sequence(self, layers):
-        with pytest.raises(ValueError, match="layers"):
+        with pytest.raises(ValueError, match="^layers must be None or a "
+                                             "non-empty sequence of layer names"):
             cam.CamRequest("gradcam", layers=layers)
+
+    def test_list_of_layers_equals_the_tuple_request(self):
+        assert cam.CamRequest("gradcam", layers=["block1", "block3"]) \
+            == cam.CamRequest("gradcam", layers=("block1", "block3"))
+
+    def test_list_of_layers_request_hashes(self):
+        assert hash(cam.CamRequest("icam", layers=["block2"])) \
+            == hash(cam.CamRequest("icam", layers=("block2",)))
 
 
 class TestScorerSettings:

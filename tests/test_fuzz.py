@@ -5,6 +5,7 @@ parser's named error (ModelFormatError / ImageFormatError); any other
 exception is a parser bug.
 """
 
+import json
 import re
 
 import numpy as np
@@ -91,6 +92,37 @@ def test_weight_header_number_edits(tmp_path, fixture_model):
                 _load_and_run(p)
             except ModelFormatError:
                 pass
+
+
+def test_every_tensor_entry_number_edit_rejected(tmp_path, fixture_model):
+    """Each offset, nbytes and shape dim of each tensor entry set to 0, -1
+    and 1.5 in turn: every edit that changes the value is refused, naming
+    that tensor."""
+    p = tmp_path / "m.icamw"
+    save_model(fixture_model, p)
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header, body = json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+    refused = 0
+    for name in fixture_model.weights:
+        entry = header[name]
+        for holder, key in ([(entry, "offset"), (entry, "nbytes")] + [
+                (entry["shape"], i) for i in range(len(entry["shape"]))]):
+            original = holder[key]
+            for value in (0, -1, 1.5):
+                if value == original:
+                    continue   # block1.bias's offset is already 0
+                holder[key] = value
+                hdr = json.dumps(header).encode()
+                p.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little")
+                              + hdr + body)
+                with pytest.raises(ModelFormatError,
+                                   match=re.escape(f"tensor {name!r}")):
+                    load_model(p)
+                refused += 1
+            holder[key] = original
+    # 8 tensors, 2 fields each and 18 shape dims in all, 3 values, one no-op
+    assert refused == 3 * (2 * 8 + 18) - 1
 
 
 @pytest.mark.parametrize("kind", ["ppm", "pgm"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -451,16 +453,20 @@ class TestWeightFile:
     @pytest.mark.parametrize("field, convert", [
         ("offset", str), ("nbytes", str), ("offset", float),
         ("nbytes", lambda v: v + 0.5), ("offset", lambda v: -v),
-        ("nbytes", lambda v: v > 0)])
+        ("nbytes", lambda v: v > 0), ("shape", lambda v: [float(v[0])])])
     def test_offset_and_nbytes_must_be_integers(self, tmp_path, fixture_model,
                                                 field, convert):
-        # int() would read "20" and 20.5 as 20 and load the file
+        # int() would read "20" and 20.5 as 20, and == takes 20.0 and true
+        bad = {}
+
         def mutate(header):
-            header["head.bias"][field] = convert(header["head.bias"][field])
+            bad[field] = convert(header["head.bias"][field])
+            header["head.bias"][field] = bad[field]
         p = self._save_with_header(tmp_path, fixture_model, mutate)
         with pytest.raises(ModelFormatError,
-                           match=rf"tensor 'head\.bias': {field} .* must be "
-                                 rf"an integer >= 0"):
+                           match=rf"^bad header: tensor 'head\.bias' is "
+                                 rf"\{{.*'{field}': {re.escape(repr(bad[field]))}"
+                                 rf"[,}}].*, but __meta__ implies \{{"):
             load_model(p)
 
     def test_tensor_not_named_by_meta_rejected(self, tmp_path,
@@ -470,7 +476,33 @@ class TestWeightFile:
         p = tmp_path / "m.icamw"
         save_model(Model(fixture_model.spec, weights), p)
         with pytest.raises(ModelFormatError,
-                           match=r"\['block9\.bias', 'junk'\] are not named"):
+                           match=r"^bad header: tensor 'block9\.bias' is "
+                                 r"\{.*\}, but __meta__ implies None$"):
+            load_model(p)
+
+    def test_tensors_out_of_packed_order_rejected(self, tmp_path,
+                                                  fixture_model):
+        # block2.bias and block3.bias trade places in the payload, and the
+        # header follows them: the same weights, in a layout save_model
+        # never writes
+        import json
+        p = tmp_path / "m.icamw"
+        save_model(fixture_model, p)
+        blob = p.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        body = bytearray(blob[16 + hlen:])
+        a, b = header["block2.bias"], header["block3.bias"]
+        assert a["shape"] == b["shape"] and a["offset"] < b["offset"]
+        span = lambda e: slice(e["offset"], e["offset"] + e["nbytes"])
+        body[span(a)], body[span(b)] = body[span(b)], body[span(a)]
+        a["offset"], b["offset"] = b["offset"], a["offset"]
+        hdr = json.dumps(header, sort_keys=True,
+                         separators=(",", ":")).encode()
+        p.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr
+                      + bytes(body))
+        with pytest.raises(ModelFormatError,
+                           match=r"^bad header: tensor 'block2\.bias' is "):
             load_model(p)
 
     def test_missing_meta(self, tmp_path):
