@@ -42,11 +42,14 @@ def _add_common(p, with_method=True):
     else:   # compare: the request is automatic icam
         p.set_defaults(method="icam", smooth=None, bias=None, layers=None)
     p.set_defaults(parser=p)   # main reports a refused request with it
-    p.add_argument("--n-perturb", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="cumulative layer-score threshold T")
+    for flag, name, what in (("--n-perturb", "n", "perturbation count"),
+                             ("--alpha", "alpha", "perturbation strength"),
+                             ("--seed", "seed", "perturbation seed"),
+                             ("--threshold", "threshold",
+                              "cumulative layer-score threshold T")):
+        default = cam.SCORER_DEFAULTS[name]
+        p.add_argument(flag, type=type(default), default=None,
+                       help=f"automatic icam's {what} (default {default})")
 
 
 def _write_heatmap(rgb, heatmap, prefix, blend):

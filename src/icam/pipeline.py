@@ -8,6 +8,7 @@ for automatic I-CAM, then `explain_trace`, which maps and fuses them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,17 +167,55 @@ def bbox_mask(bbox, h, w) -> np.ndarray:
     return mask
 
 
+def evaluate(model: Model, samples, request: cam.CamRequest,
+             iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC) -> dict:
+    """Accuracy over one or more (image, label, truth mask) samples, and mean
+    IoU and saliency over those predicted right (weak localization): one
+    `forward` each, and `explain` only where argmax == label. A correct
+    sample whose scorer raises NoInformativeLayersError counts in
+    no_informative_layers, not in the means. top_layers counts the layers
+    that top automatic I-CAM's scores (None for any other request).
+    """
+    ious, saliencies = [], []   # one entry per explained sample
+    records = zero_heatmaps = refused = 0
+    top_layers = Counter() if request.scores_layers else None
+    for records, (image, label, truth) in enumerate(samples, start=1):
+        pred = int(np.argmax(forward(model, image)))
+        if pred != label:
+            continue
+        try:
+            result = explain(model, image, request, pred)
+        except layerscore.NoInformativeLayersError:
+            refused += 1
+            continue
+        heat = result.heatmap.values
+        zero_heatmaps += not heat.any()
+        ious.append(metrics.iou(
+            metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
+        saliencies.append(metrics.saliency_score(heat, truth))
+        if top_layers is not None:   # selection order: top score first
+            top_layers[result.layers[0]] += 1
+    n = len(ious)
+    return {
+        "records": records,
+        "correct": n + refused,
+        "accuracy": (n + refused) / records,
+        "mean_iou": sum(ious) / n if n else 0.0,
+        "mean_saliency": sum(saliencies) / n if n else 0.0,
+        "iou_threshold_frac": iou_threshold_frac,
+        "zero_heatmaps": zero_heatmaps,
+        "no_informative_layers": refused,
+        "top_layers": top_layers,
+    }
+
+
 def evaluate_manifest(model: Model, records, request: cam.CamRequest,
                       iou_threshold_frac: float = metrics.DEFAULT_THRESHOLD_FRAC,
                       ) -> dict:
-    """Mean IoU and saliency over correct predictions, plus accuracy.
-
-    IoU and saliency are computed only where argmax == label, matching the
-    weak-localization protocol; zero_heatmaps counts those records whose
-    heatmap is all zero. The records, the fraction and an unknown layer are
-    checked before any record is read, and every record's image before the
-    first is predicted; each image is read again when its turn comes, so
-    one decoded image is held at a time.
+    """`evaluate` over parsed manifest records, each truth its bbox's mask.
+    The records, the fraction and an unknown layer are checked before any
+    record is read, and every record's image before the first is predicted;
+    each is read again in its turn, so one decoded image is held at a time.
     """
     if not records:
         raise ManifestError("empty manifest")
@@ -185,27 +224,6 @@ def evaluate_manifest(model: Model, records, request: cam.CamRequest,
     _resolve_layers(model.spec.scoring_points, request.layers)
     for rec in records:
         read_image(model, rec["image"])
-    ious, saliencies = [], []   # one entry per correct prediction
-    zero_heatmaps = 0
-    for rec in records:
-        image = read_image(model, rec["image"])[1]
-        pred = int(np.argmax(forward(model, image)))
-        if pred != rec["label"]:
-            continue
-        heat = explain(model, image, request, pred).heatmap.values
-        zero_heatmaps += not heat.any()
-        truth = bbox_mask(rec["bbox"], in_h, in_w)
-        ious.append(metrics.iou(
-            metrics.threshold_heatmap(heat, iou_threshold_frac), truth))
-        saliencies.append(metrics.saliency_score(heat, truth))
-
-    n_correct = len(ious)
-    return {
-        "records": len(records),
-        "correct": n_correct,
-        "accuracy": n_correct / len(records),
-        "mean_iou": sum(ious) / n_correct if n_correct else 0.0,
-        "mean_saliency": sum(saliencies) / n_correct if n_correct else 0.0,
-        "iou_threshold_frac": iou_threshold_frac,
-        "zero_heatmaps": zero_heatmaps,
-    }
+    return evaluate(model, ((read_image(model, rec["image"])[1], rec["label"],
+                             bbox_mask(rec["bbox"], in_h, in_w))
+                            for rec in records), request, iou_threshold_frac)

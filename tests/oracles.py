@@ -492,3 +492,13 @@ def conjunction_samples(seed, count):
         mask[y0:y0 + side, x0 + 2:x0 + 6] = 1
         out.append((image, k, mask))
     return out
+
+
+def random_heatmap_iou(samples):
+    """The mean IoU, at eval's threshold, of SplitMix64(1) uniform heatmaps
+    against the samples' masks: the floor a known-answer map must beat."""
+    rng = SplitMix64(1)
+    return np.mean([
+        metrics.iou(metrics.threshold_heatmap(
+            rng.uniform_array(mask.size).reshape(mask.shape)), mask)
+        for _, _, mask in samples])

@@ -11,6 +11,7 @@ from icam import cam, cli, pipeline
 from icam.cli import main
 from icam.model import build_fixture_model, forward_trace, load_model, save_model
 from icam.render import read_pgm, read_ppm, write_ppm
+from oracles import planted_model, planted_samples
 
 FIXTURE_SHA256 = \
     "dc06edbf5f16f8aad53aab99130feca52e95d125dea1b11086c687f67e229657"
@@ -85,6 +86,17 @@ class TestParser:
             except SystemExit:
                 pytest.fail(f"README line does not parse: {line}\n"
                             f"{capsys.readouterr().err}")
+
+    def test_explain_help_names_the_scorer_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["explain", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, name in (("--n-perturb", "n"), ("--alpha", "alpha"),
+                           ("--seed", "seed"), ("--threshold", "threshold")):
+            default = re.escape(f"(default {cam.SCORER_DEFAULTS[name]})")
+            assert re.search(
+                rf"{flag} [A-Z_]+ automatic icam's [^(]* {default}",
+                help_text), flag
 
     def test_readme_library_block_runs(self):
         # the documented library use runs as written, in a fresh process
@@ -300,8 +312,35 @@ class TestEval:
         assert 0.0 <= summary["mean_iou"] <= 1.0
         assert 0.0 < summary["mean_saliency"] <= 1.0
         assert 0 <= summary["zero_heatmaps"] <= summary["correct"]
+        assert summary["no_informative_layers"] == 0
+        assert summary["top_layers"] is None   # gradcam tops no scorer
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
+
+    def test_a_record_the_scorer_refuses_is_counted(self, tmp_path):
+        # at gain 200 the default scorer refuses 4 of the first 10 planted
+        # samples; eval counts them and still writes its summary
+        model_path = str(tmp_path / "planted.icamw")
+        save_model(planted_model(200), model_path)
+        lines = []
+        for i, (image, label, mask) in enumerate(planted_samples(0, 10)):
+            path = str(tmp_path / f"p{i}.ppm")
+            write_ppm(np.rint(255 * image.transpose(1, 2, 0))
+                      .astype(np.uint8), path)
+            ys, xs = np.nonzero(mask)
+            bbox = [int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())]
+            lines.append(json.dumps({"image": path, "bbox": bbox,
+                                     "label": label}))
+        manifest = tmp_path / "planted.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", model_path, "--manifest",
+                     str(manifest), "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["correct"] == 10
+        assert summary["no_informative_layers"] == 4
+        assert summary["top_layers"] == {"block2": 6}
+        assert abs(summary["mean_iou"] - 0.054850260416666664) < 1e-9
 
     def test_empty_manifest_fails(self, workspace, tmp_path):
         _, model_path, _ = workspace

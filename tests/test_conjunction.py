@@ -5,21 +5,19 @@ left of color j = (k + 1) mod 5, and each sample holds one 8x8 square of
 the two colors beside one square of each color alone (`tests/oracles.py`).
 block1 sees each color alone, so it cannot tell the square from the
 distractors; block2 is the first block that sees the evidence, the strip
-where the two colors meet. IoU at eval's 0.2 threshold against that strip
-measures a heatmap. Grad-CAM and LayerCAM at block2 must clearly beat a
-random heatmap there. I-CAM's results and the scorer's top layers are
-pinned as they come out today, failures included, as in `test_planted.py`.
+where the two colors meet. `pipeline.evaluate`'s IoU at eval's 0.2
+threshold against that strip measures a heatmap. Grad-CAM and LayerCAM at
+block2 must clearly beat a random heatmap there. Each block's Grad-CAM
+IoU, I-CAM's results and the scorer's top layers are pinned as they come
+out today, failures included, as in `test_planted.py`.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from icam import cam, layerscore, metrics, pipeline
+from icam import cam, pipeline
 from icam.model import forward, forward_trace, input_gradient
-from icam.prng import SplitMix64
-from oracles import conjunction_model, conjunction_samples
+from oracles import conjunction_model, conjunction_samples, random_heatmap_iou
 
 GAINS = (60, 200)   # median top probability ~0.23 and ~0.31
 
@@ -27,17 +25,6 @@ GAINS = (60, 200)   # median top probability ~0.23 and ~0.31
 @pytest.fixture(scope="module")
 def samples():
     return conjunction_samples(0, 50)
-
-
-def _iou(heat, mask):
-    return metrics.iou(metrics.threshold_heatmap(heat), mask)
-
-
-@pytest.fixture(scope="module")
-def random_iou(samples):
-    rng = SplitMix64(1)
-    return np.mean([_iou(rng.uniform_array(32 * 32).reshape(32, 32), mask)
-                    for _, _, mask in samples])
 
 
 @pytest.mark.parametrize("gain", GAINS)
@@ -58,13 +45,23 @@ def test_input_gradient_lies_in_the_strip(samples, gain):
 
 @pytest.mark.parametrize("method", ["gradcam", "layercam"])
 @pytest.mark.parametrize("gain", GAINS)
-def test_block2_maps_beat_random_heatmap(samples, random_iou, gain, method):
-    model = conjunction_model(gain)
-    request = cam.CamRequest(method, layers=("block2",))
-    mean_iou = np.mean([
-        _iou(pipeline.explain(model, image, request).heatmap.values, mask)
-        for image, _, mask in samples])
-    assert mean_iou >= random_iou + 0.4
+def test_block2_maps_beat_random_heatmap(samples, gain, method):
+    summary = pipeline.evaluate(conjunction_model(gain), samples,
+                                cam.CamRequest(method, layers=("block2",)))
+    assert summary["mean_iou"] >= random_heatmap_iou(samples) + 0.4
+
+
+# gain 60, each block's Grad-CAM map alone: block1 lights every square of
+# both colors, block2 the strip, block3 the strip blurred
+LAYER_IOU_PINS = {"block1": 0.16666666666666674, "block2": 0.6646052631578947,
+                  "block3": 0.47411764705882303}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_IOU_PINS))
+def test_single_layer_gradcam_pinned(samples, layer):
+    summary = pipeline.evaluate(conjunction_model(60), samples,
+                                cam.CamRequest("gradcam", layers=(layer,)))
+    assert abs(summary["mean_iou"] - LAYER_IOU_PINS[layer]) < 1e-9
 
 
 # (gain, smooth, bias) -> (NoInformativeLayersError count, mean IoU over the
@@ -85,19 +82,10 @@ ICAM_PINS = {
 
 @pytest.mark.parametrize("gain, smooth, bias", sorted(ICAM_PINS))
 def test_icam_pinned(samples, gain, smooth, bias):
-    model = conjunction_model(gain)
-    request = cam.CamRequest("icam", smooth=smooth, bias=bias)
-    errors, ious, tops = 0, [], Counter()
-    for image, _, mask in samples:
-        try:
-            result = pipeline.explain(model, image, request)
-        except layerscore.NoInformativeLayersError:
-            errors += 1
-            continue
-        ious.append(_iou(result.heatmap.values, mask))
-        scores = result.report.scores
-        tops[max(scores, key=scores.get)] += 1
+    summary = pipeline.evaluate(
+        conjunction_model(gain), samples,
+        cam.CamRequest("icam", smooth=smooth, bias=bias))
     pinned_errors, pinned_iou, pinned_tops = ICAM_PINS[gain, smooth, bias]
-    assert errors == pinned_errors
-    assert abs(sum(ious) / len(ious) - pinned_iou) < 1e-9
-    assert dict(tops) == pinned_tops
+    assert summary["no_informative_layers"] == pinned_errors
+    assert abs(summary["mean_iou"] - pinned_iou) < 1e-9
+    assert summary["top_layers"] == pinned_tops

@@ -674,14 +674,19 @@ class TestEvaluateManifest:
     def _per_record_summary(model, records, request, frac):
         """The summary from a loop that predicts each record on its own."""
         ious, sals, zeros = [], [], 0
+        tops = {} if request.scores_layers else None
         for rec in records:
             img = pipeline.image_from_rgb(read_ppm(rec["image"]))
             pred = int(np.argmax(forward(model, img)))
             if pred != rec["label"]:
                 continue
-            heat = pipeline.explain(model, img, request,
-                                    class_index=pred).heatmap.values
+            result = pipeline.explain(model, img, request, class_index=pred)
+            heat = result.heatmap.values
             zeros += not heat.any()
+            if tops is not None:
+                scores = result.report.scores
+                top = max(scores, key=scores.get)
+                tops[top] = tops.get(top, 0) + 1
             truth = pipeline.bbox_mask(rec["bbox"], 32, 32)
             ious.append(metrics.iou(metrics.threshold_heatmap(heat, frac),
                                     truth))
@@ -691,7 +696,8 @@ class TestEvaluateManifest:
                 "accuracy": n / len(records),
                 "mean_iou": sum(ious) / n if n else 0.0,
                 "mean_saliency": sum(sals) / n if n else 0.0,
-                "iou_threshold_frac": frac, "zero_heatmaps": zeros}
+                "iou_threshold_frac": frac, "zero_heatmaps": zeros,
+                "no_informative_layers": 0, "top_layers": tops}
 
     @pytest.mark.parametrize("method", ["icam", "gradcam"])
     def test_prediction_matches_per_record_loop(
